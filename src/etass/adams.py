@@ -44,7 +44,6 @@ from .bockstein import (
 )
 from .ext import enumerate_ext_families, ext_model_page, torsion_bound
 from .gf2 import Echelon, F2Matrix, F2Vector, kernel_basis, quotient_basis, rank
-from .parallel import tmap
 from .report import Report
 
 
@@ -111,19 +110,30 @@ def dr_rule(r: int, mw_max: int) -> list[AdamsDiffRule]:
     return out
 
 
-def _rule_fn(rules: list[AdamsDiffRule]):
-    by_fam = {
-        (rule.source.p_exp, rule.source.v_exps): rule for rule in rules
-    }
+class RuleTable:
+    """A rule page's differential: the AdamsDiffRule of each source
+    family, applied to single classes (as Page.rule_fn) or to whole
+    towers (family_image)."""
 
-    def apply(m: Monomial) -> list[Monomial]:
-        rule = by_fam.get((m.p_exp, m.v_exps))
+    def __init__(self, rules: list[AdamsDiffRule]):
+        self.by_fam = {(rule.source.p_exp, rule.source.v_exps): rule for rule in rules}
+
+    def __call__(self, m: Monomial) -> list[Monomial]:
+        rule = self.by_fam.get((m.p_exp, m.v_exps))
         if rule is None or m.rho_exp < rule.source.rho_exp:
             return []
         a = m.rho_exp - rule.source.rho_exp
         return [rule.target.times_rho(a) if a else rule.target]
 
-    return apply
+    def family_image(self, fam: Monomial) -> tuple[list[tuple[Monomial, int]], int]:
+        """(terms, threshold) in the form of Page.family_image: from
+        rho exponent source.rho_exp on, the tower maps onto the target's
+        tower shifted by target.rho_exp - source.rho_exp."""
+        rule = self.by_fam.get((fam.p_exp, fam.v_exps))
+        if rule is None:
+            return [], 0
+        t, src_rho = rule.target, rule.source.rho_exp
+        return [(Monomial(0, t.p_exp, t.v_exps), t.rho_exp - src_rho)], src_rho
 
 
 def _edges_from_rules(rules: list[AdamsDiffRule]):
@@ -223,11 +233,12 @@ def _e3_from_e2(e2: Page) -> tuple[dict[int, dict[Monomial, Runs]], dict[int, di
                 if ech.contains(1 << i):
                     fam = Monomial(0, m.p_exp, m.v_exps)
                     zero_col.setdefault(fam, []).append((m.rho_exp, m.rho_exp + 1))
-        return mw, alive_col, zero_col
+        return alive_col, zero_col
 
     new_alive: dict[int, dict[Monomial, Runs]] = {}
     new_zero: dict[int, dict[Monomial, Runs]] = {}
-    for mw, alive_col, zero_col in tmap(do_column, sorted(e2.alive)):
+    for mw in sorted(e2.alive):
+        alive_col, zero_col = do_column(mw)
         new_alive[mw] = {fam: runs_make(pairs) for fam, pairs in alive_col.items()}
         new_zero[mw] = {fam: runs_make(pairs) for fam, pairs in zero_col.items()}
     return new_alive, new_zero
@@ -348,7 +359,7 @@ def run_adams(
             columns=e2.columns,
             alive=alive,
             zero=zero,
-            rule_fn=_rule_fn(rules),
+            rule_fn=RuleTable(rules),
             shift_override=Bidegree(-1, r - 1),
             edges=_edges_from_rules(rules),
             is_model_zero=_model_zero,

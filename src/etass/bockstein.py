@@ -6,10 +6,22 @@ multiples, and the page keeps the interval of rho exponents alive plus
 the interval already hit by earlier differentials.  Differentials on
 these pages send single monomials to single monomials, so each page
 transition decomposes into tower-to-tower blocks whose homology is
-interval arithmetic; every step is then replayed per bidegree through
+interval arithmetic.
+
+Every such transition is then replayed per bidegree through
 gf2.kernel_basis/quotient_basis (at every bidegree up to
 DENSE_VERIFY_LIMIT, on a deterministic sample above it) and any
-disagreement raises.
+disagreement raises.  The replay works on integers: a class is the
+position of its family in the page's column plus its rho exponent, a
+bidegree's basis is a sorted list of positions, and each family's image
+under the page differential is computed once (Page.family_image) and
+shifted by the rho exponent.  That shift is exact because every
+differential the engine runs is rho-linear: rho is a cycle of each
+Bockstein derivation, whose P attachment depends on the v factors only,
+and each later Adams rule maps every rho multiple of its source.
+Monomials are built only for image terms outside the target basis,
+which the page's status (and the ring torsion of its model) must
+certify as zero, and for error messages.
 
 Only pages r = 2^n - 1 carry differentials; the page list returned by
 run_bockstein walks exactly those, and the E-infinity page is compared
@@ -18,6 +30,7 @@ against the closed-form answer by the caller.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -29,7 +42,6 @@ from .algebra import (
     leibniz_apply,
 )
 from .gf2 import Echelon, F2Matrix, F2Vector, kernel_basis, quotient_basis
-from .parallel import tmap
 from .report import Report
 
 MW_MAX_DEFAULT = 64
@@ -232,7 +244,7 @@ class Page:
     rule: Derivation | None = None
     edges: dict[int, dict[Monomial, Edge]] = field(default_factory=dict)
     # differential given as an explicit class-level map instead of a
-    # derivation (the later Adams pages)
+    # derivation (the later Adams pages); it also answers family_image
     rule_fn: Callable[[Monomial], list[Monomial]] | None = None
     shift_override: Bidegree | None = None
     # ring-level torsion of the underlying model: monomials it reports
@@ -282,20 +294,24 @@ class Page:
             self._c0_index[mw] = cached
         return cached
 
-    def basis_at(self, mw: int, c: int) -> list[Monomial]:
-        """Ordered class representatives at one bidegree."""
-        import bisect
-
+    def positions_at(self, mw: int, c: int) -> list[int]:
+        """The classes at one bidegree as ascending positions of their
+        families in _column_alive(mw); class order is position order."""
         c0s, entries, maxspan = self._column_by_c0(mw)
         hi = bisect.bisect_right(c0s, c)
         lo = bisect.bisect_left(c0s, c - maxspan + 1) if maxspan else hi
-        picked = []
-        for c0, pos, fam, runs in entries[lo:hi]:
-            b = c - c0
-            if runs_contain(runs, b):
-                picked.append((pos, fam.times_rho(b) if b else fam))
-        picked.sort()
-        return [m for _, m in picked]
+        return sorted(
+            pos for c0, pos, _, runs in entries[lo:hi] if runs_contain(runs, c - c0)
+        )
+
+    def basis_at(self, mw: int, c: int) -> list[Monomial]:
+        """Ordered class representatives at one bidegree."""
+        column = self._column_alive(mw)
+        out = []
+        for pos in self.positions_at(mw, c):
+            fam, c0, _ = column[pos]
+            out.append(fam.times_rho(c - c0) if c != c0 else fam)
+        return out
 
     def dim_at(self, mw: int, c: int) -> int:
         return len(self.basis_at(mw, c))
@@ -341,6 +357,26 @@ class Page:
         return "absent"
 
     # -- differential ----------------------------------------------------
+    def family_image(self, fam: Monomial) -> tuple[list[tuple[Monomial, int]], int]:
+        """The differential on the tower of a rho-free family.
+
+        Returns (terms, threshold): for b >= threshold the class
+        fam * rho^b maps to the sum of tfam * rho^(b + delta) over the
+        (tfam, delta) terms, and below threshold it maps to zero.  A
+        Leibniz derivation gives threshold 0, since rho is a cycle and
+        its P attachment ignores rho; a rule table reads the entry off
+        its rule.  A derivation that renormalizes its terms is not
+        rho-linear (torsion depends on rho) and is refused.
+        """
+        if self.rule is not None:
+            if self.rule.normalize_terms:
+                raise EngineError("a renormalizing derivation has no rho-linear family image")
+            terms = leibniz_apply(self.rule, fam)
+            return [(Monomial(0, t.p_exp, t.v_exps), t.rho_exp) for t in terms], 0
+        if self.rule_fn is not None:
+            return self.rule_fn.family_image(fam)
+        return [], 0
+
     def apply_rule(self, m: Monomial) -> list[Monomial]:
         if self.rule is None and self.rule_fn is None:
             return []
@@ -457,7 +493,8 @@ class Page:
                         )
             for c in sorted(per_c):
                 ordered = self.basis_at(mw, c)
-                assert set(ordered) == set(per_c[c])
+                if set(ordered) != set(per_c[c]):
+                    raise EngineError(f"basis at mw={mw}, c={c} disagrees with the alive runs")
                 for m in ordered:
                     yield mw, c, m
 
@@ -577,95 +614,177 @@ def _advance(page: Page) -> tuple[dict[int, dict[Monomial, Runs]], dict[int, dic
     return new_alive, new_zero
 
 
-def _replay_bidegree(
-    page: Page,
-    new_alive: dict[int, dict[Monomial, Runs]],
-    new_zero: dict[int, dict[Monomial, Runs]],
-    mw: int,
-    c: int,
-) -> None:
-    """Recompute the homology at one bidegree with gf2 and compare.
+@dataclass
+class _ColumnTable:
+    """One column of a transition by family position: the Chow degree
+    of each family, the runs of the transition's result and of the old
+    zero classes, and the position of each alive family."""
 
-    Kernel and coset representatives come from kernel_basis and
-    quotient_basis on the honest Leibniz-expanded matrices; raises
-    EngineError (or RepresentativeNotMonomial) on any disagreement with
-    the tower transition.
+    c0: list[int]
+    pos_of: dict[Monomial, int]
+    new_alive: list[Runs]
+    new_zero: list[Runs]
+    old_zero: list[Runs]
+
+
+class _Replay:
+    """Replays one page transition through gf2 on integer classes.
+
+    A class at (mw, c) is the position of its family in
+    page._column_alive(mw); its rho exponent is b = c - c0.  The tables
+    (columns, bases per bidegree, family images) belong to one
+    verify_transition call and are dropped with it.
     """
-    shift = page.diff_shift()
-    mid = page.basis_at(mw, c)
-    if not mid:
-        return
-    src = page.basis_at(mw + 1, c - shift.c)
-    tgt = page.basis_at(mw - 1, c + shift.c)
-    tgt_index = {m: i for i, m in enumerate(tgt)}
 
-    def expand_bits(m: Monomial, index: dict[Monomial, int]) -> int:
+    def __init__(self, page: Page, new_alive, new_zero):
+        self.page = page
+        self.shift = page.diff_shift()
+        self.new_alive = new_alive
+        self.new_zero = new_zero
+        self._columns: dict[int, _ColumnTable] = {}
+        # each bidegree serves as mid, as source and as target
+        self._bases: dict[tuple[int, int], list[int]] = {}
+        self._images: dict[tuple[int, int], tuple[list, int]] = {}
+
+    def column(self, mw: int) -> _ColumnTable:
+        table = self._columns.get(mw)
+        if table is None:
+            alive = self.page._column_alive(mw)
+            na = self.new_alive.get(mw, {})
+            nz = self.new_zero.get(mw, {})
+            oz = self.page.zero.get(mw, {})
+            table = _ColumnTable(
+                c0=[c0 for _, c0, _ in alive],
+                pos_of={fam: pos for pos, (fam, _, _) in enumerate(alive)},
+                new_alive=[na.get(fam, EMPTY) for fam, _, _ in alive],
+                new_zero=[nz.get(fam, EMPTY) for fam, _, _ in alive],
+                old_zero=[oz.get(fam, EMPTY) for fam, _, _ in alive],
+            )
+            self._columns[mw] = table
+        return table
+
+    def basis(self, mw: int, c: int) -> list[int]:
+        key = (mw, c)
+        out = self._bases.get(key)
+        if out is None:
+            out = self._bases[key] = self.page.positions_at(mw, c)
+        return out
+
+    def image(self, mw: int, pos: int) -> tuple[list[tuple[int | None, Monomial, int]], int]:
+        """The family's image as (target position, target family, rho
+        delta) entries plus the rho threshold.  The target position is
+        None when the target family is not alive in the target column,
+        or would land at another Chow degree, so the term is never in a
+        target basis."""
+        key = (mw, pos)
+        cached = self._images.get(key)
+        if cached is None:
+            fam, c0, _ = self.page._column_alive(mw)[pos]
+            terms, threshold = self.page.family_image(fam)
+            target = self.column(mw + self.shift.mw)
+            entries = []
+            for tfam, delta in terms:
+                tpos = target.pos_of.get(tfam)
+                if tpos is not None and target.c0[tpos] + delta != c0 + self.shift.c:
+                    tpos = None
+                entries.append((tpos, tfam, delta))
+            cached = self._images[key] = (entries, threshold)
+        return cached
+
+    def image_bits(self, mw: int, pos: int, b: int, index: dict[int, int]) -> int:
+        """The image of class (pos, b) of column mw over a target basis
+        given as position -> coordinate.  A term outside that basis must
+        be zero on the page, else EngineError."""
+        entries, threshold = self.image(mw, pos)
+        if b < threshold:
+            return 0
         bits = 0
-        for term in page.apply_rule(m):
-            i = index.get(term)
+        for tpos, tfam, delta in entries:
+            i = index.get(tpos)
             if i is not None:
                 bits ^= 1 << i
-            elif page.status(term) != "zero":
-                raise EngineError(f"image term {term} is neither alive nor hit")
+            else:
+                term = tfam.times_rho(b + delta)
+                if self.page.status(term) != "zero":
+                    raise EngineError(f"image term {term} is neither alive nor hit")
         return bits
 
-    rows_bits = [0] * len(tgt)
-    for j, m in enumerate(mid):
-        col = expand_bits(m, tgt_index)
-        while col:
-            i = (col & -col).bit_length() - 1
-            rows_bits[i] |= 1 << j
-            col &= col - 1
-    m_out = F2Matrix(len(mid), tuple(F2Vector(len(mid), b) for b in rows_bits))
-    kernel = kernel_basis(m_out)
-    mid_index = {m: i for i, m in enumerate(mid)}
-    boundaries = [
-        F2Vector(len(mid), b)
-        for b in (expand_bits(m, mid_index) for m in src)
-        if b
-    ]
-    reps = quotient_basis(boundaries, kernel)
+    def _name(self, mw: int, pos: int, c: int) -> str:
+        fam, c0, _ = self.page._column_alive(mw)[pos]
+        return str(fam.times_rho(c - c0) if c != c0 else fam)
 
-    got: list[Monomial] = []
-    for v in reps:
-        sup = v.support()
-        if len(sup) != 1:
-            raise RepresentativeNotMonomial(
-                f"no single-monomial representative at mw={mw}, c={c}: {v.coeffs()}"
+    def bidegree(self, mw: int, c: int) -> None:
+        """Recompute the homology at one bidegree with gf2 and compare.
+
+        Kernel and coset representatives come from kernel_basis and
+        quotient_basis on the matrices of the page differential; raises
+        EngineError (or RepresentativeNotMonomial) on any disagreement
+        with the tower transition.
+        """
+        mid = self.basis(mw, c)
+        if not mid:
+            return
+        shift = self.shift
+        smw, sc = mw - shift.mw, c - shift.c
+        src = self.basis(smw, sc)
+        tgt = self.basis(mw + shift.mw, c + shift.c)
+        col, scol = self.column(mw), self.column(smw)
+
+        tgt_index = {pos: i for i, pos in enumerate(tgt)}
+        rows_bits = [0] * len(tgt)
+        for j, pos in enumerate(mid):
+            bits = self.image_bits(mw, pos, c - col.c0[pos], tgt_index)
+            while bits:
+                low = bits & -bits
+                rows_bits[low.bit_length() - 1] |= 1 << j
+                bits ^= low
+        m_out = F2Matrix(len(mid), tuple(F2Vector(len(mid), b) for b in rows_bits))
+        kernel = kernel_basis(m_out)
+        mid_index = {pos: i for i, pos in enumerate(mid)}
+        boundaries = [
+            F2Vector(len(mid), b)
+            for b in (
+                self.image_bits(smw, pos, sc - scol.c0[pos], mid_index) for pos in src
             )
-        got.append(mid[sup[0]])
+            if b
+        ]
+        reps = quotient_basis(boundaries, kernel)
 
-    # surviving classes are a subset of the old ones, in the same order
-    new_col = new_alive.get(mw, {})
-    expected = [
-        m
-        for m in mid
-        if runs_contain(
-            new_col.get(Monomial(0, m.p_exp, m.v_exps), EMPTY), m.rho_exp
-        )
-    ]
-    if got != expected:
-        raise EngineError(
-            f"homology mismatch at mw={mw}, c={c}: gf2 gives {list(map(str, got))}, "
-            f"towers give {list(map(str, expected))}"
-        )
+        got: list[int] = []
+        for v in reps:
+            sup = v.support()
+            if len(sup) != 1:
+                raise RepresentativeNotMonomial(
+                    f"no single-monomial representative at mw={mw}, c={c}: {v.coeffs()}"
+                )
+            got.append(sup[0])
 
-    # classes newly hit must span exactly the boundary space
-    ech = Echelon()
-    for v in boundaries:
-        ech.insert(v.bits)
-    newly_zero = []
-    for i, m in enumerate(mid):
-        fam = Monomial(0, m.p_exp, m.v_exps)
-        b = m.rho_exp
-        if runs_contain(new_zero.get(mw, {}).get(fam, EMPTY), b) and not runs_contain(
-            page.zero.get(mw, {}).get(fam, EMPTY), b
-        ):
-            newly_zero.append(i)
-            if not ech.contains(1 << i):
-                raise EngineError(f"class {m} marked hit but outside boundary span")
-    if len(newly_zero) != ech.rank:
-        raise EngineError(f"boundary rank mismatch at mw={mw}, c={c}")
+        # surviving classes are a subset of the old ones, in the same order
+        expected = [
+            i for i, pos in enumerate(mid) if runs_contain(col.new_alive[pos], c - col.c0[pos])
+        ]
+        if got != expected:
+            raise EngineError(
+                f"homology mismatch at mw={mw}, c={c}: gf2 gives "
+                f"{[self._name(mw, mid[i], c) for i in got]}, towers give "
+                f"{[self._name(mw, mid[i], c) for i in expected]}"
+            )
+
+        # classes newly hit must span exactly the boundary space
+        ech = Echelon()
+        for v in boundaries:
+            ech.insert(v.bits)
+        newly_zero = 0
+        for i, pos in enumerate(mid):
+            b = c - col.c0[pos]
+            if runs_contain(col.new_zero[pos], b) and not runs_contain(col.old_zero[pos], b):
+                newly_zero += 1
+                if not ech.contains(1 << i):
+                    raise EngineError(
+                        f"class {self._name(mw, pos, c)} marked hit but outside boundary span"
+                    )
+        if newly_zero != ech.rank:
+            raise EngineError(f"boundary rank mismatch at mw={mw}, c={c}")
 
 
 def verify_transition(
@@ -675,10 +794,12 @@ def verify_transition(
     mode: str,
     seed: int = 0,
 ) -> int:
-    """Replay the transition per bidegree via gf2.  mode 'all' covers
-    every bidegree with classes; 'sample' covers all run endpoints plus
-    deterministic random picks per column, skipping instances larger
-    than SAMPLE_DIM_CAP.  Returns the number of bidegrees checked."""
+    """Replay the transition per bidegree via gf2 on integer class
+    positions (see _Replay).  mode 'all' covers every bidegree with
+    classes; 'sample' draws up to SAMPLES_PER_COLUMN deterministic
+    random picks per column from the run endpoints and midpoints,
+    skipping instances larger than SAMPLE_DIM_CAP.  Returns the number
+    of bidegrees checked."""
     if mode == "off":
         return 0
 
@@ -714,14 +835,13 @@ def verify_transition(
             cs = set(rng.sample(sorted(pool), min(len(pool), SAMPLES_PER_COLUMN)))
         return sorted(c for c in cs if 0 <= c <= page.c_internal)
 
-    def check_column(mw: int) -> int:
-        count = 0
+    replay = _Replay(page, new_alive, new_zero)
+    count = 0
+    for mw in sorted(page.alive):
         for c in column_bidegrees(mw):
-            _replay_bidegree(page, new_alive, new_zero, mw, c)
+            replay.bidegree(mw, c)
             count += 1
-        return count
-
-    return sum(tmap(check_column, sorted(page.alive)))
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Monomial
-from .bockstein import Page
+from .bockstein import EngineError, Page
 from .homotopy import HomotopyGroup, generator_name, imj_order
 from .report import Report
 
@@ -282,7 +282,8 @@ TABLE5_ROWS: list[tuple] = [
 def _shallow_shape(e: BracketExpr) -> tuple | None:
     if not isinstance(e, Bracket):
         return None
-    assert isinstance(e.first, TwoPower)
+    if not isinstance(e.first, TwoPower):
+        raise EngineError(f"bracket leads with {e.first!r}, not a 2-power")
     return (
         e.first.t,
         e.second.name(unicode=False),

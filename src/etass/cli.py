@@ -8,7 +8,7 @@ Page dumps use one fixed JSON shape:
      "towers": [{"generator_label", "length"} | {"generator_label", "infinite"}]}
 
 Runs are deterministic, so identical invocations produce byte-identical
-output.  ETASS_THREADS caps the worker count for per-column page work.
+output.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ def _cmd_adams(args) -> int:
 
 
 def _cmd_groups(args) -> int:
-    s = Session(args.max_mw)
+    s = Session(args.max_mw, verify=args.page_verify)
     for g in s.groups():
         if not g.is_trivial:
             print(g.describe())
@@ -270,7 +270,7 @@ def _cmd_brackets(args) -> int:
 
 
 def _cmd_chart(args) -> int:
-    s = Session(args.max_mw)
+    s = Session(args.max_mw, verify=args.page_verify)
     if args.page == "e1":
         page = bock_mod.build_e1(args.max_mw)
     elif args.page == "bockstein-einf":
@@ -306,18 +306,23 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def window(text: str) -> int:
+        mw = int(text)
+        if mw < 0:
+            raise argparse.ArgumentTypeError(f"the window must be >= 0, got {mw}")
+        return mw
+
     parser = argparse.ArgumentParser(
         prog="etass",
         description=(
             "Exact spectral-sequence engine for the eta-inverted stable "
             "stems over the reals"
         ),
-        epilog="ETASS_THREADS caps the internal worker count.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, dump=False):
-        p.add_argument("--max-mw", type=int, default=DEFAULT_MW)
+        p.add_argument("--max-mw", type=window, default=DEFAULT_MW)
         p.add_argument(
             "--page-verify",
             choices=["auto", "all", "sample", "off"],

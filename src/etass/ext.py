@@ -259,6 +259,8 @@ def product_consistency(mw_max: int, trials: int = 500, seed: int = 0) -> Report
     fams = [f for f in _families_up_to(mw_max) if not f.is_one()]
     rep = Report()
     bad_assoc = bad_comm = 0
+    # windows below mw 3 hold no family to pick from
+    trials = trials if fams else 0
     for _ in range(trials):
         picks = []
         for _ in range(3):

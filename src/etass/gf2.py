@@ -2,8 +2,7 @@
 
 Vectors pack their coefficients into a single Python integer (bit ``i``
 is coordinate ``i``), so a row operation is one XOR regardless of width.
-Everything is immutable after construction and all operations are pure,
-so the functions here are safe to call from concurrent workers.
+Everything is immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -12,7 +11,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
-class SubspaceNotContained(Exception):
+class GF2Error(Exception):
+    """An elimination broke one of its own invariants."""
+
+
+class SubspaceNotContained(GF2Error):
     """A vector of the claimed subspace is outside the ambient span."""
 
 
@@ -144,6 +147,8 @@ class Echelon:
 
     def __init__(self):
         self.pivots: dict[int, int] = {}
+        # a superset of the bits set in any stored row
+        self._support = 0
 
     @property
     def rank(self) -> int:
@@ -153,15 +158,19 @@ class Echelon:
         """Reduce bits against the stored rows; zero iff in the span.
 
         Stored rows are mutually reduced (0 in every other pivot
-        column), so one pass in any order fully reduces.
+        column), so adding the row of pivot p changes no other pivot
+        column: the pivots to clear are exactly the pivot columns set in
+        the input, and walking its set bits costs O(popcount), not
+        O(rank).
         """
-        if not bits:
-            return 0
-        for p, row in self.pivots.items():
-            if (bits >> p) & 1:
+        pivots = self.pivots
+        todo = bits
+        while todo:
+            low = todo & -todo
+            row = pivots.get(low.bit_length() - 1)
+            if row is not None:
                 bits ^= row
-                if not bits:
-                    return 0
+            todo ^= low
         return bits
 
     def insert(self, bits: int) -> bool:
@@ -170,10 +179,12 @@ class Echelon:
         if not bits:
             return False
         p = _low_bit(bits)
-        for q, row in self.pivots.items():
-            if (row >> p) & 1:
-                self.pivots[q] = row ^ bits
+        if (self._support >> p) & 1:
+            for q, row in self.pivots.items():
+                if (row >> p) & 1:
+                    self.pivots[q] = row ^ bits
         self.pivots[p] = bits
+        self._support |= bits
         return True
 
     def contains(self, bits: int) -> bool:
@@ -209,16 +220,17 @@ def kernel_basis(m: F2Matrix) -> list[F2Vector]:
     """
     reduced, r, pivot_cols = row_reduce(m)
     pivot_set = set(pivot_cols)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        bits = 1 << f
-        for i, p in enumerate(pivot_cols):
-            if (reduced.rows[i].bits >> f) & 1:
-                bits |= 1 << p
-        basis.append(F2Vector(m.cols, bits))
-    assert len(basis) == m.cols - r
+    free = {f: 1 << f for f in range(m.cols) if f not in pivot_set}
+    # a reduced row is its pivot plus free columns only
+    for row, p in zip(reduced.rows, pivot_cols):
+        rest = row.bits ^ (1 << p)
+        while rest:
+            low = rest & -rest
+            free[low.bit_length() - 1] |= 1 << p
+            rest ^= low
+    basis = [F2Vector(m.cols, bits) for bits in free.values()]
+    if len(basis) != m.cols - r:
+        raise GF2Error(f"kernel has {len(basis)} vectors, expected {m.cols - r}")
     return basis
 
 
@@ -262,5 +274,6 @@ def quotient_basis(subspace: Sequence[F2Vector], ambient: Sequence[F2Vector]) ->
             return reps
         if acc.insert(v.bits):
             reps.append(v)
-    assert len(reps) == want
+    if len(reps) != want:
+        raise GF2Error(f"found {len(reps)} coset representatives, expected {want}")
     return reps

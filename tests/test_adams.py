@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
-from etass.algebra import Monomial, leibniz_apply
+from etass.algebra import Bidegree, Monomial, leibniz_apply
 from etass.adams import (
     AdamsDiffRule,
+    RuleTable,
+    _edges_from_rules,
     adams_r_max,
     build_e2,
     check_e3_products,
@@ -17,8 +21,9 @@ from etass.adams import (
     oracle_spot_check,
     run_adams,
 )
-from etass.bockstein import compare_pages
+from etass.bockstein import _advance, compare_pages, runs_contain, verify_transition
 from etass.ext import ext_model_page
+from replay_mutations import check_mutations_caught
 
 
 def mono(rho=0, p=0, **vs):
@@ -174,3 +179,55 @@ def test_e2_page_status():
     assert e2.status(mono(v2=1)) == "alive"
     assert e2.status(mono(rho=3, v2=1)) == "zero"  # ring torsion
     assert ext_model_page(16).dim_at(3, 1) == 1
+
+
+def test_replay_catches_corrupted_transitions(monkeypatch):
+    pages, _ = run_adams(24, verify="off")
+    assert pages[1].label == "adams-E3" and pages[1].rule_fn is not None
+    check_mutations_caught(pages[1], monkeypatch)
+
+
+def test_rule_table_family_image_is_rho_linear():
+    """Each rule page's family image, shifted by the rho exponent, is the
+    rule applied to every class of the tower, and nothing below the
+    threshold."""
+    e2 = build_e2(32)
+    for r in range(3, adams_r_max(32) + 1):
+        table = RuleTable(dr_rule(r, 32))
+        page = replace(e2, rule=None, rule_fn=table, shift_override=Bidegree(-1, r - 1))
+        below = moved = 0
+        for mw in page.alive:
+            for fam, _, runs in page._column_alive(mw):
+                terms, threshold = page.family_image(fam)
+                for lo, hi in runs:
+                    for b in range(lo, hi):
+                        got = table(fam.times_rho(b))
+                        if b < threshold:
+                            assert got == []
+                            below += bool(terms)
+                        else:
+                            assert got == [tfam.times_rho(b + d) for tfam, d in terms]
+                            moved += bool(terms)
+        assert below and moved, f"page {r}: {below} classes below threshold, {moved} moved"
+
+
+def test_replay_keeps_classes_below_rule_threshold():
+    """On the page-2 towers the v4 tower starts at rho^0, below the
+    rule's threshold rho^7: those classes are cycles, and the replay
+    must not map them onto the target tower."""
+    rules = dr_rule(3, 24)
+    page = replace(
+        build_e2(24),
+        r=3,
+        rule=None,
+        rule_fn=RuleTable(rules),
+        shift_override=Bidegree(-1, 2),
+        edges=_edges_from_rules(rules),
+    )
+    v4 = mono(v4=1)
+    assert [rule.source for rule in rules] == [mono(rho=7, v4=1)]
+    assert page.alive[15][v4][0][0] == 0
+    new_alive, new_zero = _advance(page)
+    assert verify_transition(page, new_alive, new_zero, "all") > 0
+    assert all(runs_contain(new_alive[15][v4], b) for b in range(7))
+    assert not runs_contain(new_alive[15][v4], 7)

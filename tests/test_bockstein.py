@@ -15,6 +15,7 @@ from etass.bockstein import (
     _advance,
 )
 from etass.gf2 import F2Matrix
+from replay_mutations import check_mutations_caught
 
 
 def mono(rho=0, p=0, **vs):
@@ -142,3 +143,28 @@ def test_rho_matrix_tower_shape(run32):
     assert m.nrows == 1 and m.cols == 1 and m.rows[0][0] == 1
     m = einf.rho_matrix_at(3, 3)  # top of the tower maps to zero
     assert m.nrows == 0 and m.cols == 1
+
+
+def test_replay_catches_corrupted_transitions(monkeypatch):
+    pages, _ = run_bockstein(16, verify="off")
+    check_mutations_caught(pages[0], monkeypatch)
+
+
+def test_family_image_is_rho_linear():
+    """The replay shifts each family's image by the rho exponent; that
+    must agree with the derivation applied to every class of the tower."""
+    pages, _ = run_bockstein(32, verify="off")
+    assert [p.r for p in pages] == bockstein_page_indices(32)
+    for page in pages:
+        assert page.rule == bockstein_rule(page.r.bit_length())
+        moved = 0
+        for mw in page.alive:
+            for fam, _, runs in page._column_alive(mw):
+                terms, threshold = page.family_image(fam)
+                assert threshold == 0
+                moved += bool(terms)
+                for lo, hi in runs:
+                    for b in range(lo, hi):
+                        want = [tfam.times_rho(b + d) for tfam, d in terms]
+                        assert leibniz_apply(page.rule, fam.times_rho(b)) == want
+        assert moved, f"{page.label} moves no family"

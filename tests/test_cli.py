@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from etass import bockstein
 from etass.cli import build_parser, main, page_dump
 from etass.bockstein import run_bockstein
 
@@ -132,13 +133,38 @@ def test_dump_deterministic():
     assert json.dumps(page_dump(a)) == json.dumps(page_dump(b))
 
 
-def test_thread_cap_does_not_change_results(monkeypatch):
-    monkeypatch.setenv("ETASS_THREADS", "4")
-    from etass.parallel import tmap, worker_count
+@pytest.mark.parametrize("mw", range(9))
+def test_verify_all_small_windows(mw, capsys):
+    code, out = run_cli(["verify", "all", "--max-mw", str(mw)], capsys)
+    assert code == 0, out
 
-    assert worker_count() == 4
-    assert tmap(lambda x: x * x, range(20)) == [x * x for x in range(20)]
-    _, threaded = run_bockstein(12, verify="all")
-    monkeypatch.setenv("ETASS_THREADS", "1")
-    _, serial = run_bockstein(12, verify="all")
-    assert threaded.alive == serial.alive
+
+@pytest.mark.parametrize("command", ["bockstein", "adams", "groups", "verify"])
+def test_negative_window_exit_2(command):
+    argv = [command, "--max-mw", "-1"]
+    if command == "verify":
+        argv.insert(1, "all")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chart", "--page", "einf", "--format", "json", "--out", "{out}"],
+        ["chart", "--page", "bockstein-einf", "--format", "ascii", "--out", "{out}"],
+        ["groups"],
+    ],
+)
+def test_page_verify_reaches_chart_and_groups(argv, tmp_path, monkeypatch, capsys):
+    calls = []
+    real = bockstein.kernel_basis
+    monkeypatch.setattr(bockstein, "kernel_basis", lambda m: calls.append(m) or real(m))
+    argv = [a.format(out=tmp_path / "chart") for a in argv] + ["--max-mw", "16"]
+    code, _ = run_cli(argv + ["--page-verify", "off"], capsys)
+    assert code == 0
+    assert calls == []  # no page transition was replayed
+    code, _ = run_cli(argv + ["--page-verify", "all"], capsys)
+    assert code == 0
+    assert calls

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etass.gf2 import (
+    Echelon,
     F2Matrix,
     F2Vector,
     SubspaceNotContained,
@@ -183,3 +184,56 @@ def test_quotient_deterministic(m):
     first = quotient_basis(sub, ambient)
     second = quotient_basis(sub, ambient)
     assert first == second
+
+
+def reference_rref(vectors, width):
+    """Gauss-Jordan on unpacked 0/1 lists, columns in ascending order:
+    the unique reduced echelon basis of the span, as {pivot: row bits}."""
+    mat = [[(v >> i) & 1 for i in range(width)] for v in vectors]
+    pivot_rows = []
+    r = 0
+    for col in range(width):
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                mat[i] = [(a + b) % 2 for a, b in zip(mat[i], mat[r])]
+        pivot_rows.append((col, r))
+        r += 1
+    return {col: sum(bit << i for i, bit in enumerate(mat[row])) for col, row in pivot_rows}
+
+
+@st.composite
+def echelon_inputs(draw):
+    width = draw(st.integers(1, 96))
+    dense = st.integers(0, (1 << width) - 1)
+    sparse = st.sets(st.integers(0, width - 1), max_size=3).map(
+        lambda bits: sum(1 << i for i in bits)
+    )
+    row = st.one_of(dense, sparse)
+    return width, draw(st.lists(row, max_size=24)), draw(st.lists(row, max_size=8))
+
+
+@settings(deadline=None, max_examples=150)
+@given(echelon_inputs())
+def test_echelon_matches_reference_elimination(case):
+    width, vectors, probes = case
+    ech = Echelon()
+    seen = []
+    for v in vectors:
+        before = len(reference_rref(seen, width))
+        seen.append(v)
+        assert ech.insert(v) == (len(reference_rref(seen, width)) > before)
+    basis = reference_rref(seen, width)
+    assert ech.pivots == basis
+    assert ech.rank == len(basis)
+    for x in probes + vectors:
+        y = ech.reduce(x)
+        # the reduced vector is zero on every pivot and differs from x by
+        # an element of the span
+        assert not any((y >> p) & 1 for p in basis)
+        assert len(reference_rref(seen + [x ^ y], width)) == len(basis)
+        in_span = len(reference_rref(seen + [x], width)) == len(basis)
+        assert ech.contains(x) == in_span == (y == 0)
