@@ -38,7 +38,6 @@ from .bockstein import (
     runs_make,
     runs_subset,
     runs_subtract,
-    runs_total,
     runs_union,
     verify_transition,
 )

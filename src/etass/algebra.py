@@ -39,9 +39,6 @@ class Bidegree:
     def __sub__(self, other: "Bidegree") -> "Bidegree":
         return Bidegree(self.mw - other.mw, self.c - other.c)
 
-    def scaled(self, k: int) -> "Bidegree":
-        return Bidegree(self.mw * k, self.c * k)
-
 
 @dataclass(frozen=True)
 class GeneratorSymbol:
@@ -215,13 +212,20 @@ class Monomial:
 
     def __str__(self) -> str:
         parts = []
-        if self.rho_exp:
-            parts.append("rho" if self.rho_exp == 1 else f"rho^{self.rho_exp}")
         if self.p_exp:
             parts.append("P" if self.p_exp == 1 else f"P^{self.p_exp}")
         for n, a in self.v_exps:
             parts.append(f"v{n}" if a == 1 else f"v{n}^{a}")
-        return " ".join(parts) if parts else "1"
+        return rho_label(self.rho_exp, " ".join(parts) if parts else "1")
+
+
+def rho_label(rho_exp: int, family_label: str) -> str:
+    """The label of rho^rho_exp times the rho-free monomial labelled
+    family_label ("1" for the unit), as str(Monomial) prints it."""
+    if not rho_exp:
+        return family_label
+    head = "rho" if rho_exp == 1 else f"rho^{rho_exp}"
+    return head if family_label == "1" else f"{head} {family_label}"
 
 
 @dataclass(frozen=True, eq=False)

@@ -131,14 +131,6 @@ def runs_shift(a: Runs, k: int) -> Runs:
     return tuple((lo + k, hi + k) for lo, hi in a)
 
 
-def runs_clip(a: Runs, lo: int, hi: int) -> Runs:
-    return runs_intersect(a, ((lo, hi),)) if lo < hi else EMPTY
-
-
-def runs_total(a: Runs) -> int:
-    return sum(hi - lo for lo, hi in a)
-
-
 def runs_contain(a: Runs, x: int) -> bool:
     for lo, hi in a:
         if lo <= x < hi:
@@ -220,6 +212,8 @@ class TorsionTower:
 
 
 Edge = tuple[Monomial, int, int]  # (target family, rho shift, minimal source b)
+# a class on the read side: (rho-free family, rho exponent)
+Class = tuple[Monomial, int]
 
 
 @dataclass
@@ -230,6 +224,9 @@ class Page:
     intervals already hit (known-zero classes).  `rule` is the
     differential acting on this page (None once the sequence has
     collapsed); `edges` is its family-level form used for matrices.
+    The read side (classes, differentials, tower_runs) gives a class
+    as a (rho-free family, rho exponent) pair, so reading a page builds
+    no monomial per class, except on a page that is not rho_linear.
     """
 
     kind: str
@@ -250,13 +247,19 @@ class Page:
     # ring-level torsion of the underlying model: monomials it reports
     # as zero are the zero element, not classes
     is_model_zero: Callable[[Monomial], bool] | None = None
+    # caches; init=False so that dataclasses.replace starts them afresh
     _alive_sorted: dict[int, list[tuple[Monomial, int, Runs]]] = field(
-        default_factory=dict, repr=False
+        default_factory=dict, init=False, repr=False
     )
-    _c0_index: dict[int, tuple] = field(default_factory=dict, repr=False)
-    _dims_cache: dict[int, dict[int, int]] = field(default_factory=dict, repr=False)
+    _c0_index: dict[int, tuple] = field(default_factory=dict, init=False, repr=False)
+    _dims_cache: dict[int, dict[int, int]] = field(
+        default_factory=dict, init=False, repr=False
+    )
     _image_cache: dict[Monomial, list[Monomial]] = field(
-        default_factory=dict, repr=False
+        default_factory=dict, init=False, repr=False
+    )
+    _differentials: list[tuple[Class, list[Class]]] | None = field(
+        default=None, init=False, repr=False
     )
 
     # -- basis ----------------------------------------------------------
@@ -357,6 +360,12 @@ class Page:
         return "absent"
 
     # -- differential ----------------------------------------------------
+    @property
+    def rho_linear(self) -> bool:
+        """Whether family_image answers; only a derivation that
+        renormalizes its terms is refused."""
+        return self.rule is None or not self.rule.normalize_terms
+
     def family_image(self, fam: Monomial) -> tuple[list[tuple[Monomial, int]], int]:
         """The differential on the tower of a rho-free family.
 
@@ -369,7 +378,7 @@ class Page:
         rho-linear (torsion depends on rho) and is refused.
         """
         if self.rule is not None:
-            if self.rule.normalize_terms:
+            if not self.rho_linear:
                 raise EngineError("a renormalizing derivation has no rho-linear family image")
             terms = leibniz_apply(self.rule, fam)
             return [(Monomial(0, t.p_exp, t.v_exps), t.rho_exp) for t in terms], 0
@@ -407,37 +416,60 @@ class Page:
             return self.shift_override
         return Bidegree(-1, 0)
 
-    def diff_matrix_at(self, mw: int, c: int) -> tuple[F2Matrix, list[Monomial], list[Monomial]]:
-        """(matrix, source basis, target basis); column j is the image
-        of source class j expanded over target classes."""
-        shift = self.diff_shift()
-        src = self.basis_at(mw, c)
-        tgt = self.basis_at(mw + shift.mw, c + shift.c)
-        index = {m: i for i, m in enumerate(tgt)}
-        rows_bits = [0] * len(tgt)
-        for j, m in enumerate(src):
-            for img in self.image_classes(m):
-                rows_bits[index[img]] ^= 1 << j
-        rows = tuple(F2Vector(len(src), b) for b in rows_bits)
-        return F2Matrix(len(src), rows), src, tgt
-
-    def differentials(self) -> list[tuple[Monomial, list[Monomial]]]:
+    def differentials(self) -> list[tuple[Class, list[Class]]]:
         """All nonzero differentials on this page inside the reporting
-        window, as (source class, image classes)."""
-        if self.rule is None and self.rule_fn is None:
-            return []
-        out = []
+        window, as (source class, image classes), ordered by column,
+        family position and rho exponent; computed once per page.
+
+        Each family's image comes from family_image once and is shifted
+        by the rho exponent; an image class is alive when its rho
+        exponent lies in the target family's alive runs.  A term that is
+        not alive must be zero on the page (status), else EngineError.
+        A page that is not rho_linear expands class by class through
+        image_classes.
+        """
+        if self._differentials is not None:
+            return self._differentials
+        out: list[tuple[Class, list[Class]]] = []
         for mw in sorted(self.alive):
             if mw > self.max_mw:
                 continue
             for fam, c0, runs in self._column_alive(mw):
+                top = self.c_max - c0 + 1
+                if self.rho_linear:
+                    self._family_differentials(fam, runs, top, out)
+                    continue
                 for lo, hi in runs:
-                    for b in range(lo, min(hi, self.c_max - c0 + 1)):
-                        m = fam.times_rho(b) if b else fam
-                        img = self.image_classes(m)
+                    for b in range(lo, min(hi, top)):
+                        img = self.image_classes(fam.times_rho(b) if b else fam)
                         if img:
-                            out.append((m, img))
+                            out.append(
+                                ((fam, b), [(Monomial(0, t.p_exp, t.v_exps), t.rho_exp) for t in img])
+                            )
+        self._differentials = out
         return out
+
+    def _family_differentials(self, fam: Monomial, runs: Runs, top: int, out: list) -> None:
+        """Append the nonzero differentials on the classes fam * rho^b
+        with b in runs and b < top."""
+        terms, threshold = self.family_image(fam)
+        if not terms:
+            return
+        targets = [
+            (tfam, delta, self.alive_runs(tfam.bidegree.mw, tfam)) for tfam, delta in terms
+        ]
+        for lo, hi in runs:
+            for b in range(max(lo, threshold), min(hi, top)):
+                img = []
+                for tfam, delta, talive in targets:
+                    if runs_contain(talive, b + delta):
+                        img.append((tfam, b + delta))
+                    else:
+                        term = tfam.times_rho(b + delta)
+                        if self.status(term) != "zero":
+                            raise EngineError(f"image term {term} is neither alive nor hit")
+                if img:
+                    out.append(((fam, b), img))
 
     # -- rho action -------------------------------------------------------
     def rho_matrix_at(self, mw: int, c: int) -> F2Matrix:
@@ -456,8 +488,9 @@ class Page:
                 raise EngineError(f"rho multiple {up} is neither alive nor hit")
         return F2Matrix(len(src), tuple(F2Vector(len(src), b) for b in rows_bits))
 
-    def towers(self) -> list[TorsionTower]:
-        out = []
+    def tower_runs(self) -> Iterable[tuple[Monomial, int, int, bool]]:
+        """(family, lo, hi, truncated) per maximal rho-run inside the
+        reporting window: the tower of fam * rho^b for lo <= b < hi."""
         for mw in sorted(self.alive):
             if mw > self.max_mw:
                 continue
@@ -468,35 +501,35 @@ class Page:
                     continue
                 blim = self.c_internal - col.c0[fam] + 1
                 for lo, hi in runs:
-                    out.append(
-                        TorsionTower(
-                            generator=fam.times_rho(lo) if lo else fam,
-                            length=hi - lo,
-                            truncated=hi >= blim,
-                        )
-                    )
-        return out
+                    yield fam, lo, hi, hi >= blim
 
-    def classes(self) -> Iterable[tuple[int, int, Monomial]]:
-        """(mw, c, class) over the reporting window, ordered."""
+    def towers(self) -> list[TorsionTower]:
+        return [
+            TorsionTower(fam.times_rho(lo) if lo else fam, hi - lo, truncated)
+            for fam, lo, hi, truncated in self.tower_runs()
+        ]
+
+    def classes(self) -> Iterable[tuple[int, int, Class]]:
+        """(mw, c, class) over the reporting window, ordered by mw, c
+        and family position.  Each column's classes are gathered from
+        the alive runs and must agree with positions_at at every Chow
+        degree, else EngineError."""
         for mw in sorted(self.alive):
             if mw > self.max_mw:
                 continue
-            col = self.columns[mw]
-            per_c: dict[int, list[Monomial]] = {}
-            for fam in col.fams:
-                c0 = col.c0[fam]
-                for lo, hi in self.alive[mw].get(fam, EMPTY):
-                    for b in range(lo, min(hi, self.c_max - c0 + 1)):
-                        per_c.setdefault(c0 + b, []).append(
-                            fam.times_rho(b) if b else fam
-                        )
+            column = self._column_alive(mw)
+            per_c: dict[int, list[int]] = {}
+            for pos, (_, c0, runs) in enumerate(column):
+                for lo, hi in runs:
+                    for c in range(c0 + lo, min(c0 + hi, self.c_max + 1)):
+                        per_c.setdefault(c, []).append(pos)
             for c in sorted(per_c):
-                ordered = self.basis_at(mw, c)
-                if set(ordered) != set(per_c[c]):
+                positions = per_c[c]
+                if positions != self.positions_at(mw, c):
                     raise EngineError(f"basis at mw={mw}, c={c} disagrees with the alive runs")
-                for m in ordered:
-                    yield mw, c, m
+                for pos in positions:
+                    fam, c0, _ = column[pos]
+                    yield mw, c, (fam, c - c0)
 
 
 # ---------------------------------------------------------------------------

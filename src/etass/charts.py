@@ -8,6 +8,8 @@ labels.  Truncation-unbounded towers end in an upward arrow.
 
 from __future__ import annotations
 
+import io
+
 from .bockstein import Page
 
 UNIT = 14  # pixels per degree in svg output
@@ -20,11 +22,11 @@ class UnsupportedFormat(Exception):
 def render(page: Page, fmt: str, mw_hi: int | None = None, c_hi: int | None = None) -> str:
     """Render a page as 'svg', 'ascii' or 'json' (the cli dump schema)."""
     if fmt == "json":
-        import json
+        from .cli import write_page_dump
 
-        from .cli import page_dump
-
-        return json.dumps(page_dump(page), indent=2)
+        buf = io.StringIO()
+        write_page_dump(page, buf)
+        return buf.getvalue()
     if fmt not in ("svg", "ascii"):
         raise UnsupportedFormat(f"unknown format {fmt!r}")
     towers = _window_towers(page, mw_hi, c_hi)
@@ -53,15 +55,13 @@ def _window_towers(page: Page, mw_hi: int | None, c_hi: int | None):
 
 def _differential_segments(page: Page, mw_hi: int, c_hi: int):
     segs = []
-    if page.rule is None and page.rule_fn is None:
-        return segs
     shift = page.diff_shift()
-    for src, targets in page.differentials():
-        d = src.bidegree
-        if d.mw > mw_hi + 1 or d.c > c_hi:
+    for (fam, b), targets in page.differentials():
+        mw, c = fam.bidegree.mw, fam.bidegree.c + b
+        if mw > mw_hi + 1 or c > c_hi:
             continue
         for tgt in targets:
-            segs.append((d.mw, d.c, d.mw + shift.mw, d.c + shift.c))
+            segs.append((mw, c, mw + shift.mw, c + shift.c))
     return segs
 
 

@@ -31,44 +31,77 @@ from .report import Report
 DEFAULT_MW = 64
 
 
-def page_dump(page: bock_mod.Page) -> dict:
-    """A page in the fixed dump schema."""
-    classes = []
-    for mw, c, m in page.classes():
-        classes.append(
-            {
-                "mw": mw,
-                "c": c,
-                "label": str(m),
-                "rho_exp": m.rho_exp,
-                "p_exp": m.p_exp,
-                "v_exps": {str(n): a for n, a in m.v_exps},
-            }
-        )
-    differentials = [
-        {
-            "r": page.r,
-            "source_label": str(src),
-            "target_labels": [str(t) for t in targets],
-        }
-        for src, targets in page.differentials()
-    ]
-    towers = []
-    for t in page.towers():
-        entry: dict = {"generator_label": str(t.generator)}
-        if t.truncated:
-            entry["infinite"] = True
-        else:
-            entry["length"] = t.length
-        towers.append(entry)
-    return {
-        "page": page.r,
-        "kind": page.kind,
-        "max_mw": page.max_mw,
-        "classes": classes,
-        "differentials": differentials,
-        "towers": towers,
-    }
+def write_page_dump(page: bock_mod.Page, out) -> None:
+    """Write a page in the fixed dump schema to a text stream.
+
+    The text is byte for byte what json.dumps of the schema's dict with
+    indent=2 gives, but it is written entry by entry, so memory does
+    not grow with the size of the document.  Classes are read as
+    (family, rho exponent) pairs; each family's label and its constant
+    fields are formatted once.
+    """
+    from .algebra import rho_label
+
+    enc = json.encoder.encode_basestring_ascii
+    fams: dict = {}
+
+    def family(fam):
+        """(label, class tail) of a rho-free family."""
+        entry = fams.get(fam)
+        if entry is None:
+            if fam.v_exps:
+                v_exps = "{\n" + ",\n".join(
+                    f"        {enc(str(n))}: {a}" for n, a in fam.v_exps
+                ) + "\n      }"
+            else:
+                v_exps = "{}"
+            tail = f',\n      "p_exp": {fam.p_exp},\n      "v_exps": {v_exps}\n    }}'
+            entry = fams[fam] = (str(fam), tail)
+        return entry
+
+    def label(cls) -> str:
+        fam, b = cls
+        return enc(rho_label(b, family(fam)[0]))
+
+    def write_list(key: str, items, last: bool = False) -> None:
+        out.write(f'  "{key}": ')
+        sep = "[\n"
+        for item in items:
+            out.write(sep)
+            out.write(item)
+            sep = ",\n"
+        out.write("[]" if sep == "[\n" else "\n  ]")
+        out.write("\n" if last else ",\n")
+
+    def classes():
+        for mw, c, (fam, b) in page.classes():
+            text, tail = family(fam)
+            yield (
+                f'    {{\n      "mw": {mw},\n      "c": {c},\n'
+                f'      "label": {enc(rho_label(b, text))},\n      "rho_exp": {b}{tail}'
+            )
+
+    def differentials():
+        for src, targets in page.differentials():
+            labels = ",\n".join(f"        {label(t)}" for t in targets)
+            yield (
+                f'    {{\n      "r": {page.r},\n      "source_label": {label(src)},\n'
+                f'      "target_labels": [\n{labels}\n      ]\n    }}'
+            )
+
+    def towers():
+        for fam, lo, hi, truncated in page.tower_runs():
+            extent = '"infinite": true' if truncated else f'"length": {hi - lo}'
+            yield f'    {{\n      "generator_label": {label((fam, lo))},\n      {extent}\n    }}'
+
+    out.write(
+        f'{{\n  "page": {page.r},\n  "kind": {enc(page.kind)},\n'
+        f'  "max_mw": {page.max_mw},\n'
+    )
+    write_list("classes", classes())
+    write_list("differentials", differentials())
+    write_list("towers", towers(), last=True)
+    out.write("}")
 
 
 class Session:
@@ -201,19 +234,20 @@ VERIFY_SUITES = {
 
 
 def _dump_pages(pages, einf, directory: str) -> None:
+    """Stream each page's dump to DIR/<label>.json."""
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     for page in list(pages) + [einf]:
         path = out / f"{page.label}.json"
-        path.write_text(json.dumps(page_dump(page), indent=2), encoding="utf-8")
+        with path.open("w", encoding="utf-8") as fh:
+            write_page_dump(page, fh)
         print(f"wrote {path}")
 
 
 def _cmd_bockstein(args) -> int:
     pages, einf = bock_mod.run_bockstein(args.max_mw, verify=args.page_verify)
     for page in pages:
-        n_diff = len(page.differentials())
-        print(f"{page.label}: {n_diff} differentials")
+        print(f"{page.label}: {len(page.differentials())} differentials")
     towers = [t for t in einf.towers() if not t.truncated]
     print(f"{einf.label}: {len(towers)} torsion towers, mw <= {args.max_mw}")
     if args.dump_pages:
@@ -241,19 +275,13 @@ def _cmd_groups(args) -> int:
 
 
 def _stem_to_nk(mw: int) -> tuple[int, int]:
-    if mw < 3 or mw % 4 != 3:
-        raise SystemExit(f"error: stem {mw} carries no generator")
     n = two_adic_valuation(mw + 1)
     k = ((mw + 1) // 2 ** n - 1) // 2
     return n, k
 
 
 def _cmd_brackets(args) -> int:
-    stems = (
-        [mw for mw in range(3, DEFAULT_MW, 4)] if args.all else [args.mw]
-    )
-    if args.mw is None and not args.all:
-        raise SystemExit("error: need --mw M or --all")
+    stems = range(3, args.max_mw + 1, 4) if args.all else [args.mw]
     payload = []
     for mw in stems:
         n, k = _stem_to_nk(mw)
@@ -344,9 +372,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(fn=_cmd_groups)
 
+    def stem(text: str) -> int:
+        mw = int(text)
+        if mw < 3 or mw % 4 != 3:
+            raise argparse.ArgumentTypeError(
+                f"stem {mw} carries no generator (need mw >= 3, mw = 3 mod 4)"
+            )
+        return mw
+
     p = sub.add_parser("brackets", help="bracket decompositions of the generators")
-    p.add_argument("--mw", type=int)
-    p.add_argument("--all", action="store_true")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--mw", type=stem)
+    which.add_argument("--all", action="store_true", help="every stem up to --max-mw")
+    p.add_argument("--max-mw", type=window, default=DEFAULT_MW)
     p.add_argument("--nested", action="store_true", help="expand to the leaves")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_brackets)

@@ -78,7 +78,7 @@ def test_einf_matches_figure(einf64):
 def test_json_round_trip(einf64):
     doc = json.loads(render(einf64, "json"))
     dumped = {(cl["mw"], cl["c"], cl["label"]) for cl in doc["classes"]}
-    direct = {(mw, c, str(m)) for mw, c, m in einf64.classes()}
+    direct = {(mw, c, str(fam.times_rho(b))) for mw, c, (fam, b) in einf64.classes()}
     assert dumped == direct
     assert len(doc["classes"]) == sum(1 for _ in einf64.classes())
 

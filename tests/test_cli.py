@@ -1,9 +1,10 @@
+import io
 import json
 
 import pytest
 
 from etass import bockstein
-from etass.cli import build_parser, main, page_dump
+from etass.cli import build_parser, main, write_page_dump
 from etass.bockstein import run_bockstein
 
 
@@ -36,14 +37,45 @@ def test_brackets_all_json(capsys):
     assert any(row["mw"] == 47 for row in payload)
 
 
+def exit_code(argv) -> int:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
 def test_brackets_requires_argument(capsys):
-    with pytest.raises(SystemExit):
-        main(["brackets"])
+    assert exit_code(["brackets"]) == 2
+    assert exit_code(["brackets", "--nested"]) == 2
 
 
-def test_bad_stem_rejected():
-    with pytest.raises(SystemExit):
-        main(["brackets", "--mw", "12"])
+def test_bad_stem_rejected(capsys):
+    for mw in ["4", "5", "12", "-1", "x"]:
+        assert exit_code(["brackets", "--mw", mw]) == 2, mw
+
+
+def test_brackets_conflicting_arguments_exit_2(capsys):
+    assert exit_code(["brackets", "--mw", "3", "--all"]) == 2
+    assert exit_code(["brackets", "--all", "--max-mw", "-1"]) == 2
+
+
+def test_brackets_all_default_window(capsys):
+    code, out = run_cli(["brackets", "--all"], capsys)
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert [line.split(":")[0] for line in lines] == [f"mw={mw}" for mw in range(3, 64, 4)]
+    assert lines[0] == "mw=3: λ2"
+    assert "mw=47: ⟨2^6, λ5, λ4⟩" in lines
+
+
+def test_brackets_all_honours_window(capsys):
+    code, out = run_cli(["brackets", "--all", "--max-mw", "16"], capsys)
+    assert code == 0
+    assert [line.split(":")[0] for line in out.strip().split("\n")] == [
+        "mw=3",
+        "mw=7",
+        "mw=11",
+        "mw=15",
+    ]
 
 
 def test_bad_arguments_exit_2():
@@ -128,9 +160,13 @@ def test_adams_command(tmp_path, capsys):
 
 
 def test_dump_deterministic():
-    _, a = run_bockstein(10, verify="off")
-    _, b = run_bockstein(10, verify="off")
-    assert json.dumps(page_dump(a)) == json.dumps(page_dump(b))
+    texts = []
+    for _ in range(2):
+        _, einf = run_bockstein(10, verify="off")
+        buf = io.StringIO()
+        write_page_dump(einf, buf)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1]
 
 
 @pytest.mark.parametrize("mw", range(9))
