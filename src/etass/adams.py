@@ -2,12 +2,17 @@
 
 The second page is the Ext model; its differential is the derivation
 v_n -> v_{n-1}^2 (n >= 3) extended by Leibniz with torsion
-renormalization.  That transition has genuinely multi-term images, so
-the third page is computed per bidegree with full gf2 matrices, no
-shortcuts.  From the third page on, the differentials are explicit
-rho-linear rule lists on single tower classes and the transitions run
-on the shared tower engine, replayed through gf2 like the Bockstein
-ones.  A page-r differential shifts (mw, c) by (-1, r-1).
+renormalization.  It is rho-linear too: each family's image is computed
+once, on the rho-free family, and shifted by the rho exponent, and a
+shifted term that torsion kills is zero in the model.  That transition
+has genuinely multi-term images, so the third page is computed per
+bidegree with full gf2 matrices on integer class positions, through the
+same homology routine that replays the tower transitions
+(bockstein.Homology), no shortcuts.  From the third page on, the
+differentials are explicit rho-linear rule lists on single tower
+classes and the transitions run on the shared tower engine, replayed
+through gf2 like the Bockstein ones.  A page-r differential shifts
+(mw, c) by (-1, r-1).
 """
 
 from __future__ import annotations
@@ -27,22 +32,23 @@ from .bockstein import (
     EMPTY,
     Column,
     EngineError,
+    Homology,
     Page,
-    RepresentativeNotMonomial,
     Runs,
     TorsionTower,
     _advance,
-    _edges_from_rule,
     c_max_for,
-    runs_contain,
+    dense_bidegrees,
     runs_make,
     runs_subset,
     runs_subtract,
-    runs_union,
     verify_transition,
 )
-from .ext import enumerate_ext_families, ext_model_page, torsion_bound
-from .gf2 import Echelon, F2Matrix, F2Vector, kernel_basis, quotient_basis, rank
+from .ext import enumerate_ext_families, ext_model_page
+# kernel_basis and quotient_basis stay importable from here because
+# perfbench/tracer.py wraps them by module; the page-2 step reaches them
+# through bockstein.Homology
+from .gf2 import F2Matrix, F2Vector, kernel_basis, quotient_basis, rank  # noqa: F401
 from .report import Report
 
 
@@ -157,87 +163,32 @@ def adams_r_max(mw_max: int) -> int:
 def _e3_from_e2(e2: Page) -> tuple[dict[int, dict[Monomial, Runs]], dict[int, dict[Monomial, Runs]]]:
     """Homology of the page-2 differential, bidegree by bidegree.
 
-    Images here are genuine sums, so every bidegree gets the full
-    treatment: Leibniz-expanded matrices, kernel_basis, quotient_basis,
-    and the single-monomial representative assertion.
+    Images here are genuine sums, so no tower shortcut applies: every
+    bidegree with classes goes through the replay's integer homology
+    routine (Homology.at), whose coset representatives must each be a
+    single class and become the page-3 classes.  The classes inside the
+    boundary span are the zero classes later pages may ask about;
+    multi-term boundaries (sums of non-cycles) kill no single class.
+    Only the unreported margin column may carry sum classes (their
+    would-be killers start outside the window); they can neither source
+    nor receive any later rule, so they are dropped there.
     """
-    shift = e2.diff_shift()
-
-    def column_cs(mw: int) -> list[int]:
-        cs: set[int] = set()
-        for fam, c0, runs in e2._column_alive(mw):
-            for lo, hi in runs:
-                cs.update(range(c0 + lo, min(c0 + hi, e2.c_internal + 1)))
-        return sorted(cs)
-
-    def do_column(mw: int):
-        alive_col: dict[Monomial, list[tuple[int, int]]] = {}
-        zero_col: dict[Monomial, list[tuple[int, int]]] = {}
-        for c in column_cs(mw):
-            mid = e2.basis_at(mw, c)
-            if not mid:
-                continue
-            src = e2.basis_at(mw + 1, c - shift.c)
-            tgt = e2.basis_at(mw - 1, c + shift.c)
-            tgt_index = {m: i for i, m in enumerate(tgt)}
-            mid_index = {m: i for i, m in enumerate(mid)}
-
-            def expand_bits(m: Monomial, index) -> int:
-                bits = 0
-                for term in e2.apply_rule(m):
-                    st = e2.status(term)
-                    if st == "alive":
-                        bits ^= 1 << index[term]
-                    elif st != "zero":
-                        raise EngineError(f"d2 image term {term} unresolved")
-                return bits
-
-            rows_bits = [0] * len(tgt)
-            for j, m in enumerate(mid):
-                col_bits = expand_bits(m, tgt_index)
-                while col_bits:
-                    i = (col_bits & -col_bits).bit_length() - 1
-                    rows_bits[i] |= 1 << j
-                    col_bits &= col_bits - 1
-            m_out = F2Matrix(len(mid), tuple(F2Vector(len(mid), b) for b in rows_bits))
-            kernel = kernel_basis(m_out)
-            boundaries = [
-                F2Vector(len(mid), b)
-                for b in (expand_bits(m, mid_index) for m in src)
-                if b
-            ]
-            reps = quotient_basis(boundaries, kernel)
-            for vvec in reps:
-                sup = vvec.support()
-                if len(sup) != 1:
-                    # only the unreported margin column may carry sum
-                    # classes (their would-be killers start outside the
-                    # window); they can neither source nor receive any
-                    # later rule, so they are dropped there
-                    if mw > e2.max_mw:
-                        continue
-                    raise RepresentativeNotMonomial(
-                        f"page-3 class at mw={mw}, c={c} needs a sum representative"
-                    )
-                m = mid[sup[0]]
-                fam = Monomial(0, m.p_exp, m.v_exps)
-                alive_col.setdefault(fam, []).append((m.rho_exp, m.rho_exp + 1))
-            # single monomials inside the boundary span are the zero
-            # classes later pages may ask about; multi-term boundaries
-            # (sums of non-cycles) kill no individual monomial
-            ech = Echelon()
-            for vvec in boundaries:
-                ech.insert(vvec.bits)
-            for i, m in enumerate(mid):
-                if ech.contains(1 << i):
-                    fam = Monomial(0, m.p_exp, m.v_exps)
-                    zero_col.setdefault(fam, []).append((m.rho_exp, m.rho_exp + 1))
-        return alive_col, zero_col
-
+    homology = Homology(e2)
     new_alive: dict[int, dict[Monomial, Runs]] = {}
     new_zero: dict[int, dict[Monomial, Runs]] = {}
     for mw in sorted(e2.alive):
-        alive_col, zero_col = do_column(mw)
+        column = e2._column_alive(mw)
+        alive_col: dict[Monomial, list[tuple[int, int]]] = {}
+        zero_col: dict[Monomial, list[tuple[int, int]]] = {}
+        for c in dense_bidegrees(e2, mw):
+            mid, reps, boundaries = homology.at(mw, c, sums_allowed=mw > e2.max_mw)
+            for i in reps:
+                fam, c0, _ = column[mid[i]]
+                alive_col.setdefault(fam, []).append((c - c0, c - c0 + 1))
+            for i, pos in enumerate(mid):
+                if boundaries.contains(1 << i):
+                    fam, c0, _ = column[pos]
+                    zero_col.setdefault(fam, []).append((c - c0, c - c0 + 1))
         new_alive[mw] = {fam: runs_make(pairs) for fam, pairs in alive_col.items()}
         new_zero[mw] = {fam: runs_make(pairs) for fam, pairs in zero_col.items()}
     return new_alive, new_zero

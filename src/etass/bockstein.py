@@ -18,10 +18,13 @@ under the page differential is computed once (Page.family_image) and
 shifted by the rho exponent.  That shift is exact because every
 differential the engine runs is rho-linear: rho is a cycle of each
 Bockstein derivation, whose P attachment depends on the v factors only,
-and each later Adams rule maps every rho multiple of its source.
-Monomials are built only for image terms outside the target basis,
-which the page's status (and the ring torsion of its model) must
-certify as zero, and for error messages.
+each later Adams rule maps every rho multiple of its source, and the
+Adams d2 drops only the shifted terms that torsion kills, which its
+model reports as zero.  Monomials are built only for image terms
+outside the target basis, which the page's status (and the ring torsion
+of its model) must certify as zero, and for error messages.  The
+homology routine of the replay (Homology.at) also computes the Adams
+page-2 to page-3 step, whose images are genuine sums.
 
 Only pages r = 2^n - 1 carry differentials; the page list returned by
 run_bockstein walks exactly those, and the E-infinity page is compared
@@ -226,7 +229,7 @@ class Page:
     collapsed); `edges` is its family-level form used for matrices.
     The read side (classes, differentials, tower_runs) gives a class
     as a (rho-free family, rho exponent) pair, so reading a page builds
-    no monomial per class, except on a page that is not rho_linear.
+    no monomial per class.
     """
 
     kind: str
@@ -240,8 +243,9 @@ class Page:
     zero: dict[int, dict[Monomial, Runs]]
     rule: Derivation | None = None
     edges: dict[int, dict[Monomial, Edge]] = field(default_factory=dict)
-    # differential given as an explicit class-level map instead of a
-    # derivation (the later Adams pages); it also answers family_image
+    # differential given as a rule table instead of a derivation (the
+    # later Adams pages): family_image answers for whole towers, and a
+    # call maps a single class
     rule_fn: Callable[[Monomial], list[Monomial]] | None = None
     shift_override: Bidegree | None = None
     # ring-level torsion of the underlying model: monomials it reports
@@ -253,9 +257,6 @@ class Page:
     )
     _c0_index: dict[int, tuple] = field(default_factory=dict, init=False, repr=False)
     _dims_cache: dict[int, dict[int, int]] = field(
-        default_factory=dict, init=False, repr=False
-    )
-    _image_cache: dict[Monomial, list[Monomial]] = field(
         default_factory=dict, init=False, repr=False
     )
     _differentials: list[tuple[Class, list[Class]]] | None = field(
@@ -360,12 +361,6 @@ class Page:
         return "absent"
 
     # -- differential ----------------------------------------------------
-    @property
-    def rho_linear(self) -> bool:
-        """Whether family_image answers; only a derivation that
-        renormalizes its terms is refused."""
-        return self.rule is None or not self.rule.normalize_terms
-
     def family_image(self, fam: Monomial) -> tuple[list[tuple[Monomial, int]], int]:
         """The differential on the tower of a rho-free family.
 
@@ -374,40 +369,21 @@ class Page:
         (tfam, delta) terms, and below threshold it maps to zero.  A
         Leibniz derivation gives threshold 0, since rho is a cycle and
         its P attachment ignores rho; a rule table reads the entry off
-        its rule.  A derivation that renormalizes its terms is not
-        rho-linear (torsion depends on rho) and is refused.
+        its rule.  A derivation that renormalizes its terms (page 2 of
+        the Adams side) is applied to the rho-free family, where the
+        torsion bound drops nothing; a shifted term that torsion kills
+        is one the model reports as zero (is_model_zero), so callers
+        must check every term outside the target basis against status.
         """
         if self.rule is not None:
-            if not self.rho_linear:
-                raise EngineError("a renormalizing derivation has no rho-linear family image")
             terms = leibniz_apply(self.rule, fam)
-            return [(Monomial(0, t.p_exp, t.v_exps), t.rho_exp) for t in terms], 0
+            # a term without rho already is its family
+            return [
+                (Monomial(0, t.p_exp, t.v_exps) if t.rho_exp else t, t.rho_exp) for t in terms
+            ], 0
         if self.rule_fn is not None:
             return self.rule_fn.family_image(fam)
         return [], 0
-
-    def apply_rule(self, m: Monomial) -> list[Monomial]:
-        if self.rule is None and self.rule_fn is None:
-            return []
-        cached = self._image_cache.get(m)
-        if cached is None:
-            cached = (
-                self.rule_fn(m) if self.rule_fn is not None else leibniz_apply(self.rule, m)
-            )
-            self._image_cache[m] = cached
-        return cached
-
-    def image_classes(self, m: Monomial) -> list[Monomial]:
-        """Image of a class under the page differential, expanded over
-        the alive classes of the target bidegree."""
-        out = []
-        for term in self.apply_rule(m):
-            st = self.status(term)
-            if st == "alive":
-                out.append(term)
-            elif st != "zero":
-                raise EngineError(f"image term {term} is neither alive nor hit")
-        return out
 
     def diff_shift(self) -> Bidegree:
         if self.rule is not None:
@@ -425,8 +401,6 @@ class Page:
         by the rho exponent; an image class is alive when its rho
         exponent lies in the target family's alive runs.  A term that is
         not alive must be zero on the page (status), else EngineError.
-        A page that is not rho_linear expands class by class through
-        image_classes.
         """
         if self._differentials is not None:
             return self._differentials
@@ -435,17 +409,7 @@ class Page:
             if mw > self.max_mw:
                 continue
             for fam, c0, runs in self._column_alive(mw):
-                top = self.c_max - c0 + 1
-                if self.rho_linear:
-                    self._family_differentials(fam, runs, top, out)
-                    continue
-                for lo, hi in runs:
-                    for b in range(lo, min(hi, top)):
-                        img = self.image_classes(fam.times_rho(b) if b else fam)
-                        if img:
-                            out.append(
-                                ((fam, b), [(Monomial(0, t.p_exp, t.v_exps), t.rho_exp) for t in img])
-                            )
+                self._family_differentials(fam, runs, self.c_max - c0 + 1, out)
         self._differentials = out
         return out
 
@@ -649,31 +613,26 @@ def _advance(page: Page) -> tuple[dict[int, dict[Monomial, Runs]], dict[int, dic
 
 @dataclass
 class _ColumnTable:
-    """One column of a transition by family position: the Chow degree
-    of each family, the runs of the transition's result and of the old
-    zero classes, and the position of each alive family."""
+    """One column of a page by family position: the Chow degree of each
+    alive family, and the position of each alive family."""
 
     c0: list[int]
     pos_of: dict[Monomial, int]
-    new_alive: list[Runs]
-    new_zero: list[Runs]
-    old_zero: list[Runs]
 
 
-class _Replay:
-    """Replays one page transition through gf2 on integer classes.
+class Homology:
+    """Homology of a page differential at single bidegrees, through gf2
+    on integer classes.
 
     A class at (mw, c) is the position of its family in
     page._column_alive(mw); its rho exponent is b = c - c0.  The tables
-    (columns, bases per bidegree, family images) belong to one
-    verify_transition call and are dropped with it.
+    (columns, bases per bidegree, family images) belong to one pass over
+    the page and are dropped with it.
     """
 
-    def __init__(self, page: Page, new_alive, new_zero):
+    def __init__(self, page: Page):
         self.page = page
         self.shift = page.diff_shift()
-        self.new_alive = new_alive
-        self.new_zero = new_zero
         self._columns: dict[int, _ColumnTable] = {}
         # each bidegree serves as mid, as source and as target
         self._bases: dict[tuple[int, int], list[int]] = {}
@@ -683,17 +642,10 @@ class _Replay:
         table = self._columns.get(mw)
         if table is None:
             alive = self.page._column_alive(mw)
-            na = self.new_alive.get(mw, {})
-            nz = self.new_zero.get(mw, {})
-            oz = self.page.zero.get(mw, {})
-            table = _ColumnTable(
+            table = self._columns[mw] = _ColumnTable(
                 c0=[c0 for _, c0, _ in alive],
                 pos_of={fam: pos for pos, (fam, _, _) in enumerate(alive)},
-                new_alive=[na.get(fam, EMPTY) for fam, _, _ in alive],
-                new_zero=[nz.get(fam, EMPTY) for fam, _, _ in alive],
-                old_zero=[oz.get(fam, EMPTY) for fam, _, _ in alive],
             )
-            self._columns[mw] = table
         return table
 
     def basis(self, mw: int, c: int) -> list[int]:
@@ -742,31 +694,35 @@ class _Replay:
                     raise EngineError(f"image term {term} is neither alive nor hit")
         return bits
 
-    def _name(self, mw: int, pos: int, c: int) -> str:
+    def name(self, mw: int, pos: int, c: int) -> str:
         fam, c0, _ = self.page._column_alive(mw)[pos]
         return str(fam.times_rho(c - c0) if c != c0 else fam)
 
-    def bidegree(self, mw: int, c: int) -> None:
-        """Recompute the homology at one bidegree with gf2 and compare.
+    def at(self, mw: int, c: int, sums_allowed: bool = False) -> tuple[list[int], list[int], Echelon]:
+        """The homology at one bidegree: (basis, reps, boundaries).
 
-        Kernel and coset representatives come from kernel_basis and
-        quotient_basis on the matrices of the page differential; raises
-        EngineError (or RepresentativeNotMonomial) on any disagreement
-        with the tower transition.
+        basis is the classes at (mw, c) as family positions; reps the
+        coordinates, in that basis, of the coset representatives that
+        kernel_basis and quotient_basis give on the matrices of the
+        page differential; boundaries the echelon of the boundary span.
+        A representative that is a sum of several classes raises
+        RepresentativeNotMonomial, or is left out when sums_allowed; an
+        image term that is neither a basis class nor zero on the page
+        raises EngineError (image_bits).
         """
         mid = self.basis(mw, c)
         if not mid:
-            return
+            return mid, [], Echelon()
         shift = self.shift
         smw, sc = mw - shift.mw, c - shift.c
         src = self.basis(smw, sc)
         tgt = self.basis(mw + shift.mw, c + shift.c)
-        col, scol = self.column(mw), self.column(smw)
+        c0, sc0 = self.column(mw).c0, self.column(smw).c0
 
         tgt_index = {pos: i for i, pos in enumerate(tgt)}
         rows_bits = [0] * len(tgt)
         for j, pos in enumerate(mid):
-            bits = self.image_bits(mw, pos, c - col.c0[pos], tgt_index)
+            bits = self.image_bits(mw, pos, c - c0[pos], tgt_index)
             while bits:
                 low = bits & -bits
                 rows_bits[low.bit_length() - 1] |= 1 << j
@@ -776,48 +732,95 @@ class _Replay:
         mid_index = {pos: i for i, pos in enumerate(mid)}
         boundaries = [
             F2Vector(len(mid), b)
-            for b in (
-                self.image_bits(smw, pos, sc - scol.c0[pos], mid_index) for pos in src
-            )
+            for b in (self.image_bits(smw, pos, sc - sc0[pos], mid_index) for pos in src)
             if b
         ]
-        reps = quotient_basis(boundaries, kernel)
-
-        got: list[int] = []
-        for v in reps:
+        reps: list[int] = []
+        for v in quotient_basis(boundaries, kernel):
             sup = v.support()
-            if len(sup) != 1:
+            if len(sup) == 1:
+                reps.append(sup[0])
+            elif not sums_allowed:
                 raise RepresentativeNotMonomial(
                     f"no single-monomial representative at mw={mw}, c={c}: {v.coeffs()}"
                 )
-            got.append(sup[0])
-
-        # surviving classes are a subset of the old ones, in the same order
-        expected = [
-            i for i, pos in enumerate(mid) if runs_contain(col.new_alive[pos], c - col.c0[pos])
-        ]
-        if got != expected:
-            raise EngineError(
-                f"homology mismatch at mw={mw}, c={c}: gf2 gives "
-                f"{[self._name(mw, mid[i], c) for i in got]}, towers give "
-                f"{[self._name(mw, mid[i], c) for i in expected]}"
-            )
-
-        # classes newly hit must span exactly the boundary space
         ech = Echelon()
         for v in boundaries:
             ech.insert(v.bits)
+        return mid, reps, ech
+
+
+class _Replay(Homology):
+    """Compares one page transition (new_alive, new_zero) with the
+    homology at each bidegree; the runs are tabled by family position
+    like the classes."""
+
+    def __init__(self, page: Page, new_alive, new_zero):
+        super().__init__(page)
+        self.new_alive = new_alive
+        self.new_zero = new_zero
+        self._runs: dict[int, tuple[list[Runs], list[Runs], list[Runs]]] = {}
+
+    def runs(self, mw: int) -> tuple[list[Runs], list[Runs], list[Runs]]:
+        """The new alive, new zero and old zero runs of column mw by
+        family position."""
+        table = self._runs.get(mw)
+        if table is None:
+            fams = [fam for fam, _, _ in self.page._column_alive(mw)]
+            table = self._runs[mw] = tuple(
+                [per.get(fam, EMPTY) for fam in fams]
+                for per in (
+                    self.new_alive.get(mw, {}),
+                    self.new_zero.get(mw, {}),
+                    self.page.zero.get(mw, {}),
+                )
+            )
+        return table
+
+    def bidegree(self, mw: int, c: int) -> None:
+        """Recompute the homology at one bidegree and compare: raises
+        EngineError (or RepresentativeNotMonomial) on any disagreement
+        with the tower transition."""
+        mid, got, ech = self.at(mw, c)
+        if not mid:
+            return
+        c0 = self.column(mw).c0
+        new_alive, new_zero, old_zero = self.runs(mw)
+
+        # surviving classes are a subset of the old ones, in the same order
+        expected = [i for i, pos in enumerate(mid) if runs_contain(new_alive[pos], c - c0[pos])]
+        if got != expected:
+            raise EngineError(
+                f"homology mismatch at mw={mw}, c={c}: gf2 gives "
+                f"{[self.name(mw, mid[i], c) for i in got]}, towers give "
+                f"{[self.name(mw, mid[i], c) for i in expected]}"
+            )
+
+        # classes newly hit must span exactly the boundary space
         newly_zero = 0
         for i, pos in enumerate(mid):
-            b = c - col.c0[pos]
-            if runs_contain(col.new_zero[pos], b) and not runs_contain(col.old_zero[pos], b):
+            b = c - c0[pos]
+            if runs_contain(new_zero[pos], b) and not runs_contain(old_zero[pos], b):
                 newly_zero += 1
                 if not ech.contains(1 << i):
                     raise EngineError(
-                        f"class {self._name(mw, pos, c)} marked hit but outside boundary span"
+                        f"class {self.name(mw, pos, c)} marked hit but outside boundary span"
                     )
         if newly_zero != ech.rank:
             raise EngineError(f"boundary rank mismatch at mw={mw}, c={c}")
+
+
+def dense_bidegrees(page: Page, mw: int) -> list[int]:
+    """Every Chow degree c <= c_internal at which column mw has a class."""
+    col = page.columns.get(mw)
+    if col is None:
+        return []
+    cs: set[int] = set()
+    for fam, runs in page.alive.get(mw, {}).items():
+        c0 = col.c0[fam]
+        for lo, hi in runs:
+            cs.update(range(c0 + lo, min(c0 + hi, page.c_internal + 1)))
+    return sorted(cs)
 
 
 def verify_transition(
@@ -828,7 +831,7 @@ def verify_transition(
     seed: int = 0,
 ) -> int:
     """Replay the transition per bidegree via gf2 on integer class
-    positions (see _Replay).  mode 'all' covers every bidegree with
+    positions (see Homology).  mode 'all' covers every bidegree with
     classes; 'sample' draws up to SAMPLES_PER_COLUMN deterministic
     random picks per column from the run endpoints and midpoints,
     skipping instances larger than SAMPLE_DIM_CAP.  Returns the number
@@ -837,35 +840,27 @@ def verify_transition(
         return 0
 
     def column_bidegrees(mw: int) -> list[int]:
-        col = page.columns.get(mw)
-        if col is None:
-            return []
-        cs: set[int] = set()
         if mode == "all":
-            for fam, runs in page.alive.get(mw, {}).items():
-                c0 = col.c0[fam]
-                for lo, hi in runs:
-                    cs.update(range(c0 + lo, min(c0 + hi, page.c_internal + 1)))
-        else:
-            rng = random.Random((seed, page.r, mw).__hash__())
-            pool: set[int] = set()
-            column = page._column_alive(mw)
-            stride = max(1, len(column) // 64)
-            for fam, c0, runs in column[:: stride]:
-                for lo, hi in runs:
-                    pool.add(c0 + lo)
-                    pool.add(min(c0 + hi - 1, page.c_internal))
-                    pool.add(min(c0 + hi, page.c_internal))
-                    pool.add((c0 + lo + min(c0 + hi, page.c_internal)) // 2)
-            dims = {d: page.dims_column(mw + d) for d in (-1, 0, 1)}
-            pool = {
-                c
-                for c in pool
-                if dims[0].get(c, 0)
-                and dims[0].get(c, 0) + dims[1].get(c, 0) + dims[-1].get(c, 0)
-                <= SAMPLE_DIM_CAP
-            }
-            cs = set(rng.sample(sorted(pool), min(len(pool), SAMPLES_PER_COLUMN)))
+            return dense_bidegrees(page, mw)
+        rng = random.Random((seed, page.r, mw).__hash__())
+        pool: set[int] = set()
+        column = page._column_alive(mw)
+        stride = max(1, len(column) // 64)
+        for fam, c0, runs in column[:: stride]:
+            for lo, hi in runs:
+                pool.add(c0 + lo)
+                pool.add(min(c0 + hi - 1, page.c_internal))
+                pool.add(min(c0 + hi, page.c_internal))
+                pool.add((c0 + lo + min(c0 + hi, page.c_internal)) // 2)
+        dims = {d: page.dims_column(mw + d) for d in (-1, 0, 1)}
+        pool = {
+            c
+            for c in pool
+            if dims[0].get(c, 0)
+            and dims[0].get(c, 0) + dims[1].get(c, 0) + dims[-1].get(c, 0)
+            <= SAMPLE_DIM_CAP
+        }
+        cs = rng.sample(sorted(pool), min(len(pool), SAMPLES_PER_COLUMN))
         return sorted(c for c in cs if 0 <= c <= page.c_internal)
 
     replay = _Replay(page, new_alive, new_zero)

@@ -3,11 +3,37 @@
 This is the reference the streamed writer (etass.cli.write_page_dump)
 is compared against: `json.dumps(reference_page_dump(page), indent=2)`
 is the dump's exact text.  Classes come from Page.basis_at, images from
-Page.image_classes and towers from Page.towers, so none of it shares
+image_classes below and towers from Page.towers, so none of it shares
 the writer's integer read path.
 """
 
 from __future__ import annotations
+
+from etass.algebra import leibniz_apply
+from etass.bockstein import EngineError
+
+
+def apply_rule(page, m):
+    """The page differential on one class, as the derivation or rule
+    table gives it, without the family-level shortcut."""
+    if page.rule_fn is not None:
+        return page.rule_fn(m)
+    if page.rule is not None:
+        return leibniz_apply(page.rule, m)
+    return []
+
+
+def image_classes(page, m):
+    """Image of a class under the page differential, expanded over the
+    alive classes of the target bidegree."""
+    out = []
+    for term in apply_rule(page, m):
+        st = page.status(term)
+        if st == "alive":
+            out.append(term)
+        elif st != "zero":
+            raise EngineError(f"image term {term} is neither alive nor hit")
+    return out
 
 
 def reference_classes(page):
@@ -33,7 +59,7 @@ def reference_differentials(page):
             for lo, hi in runs:
                 for b in range(lo, min(hi, page.c_max - c0 + 1)):
                     m = fam.times_rho(b) if b else fam
-                    img = page.image_classes(m)
+                    img = image_classes(page, m)
                     if img:
                         out.append((m, img))
     return out

@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import pytest
 
+from etass import bockstein
 from etass.algebra import Bidegree, Monomial, leibniz_apply
 from etass.adams import (
     AdamsDiffRule,
     RuleTable,
+    _e3_from_e2,
     _edges_from_rules,
     adams_r_max,
     build_e2,
@@ -21,8 +23,18 @@ from etass.adams import (
     oracle_spot_check,
     run_adams,
 )
-from etass.bockstein import _advance, compare_pages, runs_contain, verify_transition
+from etass.bockstein import (
+    EngineError,
+    Homology,
+    RepresentativeNotMonomial,
+    _advance,
+    compare_pages,
+    runs_contain,
+    verify_transition,
+)
 from etass.ext import ext_model_page
+from etass.gf2 import F2Vector
+from e3_reference import reference_e3_from_e2
 from replay_mutations import check_mutations_caught
 
 
@@ -231,3 +243,74 @@ def test_replay_keeps_classes_below_rule_threshold():
     assert verify_transition(page, new_alive, new_zero, "all") > 0
     assert all(runs_contain(new_alive[15][v4], b) for b in range(7))
     assert not runs_contain(new_alive[15][v4], 7)
+
+
+@pytest.mark.parametrize("mw", [*range(41), 64])
+def test_e3_step_matches_reference(mw):
+    """The integer page-2 step gives exactly the alive and zero runs of
+    the class-by-class monomial step."""
+    assert _e3_from_e2(build_e2(mw)) == reference_e3_from_e2(build_e2(mw))
+
+
+def test_e3_step_rejects_image_term_neither_alive_nor_hit():
+    e2 = build_e2(16)
+    _e3_from_e2(e2)
+    _, targets = e2.differentials()[0]
+    tfam, _ = targets[0]
+    tmw = tfam.bidegree.mw
+    column = {fam: runs for fam, runs in e2.alive[tmw].items() if fam != tfam}
+    mutant = replace(e2, alive={**e2.alive, tmw: column})
+    with pytest.raises(EngineError, match="neither alive nor hit"):
+        _e3_from_e2(mutant)
+
+
+def sum_representatives(monkeypatch, columns):
+    """Make quotient_basis answer with a two-term first representative
+    at every bidegree of the given columns whose first representative
+    is a single class and that has two classes; returns the list of
+    bidegrees so changed."""
+    real_at, real_quotient = Homology.at, bockstein.quotient_basis
+    where: list[int] = []
+    changed: list[tuple[int, int]] = []
+
+    def at(self, mw, c, sums_allowed=False):
+        where[:] = [mw, c]
+        return real_at(self, mw, c, sums_allowed)
+
+    def quotient(subspace, ambient):
+        reps = real_quotient(subspace, ambient)
+        if where[0] in columns and reps and len(reps[0].support()) == 1 and reps[0].length >= 2:
+            changed.append(tuple(where))
+            reps = [F2Vector(reps[0].length, 0b11), *reps[1:]]
+        return reps
+
+    monkeypatch.setattr(Homology, "at", at)
+    monkeypatch.setattr(bockstein, "quotient_basis", quotient)
+    return changed
+
+
+# at mw 32 only columns 31 and 33 hold a bidegree with two classes and
+# a representative
+def test_e3_step_sum_representative_raises_in_reported_column(monkeypatch):
+    e2 = build_e2(32)
+    changed = sum_representatives(monkeypatch, range(e2.max_mw + 1))
+    with pytest.raises(RepresentativeNotMonomial):
+        _e3_from_e2(e2)
+    assert len(changed) == 1 and changed[0][0] <= e2.max_mw
+
+
+def test_e3_step_drops_sum_representative_in_margin_column(monkeypatch):
+    e2 = build_e2(32)
+    margin = e2.max_mw + 1
+    honest_alive, honest_zero = _e3_from_e2(e2)
+    changed = sum_representatives(monkeypatch, [margin])
+    alive, zero = _e3_from_e2(e2)
+    assert changed and all(mw == margin for mw, _ in changed)
+    assert zero == honest_zero
+    assert {mw: runs for mw, runs in alive.items() if mw != margin} == {
+        mw: runs for mw, runs in honest_alive.items() if mw != margin
+    }
+    dropped = sum(hi - lo for runs in honest_alive[margin].values() for lo, hi in runs) - sum(
+        hi - lo for runs in alive[margin].values() for lo, hi in runs
+    )
+    assert dropped == len(changed)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from etass.adams import _model_zero, build_e2, d2_rule
 from etass.algebra import Bidegree, Derivation, Monomial, default_generators, enumerate_monomials, leibniz_apply
 from etass.bockstein import (
     Page,
@@ -15,6 +16,7 @@ from etass.bockstein import (
     _advance,
 )
 from etass.gf2 import F2Matrix
+from dump_reference import image_classes
 from replay_mutations import check_mutations_caught
 
 
@@ -81,8 +83,8 @@ def test_d_squared_zero(run32):
         for mw in range(1, 33):
             for c in range(0, page.c_max + 1, 7):
                 for m in page.basis_at(mw, c):
-                    for t in page.image_classes(m):
-                        assert page.image_classes(t) == []
+                    for t in image_classes(page, m):
+                        assert image_classes(page, t) == []
 
 
 def test_intermediate_pages_are_identity(run32):
@@ -168,3 +170,22 @@ def test_family_image_is_rho_linear():
                         want = [tfam.times_rho(b + d) for tfam, d in terms]
                         assert leibniz_apply(page.rule, fam.times_rho(b)) == want
         assert moved, f"{page.label} moves no family"
+
+    # the Adams page 2: d2 renormalizes, so the shifted family image
+    # equals it once the terms torsion kills (model zero) are dropped
+    d2 = d2_rule(32)
+    e2 = build_e2(32)
+    assert e2.rule == d2
+    moved = killed = 0
+    for mw in e2.alive:
+        for fam, _, runs in e2._column_alive(mw):
+            terms, threshold = e2.family_image(fam)
+            assert threshold == 0
+            for lo, hi in runs:
+                for b in range(lo, hi):
+                    shifted = [tfam.times_rho(b + d) for tfam, d in terms]
+                    want = leibniz_apply(d2, fam.times_rho(b))
+                    assert [t for t in shifted if not _model_zero(t)] == want
+                    moved += bool(want)
+                    killed += len(shifted) - len(want)
+    assert moved and killed, f"adams-E2: {moved} classes moved, {killed} terms killed"

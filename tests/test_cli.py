@@ -195,8 +195,10 @@ def test_negative_window_exit_2(command):
 )
 def test_page_verify_reaches_chart_and_groups(argv, tmp_path, monkeypatch, capsys):
     calls = []
-    real = bockstein.kernel_basis
-    monkeypatch.setattr(bockstein, "kernel_basis", lambda m: calls.append(m) or real(m))
+    real = bockstein._Replay.bidegree
+    monkeypatch.setattr(
+        bockstein._Replay, "bidegree", lambda self, mw, c: calls.append((mw, c)) or real(self, mw, c)
+    )
     argv = [a.format(out=tmp_path / "chart") for a in argv] + ["--max-mw", "16"]
     code, _ = run_cli(argv + ["--page-verify", "off"], capsys)
     assert code == 0

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from dump_reference import reference_page_dump
+from dump_reference import image_classes, reference_page_dump
 from etass.adams import run_adams
 from etass.bockstein import EngineError, run_bockstein
 from etass.cli import main, write_page_dump
@@ -56,7 +56,7 @@ def image_class_expansion(page):
             continue
         for c in range(page.c_max + 1):
             for m in page.basis_at(mw, c):
-                img = page.image_classes(m)
+                img = image_classes(page, m)
                 if img:
                     out[m] = img
     return out
