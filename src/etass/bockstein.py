@@ -24,7 +24,11 @@ model reports as zero.  Monomials are built only for image terms
 outside the target basis, which the page's status (and the ring torsion
 of its model) must certify as zero, and for error messages.  The
 homology routine of the replay (Homology.at) also computes the Adams
-page-2 to page-3 step, whose images are genuine sums.
+page-2 to page-3 step, whose images are genuine sums.  Both sweep the
+columns in ascending mw; the routine builds each bidegree's
+differential matrix at most once per sweep (it is the outgoing matrix
+at its source and the boundary matrix at its target) and keeps its
+tables by column, for three columns at a time.
 
 Only pages r = 2^n - 1 carry differentials; the page list returned by
 run_bockstein walks exactly those, and the E-infinity page is compared
@@ -613,11 +617,16 @@ def _advance(page: Page) -> tuple[dict[int, dict[Monomial, Runs]], dict[int, dic
 
 @dataclass
 class _ColumnTable:
-    """One column of a page by family position: the Chow degree of each
-    alive family, and the position of each alive family."""
+    """One column of a page by family position: the Chow degree and the
+    position of each alive family, plus the homology tables of the
+    column: the basis at each Chow degree, each family's image entries
+    and each Chow degree's image bits (Homology.map_columns)."""
 
     c0: list[int]
     pos_of: dict[Monomial, int]
+    bases: dict[int, list[int]] = field(default_factory=dict)
+    images: dict[int, tuple[list, int]] = field(default_factory=dict)
+    maps: dict[int, list[int]] = field(default_factory=dict)
 
 
 class Homology:
@@ -625,18 +634,19 @@ class Homology:
     on integer classes.
 
     A class at (mw, c) is the position of its family in
-    page._column_alive(mw); its rho exponent is b = c - c0.  The tables
-    (columns, bases per bidegree, family images) belong to one pass over
-    the page and are dropped with it.
+    page._column_alive(mw); its rho exponent is b = c - c0.  Every table
+    (bases, family images, differential matrices) belongs to a column.
+    at(mw, c) needs columns mw - 1, mw and mw + 1 only and drops every
+    other column's tables, so a sweep in ascending mw builds each
+    differential matrix at most once and holds tables for three
+    columns; a call out of that order just recomputes what it needs.
     """
 
     def __init__(self, page: Page):
         self.page = page
         self.shift = page.diff_shift()
         self._columns: dict[int, _ColumnTable] = {}
-        # each bidegree serves as mid, as source and as target
-        self._bases: dict[tuple[int, int], list[int]] = {}
-        self._images: dict[tuple[int, int], tuple[list, int]] = {}
+        self._mw: int | None = None
 
     def column(self, mw: int) -> _ColumnTable:
         table = self._columns.get(mw)
@@ -649,10 +659,10 @@ class Homology:
         return table
 
     def basis(self, mw: int, c: int) -> list[int]:
-        key = (mw, c)
-        out = self._bases.get(key)
+        bases = self.column(mw).bases
+        out = bases.get(c)
         if out is None:
-            out = self._bases[key] = self.page.positions_at(mw, c)
+            out = bases[c] = self.page.positions_at(mw, c)
         return out
 
     def image(self, mw: int, pos: int) -> tuple[list[tuple[int | None, Monomial, int]], int]:
@@ -661,8 +671,8 @@ class Homology:
         None when the target family is not alive in the target column,
         or would land at another Chow degree, so the term is never in a
         target basis."""
-        key = (mw, pos)
-        cached = self._images.get(key)
+        images = self.column(mw).images
+        cached = images.get(pos)
         if cached is None:
             fam, c0, _ = self.page._column_alive(mw)[pos]
             terms, threshold = self.page.family_image(fam)
@@ -673,7 +683,7 @@ class Homology:
                 if tpos is not None and target.c0[tpos] + delta != c0 + self.shift.c:
                     tpos = None
                 entries.append((tpos, tfam, delta))
-            cached = self._images[key] = (entries, threshold)
+            cached = images[pos] = (entries, threshold)
         return cached
 
     def image_bits(self, mw: int, pos: int, b: int, index: dict[int, int]) -> int:
@@ -694,6 +704,24 @@ class Homology:
                     raise EngineError(f"image term {term} is neither alive nor hit")
         return bits
 
+    def map_columns(self, mw: int, c: int) -> list[int]:
+        """The page differential out of (mw, c) as one column per class:
+        the image bits of each class of basis(mw, c) over the basis of
+        the target bidegree (mw, c) + shift (image_bits and its check
+        included).  Built once per bidegree: at(mw, c) reads it as its
+        outgoing matrix, and at((mw, c) + shift) as its boundaries."""
+        table = self.column(mw)
+        out = table.maps.get(c)
+        if out is None:
+            shift = self.shift
+            tgt = self.basis(mw + shift.mw, c + shift.c)
+            index = {pos: i for i, pos in enumerate(tgt)}
+            c0 = table.c0
+            out = table.maps[c] = [
+                self.image_bits(mw, pos, c - c0[pos], index) for pos in self.basis(mw, c)
+            ]
+        return out
+
     def name(self, mw: int, pos: int, c: int) -> str:
         fam, c0, _ = self.page._column_alive(mw)[pos]
         return str(fam.times_rho(c - c0) if c != c0 else fam)
@@ -705,36 +733,31 @@ class Homology:
         coordinates, in that basis, of the coset representatives that
         kernel_basis and quotient_basis give on the matrices of the
         page differential; boundaries the echelon of the boundary span.
-        A representative that is a sum of several classes raises
-        RepresentativeNotMonomial, or is left out when sums_allowed; an
-        image term that is neither a basis class nor zero on the page
-        raises EngineError (image_bits).
+        The outgoing matrix is map_columns(mw, c), transposed into rows
+        for kernel_basis; the boundaries are the nonzero columns of
+        map_columns at (mw, c) - shift.  A representative that is a sum
+        of several classes raises RepresentativeNotMonomial, or is left
+        out when sums_allowed; an image term that is neither a basis
+        class nor zero on the page raises EngineError (image_bits).
         """
+        if mw != self._mw:
+            self._mw = mw
+            reach = abs(self.shift.mw)
+            for k in [k for k in self._columns if not mw - reach <= k <= mw + reach]:
+                del self._columns[k]
         mid = self.basis(mw, c)
         if not mid:
             return mid, [], Echelon()
         shift = self.shift
-        smw, sc = mw - shift.mw, c - shift.c
-        src = self.basis(smw, sc)
-        tgt = self.basis(mw + shift.mw, c + shift.c)
-        c0, sc0 = self.column(mw).c0, self.column(smw).c0
-
-        tgt_index = {pos: i for i, pos in enumerate(tgt)}
-        rows_bits = [0] * len(tgt)
-        for j, pos in enumerate(mid):
-            bits = self.image_bits(mw, pos, c - c0[pos], tgt_index)
+        n = len(mid)
+        rows_bits = [0] * len(self.basis(mw + shift.mw, c + shift.c))
+        for j, bits in enumerate(self.map_columns(mw, c)):
             while bits:
                 low = bits & -bits
                 rows_bits[low.bit_length() - 1] |= 1 << j
                 bits ^= low
-        m_out = F2Matrix(len(mid), tuple(F2Vector(len(mid), b) for b in rows_bits))
-        kernel = kernel_basis(m_out)
-        mid_index = {pos: i for i, pos in enumerate(mid)}
-        boundaries = [
-            F2Vector(len(mid), b)
-            for b in (self.image_bits(smw, pos, sc - sc0[pos], mid_index) for pos in src)
-            if b
-        ]
+        kernel = kernel_basis(F2Matrix(n, tuple(F2Vector(n, b) for b in rows_bits)))
+        boundaries = [F2Vector(n, b) for b in self.map_columns(mw - shift.mw, c - shift.c) if b]
         reps: list[int] = []
         for v in quotient_basis(boundaries, kernel):
             sup = v.support()
@@ -752,60 +775,66 @@ class Homology:
 
 class _Replay(Homology):
     """Compares one page transition (new_alive, new_zero) with the
-    homology at each bidegree; the runs are tabled by family position
-    like the classes."""
+    homology at each bidegree.  The runs are tabled by family position
+    like the classes, for the current column only."""
 
     def __init__(self, page: Page, new_alive, new_zero):
         super().__init__(page)
         self.new_alive = new_alive
         self.new_zero = new_zero
-        self._runs: dict[int, tuple[list[Runs], list[Runs], list[Runs]]] = {}
+        self._runs_mw: int | None = None
+        self._runs: list[tuple[Runs, Runs, Runs]] = []
 
-    def runs(self, mw: int) -> tuple[list[Runs], list[Runs], list[Runs]]:
-        """The new alive, new zero and old zero runs of column mw by
-        family position."""
-        table = self._runs.get(mw)
-        if table is None:
-            fams = [fam for fam, _, _ in self.page._column_alive(mw)]
-            table = self._runs[mw] = tuple(
-                [per.get(fam, EMPTY) for fam in fams]
-                for per in (
-                    self.new_alive.get(mw, {}),
-                    self.new_zero.get(mw, {}),
-                    self.page.zero.get(mw, {}),
-                )
+    def runs(self, mw: int) -> list[tuple[Runs, Runs, Runs]]:
+        """The new alive, new zero and old zero runs of each family of
+        column mw, by family position."""
+        if mw != self._runs_mw:
+            na, nz, oz = (
+                per.get(mw, {}) for per in (self.new_alive, self.new_zero, self.page.zero)
             )
-        return table
+            self._runs = [
+                (na.get(fam, EMPTY), nz.get(fam, EMPTY), oz.get(fam, EMPTY))
+                for fam, _, _ in self.page._column_alive(mw)
+            ]
+            self._runs_mw = mw
+        return self._runs
 
     def bidegree(self, mw: int, c: int) -> None:
         """Recompute the homology at one bidegree and compare: raises
         EngineError (or RepresentativeNotMonomial) on any disagreement
-        with the tower transition."""
+        with the tower transition.  Three independent checks: the
+        survivors, the newly hit classes inside the boundary span, and
+        the boundary rank."""
         mid, got, ech = self.at(mw, c)
         if not mid:
             return
         c0 = self.column(mw).c0
-        new_alive, new_zero, old_zero = self.runs(mw)
+        runs = self.runs(mw)
+        expected: list[int] = []
+        newly_zero = 0
+        outside = None
+        for i, pos in enumerate(mid):
+            b = c - c0[pos]
+            alive, zero, old_zero = runs[pos]
+            if runs_contain(alive, b):
+                expected.append(i)
+            if runs_contain(zero, b) and not runs_contain(old_zero, b):
+                newly_zero += 1
+                if outside is None and not ech.contains(1 << i):
+                    outside = pos
 
         # surviving classes are a subset of the old ones, in the same order
-        expected = [i for i, pos in enumerate(mid) if runs_contain(new_alive[pos], c - c0[pos])]
         if got != expected:
             raise EngineError(
                 f"homology mismatch at mw={mw}, c={c}: gf2 gives "
                 f"{[self.name(mw, mid[i], c) for i in got]}, towers give "
                 f"{[self.name(mw, mid[i], c) for i in expected]}"
             )
-
         # classes newly hit must span exactly the boundary space
-        newly_zero = 0
-        for i, pos in enumerate(mid):
-            b = c - c0[pos]
-            if runs_contain(new_zero[pos], b) and not runs_contain(old_zero[pos], b):
-                newly_zero += 1
-                if not ech.contains(1 << i):
-                    raise EngineError(
-                        f"class {self.name(mw, pos, c)} marked hit but outside boundary span"
-                    )
+        if outside is not None:
+            raise EngineError(
+                f"class {self.name(mw, outside, c)} marked hit but outside boundary span"
+            )
         if newly_zero != ech.rank:
             raise EngineError(f"boundary rank mismatch at mw={mw}, c={c}")
 
@@ -821,6 +850,13 @@ def dense_bidegrees(page: Page, mw: int) -> list[int]:
         for lo, hi in runs:
             cs.update(range(c0 + lo, min(c0 + hi, page.c_internal + 1)))
     return sorted(cs)
+
+
+def sample_seed(seed: int, r: int, mw: int) -> int:
+    """The sampler's seed for page r and column mw, by explicit integer
+    arithmetic: random.Random seeds from an int the same way on every
+    interpreter, whereas a tuple's hash is implementation-defined."""
+    return (seed * 1_000_003 + r) * 1_000_003 + mw
 
 
 def verify_transition(
@@ -842,7 +878,7 @@ def verify_transition(
     def column_bidegrees(mw: int) -> list[int]:
         if mode == "all":
             return dense_bidegrees(page, mw)
-        rng = random.Random((seed, page.r, mw).__hash__())
+        rng = random.Random(sample_seed(seed, page.r, mw))
         pool: set[int] = set()
         column = page._column_alive(mw)
         stride = max(1, len(column) // 64)

@@ -32,9 +32,6 @@ from .bockstein import (
 )
 from .report import Report
 
-# A basis element of the Ext model is just a normal monomial.
-ExtBasisElement = NormalMonomial
-
 
 def torsion_bound(fam: Monomial) -> int | None:
     """Length of the rho tower on a family; None means unbounded."""

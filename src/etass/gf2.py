@@ -24,18 +24,41 @@ def _low_bit(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
-@dataclass(frozen=True)
 class F2Vector:
-    """A fixed-length vector over GF(2); addition is bitwise XOR."""
+    """A fixed-length vector over GF(2); addition is bitwise XOR.
 
-    length: int
-    bits: int = 0
+    Immutable: both fields are set once, in __init__.
+    """
 
-    def __post_init__(self):
-        if self.length < 0:
+    __slots__ = ("length", "bits")
+
+    def __init__(self, length: int, bits: int = 0):
+        if length < 0:
             raise ValueError("negative length")
-        if self.bits < 0 or self.bits >> self.length:
+        if bits < 0 or bits >> length:
             raise ValueError("coefficient index out of range")
+        _set_length(self, length)
+        _set_bits(self, bits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"F2Vector is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"F2Vector is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return F2Vector, (self.length, self.bits)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bits == other.bits and self.length == other.length
+
+    def __hash__(self):
+        return hash((self.length, self.bits))
+
+    def __repr__(self):
+        return f"F2Vector(length={self.length!r}, bits={self.bits!r})"
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[int]) -> "F2Vector":
@@ -83,6 +106,11 @@ class F2Vector:
         if self.length != other.length:
             raise ValueError("length mismatch")
         return (self.bits & other.bits).bit_count() & 1
+
+
+# the slot setters, which bypass F2Vector.__setattr__
+_set_length = F2Vector.length.__set__
+_set_bits = F2Vector.bits.__set__
 
 
 @dataclass(frozen=True)
@@ -175,20 +203,34 @@ class Echelon:
 
     def insert(self, bits: int) -> bool:
         """Add a vector to the span.  Returns True if the rank grew."""
-        bits = self.reduce(bits)
+        pivots = self.pivots
+        todo = bits
+        while todo:  # reduce, inlined
+            low = todo & -todo
+            row = pivots.get(low.bit_length() - 1)
+            if row is not None:
+                bits ^= row
+            todo ^= low
         if not bits:
             return False
         p = _low_bit(bits)
         if (self._support >> p) & 1:
-            for q, row in self.pivots.items():
+            for q, row in pivots.items():
                 if (row >> p) & 1:
-                    self.pivots[q] = row ^ bits
-        self.pivots[p] = bits
+                    pivots[q] = row ^ bits
+        pivots[p] = bits
         self._support |= bits
         return True
 
     def contains(self, bits: int) -> bool:
         return self.reduce(bits) == 0
+
+
+def _echelon_of(m: F2Matrix) -> Echelon:
+    ech = Echelon()
+    for row in m.rows:
+        ech.insert(row.bits)
+    return ech
 
 
 def row_reduce(m: F2Matrix) -> tuple[F2Matrix, int, list[int]]:
@@ -198,9 +240,7 @@ def row_reduce(m: F2Matrix) -> tuple[F2Matrix, int, list[int]]:
     nonzero rows first, ordered by strictly increasing pivot column,
     each pivot column containing a single 1; zero rows follow.
     """
-    ech = Echelon()
-    for row in m.rows:
-        ech.insert(row.bits)
+    ech = _echelon_of(m)
     pivot_cols = sorted(ech.pivots)
     out_rows = [F2Vector(m.cols, ech.pivots[p]) for p in pivot_cols]
     out_rows.extend(F2Vector(m.cols) for _ in range(m.nrows - len(out_rows)))
@@ -208,7 +248,7 @@ def row_reduce(m: F2Matrix) -> tuple[F2Matrix, int, list[int]]:
 
 
 def rank(m: F2Matrix) -> int:
-    return row_reduce(m)[1]
+    return _echelon_of(m).rank
 
 
 def kernel_basis(m: F2Matrix) -> list[F2Vector]:
@@ -216,22 +256,20 @@ def kernel_basis(m: F2Matrix) -> list[F2Vector]:
 
     The basis vector for free column f has coordinate f equal to 1 and
     support otherwise only on pivot columns, so the output is linearly
-    independent and deterministic.
+    independent and deterministic.  It is read off the reduced echelon
+    rows directly: each is its pivot plus free columns only.
     """
-    reduced, r, pivot_cols = row_reduce(m)
-    pivot_set = set(pivot_cols)
-    free = {f: 1 << f for f in range(m.cols) if f not in pivot_set}
-    # a reduced row is its pivot plus free columns only
-    for row, p in zip(reduced.rows, pivot_cols):
-        rest = row.bits ^ (1 << p)
+    pivots = _echelon_of(m).pivots
+    free = {f: 1 << f for f in range(m.cols) if f not in pivots}
+    for p, row in pivots.items():
+        rest = row ^ (1 << p)
         while rest:
             low = rest & -rest
             free[low.bit_length() - 1] |= 1 << p
             rest ^= low
-    basis = [F2Vector(m.cols, bits) for bits in free.values()]
-    if len(basis) != m.cols - r:
-        raise GF2Error(f"kernel has {len(basis)} vectors, expected {m.cols - r}")
-    return basis
+    if len(free) != m.cols - len(pivots):
+        raise GF2Error(f"kernel has {len(free)} vectors, expected {m.cols - len(pivots)}")
+    return [F2Vector(m.cols, bits) for bits in free.values()]
 
 
 def quotient_basis(subspace: Sequence[F2Vector], ambient: Sequence[F2Vector]) -> list[F2Vector]:
@@ -263,11 +301,13 @@ def quotient_basis(subspace: Sequence[F2Vector], ambient: Sequence[F2Vector]) ->
         acc.insert(v.bits)
     want = amb.rank - acc.rank
     reps: list[F2Vector] = []
-    for i in range(length):
+    # the ambient echelon is fully reduced, so e_i lies in its span
+    # exactly when e_i is the row of pivot i
+    for i in sorted(p for p, row in amb.pivots.items() if row == 1 << p):
         if len(reps) == want:
             return reps
         unit = 1 << i
-        if amb.contains(unit) and acc.insert(unit):
+        if acc.insert(unit):
             reps.append(F2Vector(length, unit))
     for v in ambient:
         if len(reps) == want:

@@ -34,11 +34,11 @@ def sampled_bidegrees(page, new_alive, new_zero, seed: int, monkeypatch) -> list
     """The bidegrees a sample-mode replay of this transition visits.
 
     The sampler seeds one random.Random per column from
-    (seed, page.r, mw).__hash__(); a recording subclass maps that seed
-    back to its column and logs what `sample` returns, without changing
-    the picks.
+    bockstein.sample_seed(seed, page.r, mw); a recording subclass maps
+    that seed back to its column and logs what `sample` returns, without
+    changing the picks.
     """
-    column_of = {(seed, page.r, mw).__hash__(): mw for mw in page.alive}
+    column_of = {bockstein.sample_seed(seed, page.r, mw): mw for mw in page.alive}
     picks: list[tuple[int, int]] = []
 
     class Recording(random.Random):

@@ -5,19 +5,27 @@ import pytest
 from etass.adams import _model_zero, build_e2, d2_rule
 from etass.algebra import Bidegree, Derivation, Monomial, default_generators, enumerate_monomials, leibniz_apply
 from etass.bockstein import (
+    EMPTY,
+    EngineError,
+    Homology,
     Page,
     bockstein_page_indices,
     bockstein_rule,
     build_e1,
     closed_form_einfty,
     compare_pages,
+    dense_bidegrees,
     rho_inverted_check,
     run_bockstein,
+    runs_contain,
+    runs_union,
+    sample_seed,
+    verify_transition,
     _advance,
 )
 from etass.gf2 import F2Matrix
 from dump_reference import image_classes
-from replay_mutations import check_mutations_caught
+from replay_mutations import check_mutations_caught, sampled_bidegrees
 
 
 def mono(rho=0, p=0, **vs):
@@ -150,6 +158,87 @@ def test_rho_matrix_tower_shape(run32):
 def test_replay_catches_corrupted_transitions(monkeypatch):
     pages, _ = run_bockstein(16, verify="off")
     check_mutations_caught(pages[0], monkeypatch)
+
+
+def bockstein_e3(mw: int) -> Page:
+    pages, _ = run_bockstein(mw, verify="off")
+    assert pages[0].label == "bockstein-E3"
+    return pages[0]
+
+
+def test_homology_holds_three_columns_in_a_sweep(monkeypatch):
+    """An ascending replay sweep keeps the tables of columns mw - 1, mw
+    and mw + 1 only, checked whenever a column's table is created."""
+    page = bockstein_e3(32)
+    new_alive, new_zero = _advance(page)
+    held = []
+    real_column = Homology.column
+
+    def column(self, mw):
+        table = real_column(self, mw)
+        held.append(len(self._columns))
+        return table
+
+    monkeypatch.setattr(Homology, "column", column)
+    checked = verify_transition(page, new_alive, new_zero, "all")
+    assert checked > 0
+    assert max(held) == 3
+
+
+@pytest.mark.parametrize("label", ["bockstein-E3", "adams-E2"])
+def test_homology_is_independent_of_call_order(label):
+    """Homology.at gives the same (basis, reps, boundary rank) at every
+    bidegree whether the sweep ascends, descends or is shuffled."""
+    page = bockstein_e3(24) if label == "bockstein-E3" else build_e2(24)
+    assert page.label == label
+    bidegrees = [(mw, c) for mw in sorted(page.alive) for c in dense_bidegrees(page, mw)]
+
+    def results(order):
+        homology = Homology(page)
+        out = {}
+        for mw, c in order:
+            basis, reps, boundaries = homology.at(mw, c, sums_allowed=mw > page.max_mw)
+            out[mw, c] = (basis, reps, boundaries.rank)
+            assert len(homology._columns) <= 3
+        return out
+
+    ascending = results(bidegrees)
+    assert any(reps for _, reps, _ in ascending.values())
+    assert any(rank for _, _, rank in ascending.values())
+    assert results(bidegrees[::-1]) == ascending
+    shuffled = list(bidegrees)
+    random.Random(5).shuffle(shuffled)
+    assert results(shuffled) == ascending
+
+
+def test_replay_rejects_class_both_alive_and_newly_hit():
+    """The survivor and newly-hit checks are independent: a class hit on
+    this page that is also claimed to survive must raise."""
+    page = bockstein_e3(16)
+    new_alive, new_zero = _advance(page)
+    mw, fam, b = next(
+        (mw, fam, lo)
+        for mw, per in new_zero.items()
+        for fam, runs in per.items()
+        for lo, _ in runs
+        if not runs_contain(page.zero.get(mw, {}).get(fam, EMPTY), lo)
+    )
+    column = dict(new_alive[mw])
+    column[fam] = runs_union(column.get(fam, EMPTY), ((b, b + 1),))
+    with pytest.raises(EngineError):
+        verify_transition(page, {**new_alive, mw: column}, new_zero, "all")
+
+
+def test_sampler_picks_are_pinned(monkeypatch):
+    """The sampler's seed is plain integer arithmetic, so its picks are
+    the same on every interpreter; these are the picks of two columns
+    of bockstein-E3 at mw 32, seed 7."""
+    assert sample_seed(7, 3, 20) == 7_000_045_000_092
+    page = bockstein_e3(32)
+    new_alive, new_zero = _advance(page)
+    picks = sampled_bidegrees(page, new_alive, new_zero, 7, monkeypatch)
+    assert [c for mw, c in picks if mw == 20] == [4, 8, 20, 40, 46, 72]
+    assert [c for mw, c in picks if mw == 23] == [5, 9, 13, 17, 21, 40]
 
 
 def test_family_image_is_rho_linear():

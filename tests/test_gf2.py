@@ -13,6 +13,7 @@ from etass.gf2 import (
     rank,
     row_reduce,
 )
+from gf2_reference import reference_kernel_basis, reference_quotient_basis
 
 
 def naive_rank(rows, cols):
@@ -237,3 +238,82 @@ def test_echelon_matches_reference_elimination(case):
         assert len(reference_rref(seen + [x ^ y], width)) == len(basis)
         in_span = len(reference_rref(seen + [x], width)) == len(basis)
         assert ech.contains(x) == in_span == (y == 0)
+
+
+def test_vector_is_immutable_and_hashes_by_value():
+    v = F2Vector(5, 0b10110)
+    with pytest.raises(AttributeError):
+        v.bits = 1
+    with pytest.raises(AttributeError):
+        v.length = 6
+    with pytest.raises(AttributeError):
+        del v.bits
+    assert v.bits == 0b10110 and v.length == 5
+    w = F2Vector.from_coeffs([0, 1, 1, 0, 1])
+    assert v == w and hash(v) == hash(w) and len({v, w}) == 1
+    assert v != F2Vector(6, 0b10110) and v != (5, 0b10110)
+    assert repr(v) == "F2Vector(length=5, bits=22)"
+    with pytest.raises(ValueError):
+        F2Vector(2, 0b100)
+    with pytest.raises(ValueError):
+        F2Vector(-1)
+
+
+def _rows(width: int, min_weight: int = 0):
+    """Rows as bits: sparse ones of weight min_weight..3, and dense ones
+    too when min_weight is 0."""
+    sparse = st.sets(
+        st.integers(0, width - 1), min_size=min(min_weight, width), max_size=3
+    ).map(lambda bits: sum(1 << i for i in bits))
+    if min_weight:
+        return sparse
+    return st.one_of(st.integers(0, (1 << width) - 1), sparse)
+
+
+@st.composite
+def wide_matrices(draw):
+    cols = draw(st.integers(1, 96))
+    rows = draw(st.lists(_rows(cols), max_size=40))
+    return F2Matrix(cols, tuple(F2Vector(cols, b) for b in rows))
+
+
+@settings(deadline=None, max_examples=150)
+@given(wide_matrices())
+def test_kernel_basis_matches_reference(m):
+    assert kernel_basis(m) == reference_kernel_basis(m)
+
+
+@st.composite
+def quotient_inputs(draw):
+    """An ambient list (sparse rows of weight >= 2 make many cosets
+    without a unit representative) and a subspace of combinations of
+    ambient vectors."""
+    width = draw(st.integers(1, 96))
+    rows = _rows(width, draw(st.sampled_from([0, 2])))
+    ambient = [F2Vector(width, b) for b in draw(st.lists(rows, min_size=1, max_size=24))]
+    masks = draw(st.lists(st.integers(0, (1 << len(ambient)) - 1), max_size=12))
+    subspace = []
+    for mask in masks:
+        bits = 0
+        for i, v in enumerate(ambient):
+            if (mask >> i) & 1:
+                bits ^= v.bits
+        subspace.append(F2Vector(width, bits))
+    return subspace, ambient
+
+
+@settings(deadline=None, max_examples=200)
+@given(quotient_inputs())
+def test_quotient_basis_matches_reference(case):
+    subspace, ambient = case
+    assert quotient_basis(subspace, ambient) == reference_quotient_basis(subspace, ambient)
+
+
+def test_quotient_sum_representatives_match_reference():
+    e = [F2Vector.unit(5, i) for i in range(5)]
+    ambient = [e[0] + e[1], e[1] + e[2], e[3], e[4]]
+    subspace = [e[3]]
+    reps = quotient_basis(subspace, ambient)
+    assert reps == reference_quotient_basis(subspace, ambient)
+    # e4 is the only unit left to take; the other two cosets are sums
+    assert reps == [e[4], e[0] + e[1], e[1] + e[2]]
