@@ -2,17 +2,18 @@
 
 The second page is the Ext model; its differential is the derivation
 v_n -> v_{n-1}^2 (n >= 3) extended by Leibniz with torsion
-renormalization.  It is rho-linear too: each family's image is computed
-once, on the rho-free family, and shifted by the rho exponent, and a
-shifted term that torsion kills is zero in the model.  That transition
-has genuinely multi-term images, so the third page is computed per
-bidegree with full gf2 matrices on integer class positions, through the
-same homology routine that replays the tower transitions
-(bockstein.Homology), no shortcuts.  From the third page on, the
-differentials are explicit rho-linear rule lists on single tower
-classes and the transitions run on the shared tower engine, replayed
-through gf2 like the Bockstein ones.  A page-r differential shifts
-(mw, c) by (-1, r-1).
+renormalization, applied to packed families by exponent arithmetic
+(algebra.derivation_image).  It is rho-linear too: each family's image
+is computed once, on the rho-free family, and shifted by the rho
+exponent, and a shifted term that torsion kills is zero in the model.
+That transition has genuinely multi-term images, so the third page is
+computed per bidegree with full gf2 matrices on integer class
+positions, through the same homology routine that replays the tower
+transitions (bockstein.Homology), no shortcuts.  From the third page
+on, the differentials are explicit rho-linear rule lists on single
+tower classes, tabled by packed source family (RuleTable), and the
+transitions run on the shared tower engine, replayed through gf2 like
+the Bockstein ones.  A page-r differential shifts (mw, c) by (-1, r-1).
 """
 
 from __future__ import annotations
@@ -24,13 +25,20 @@ from .algebra import (
     Bidegree,
     Derivation,
     Monomial,
+    family_min_v,
+    family_monomial,
+    family_of,
+    family_p,
+    family_v_exps,
     leibniz_apply,
     max_v_index,
     normalize,
 )
 from .bockstein import (
+    DENSE_VERIFY_LIMIT,
     EMPTY,
     Column,
+    Edge,
     EngineError,
     Homology,
     Page,
@@ -52,9 +60,11 @@ from .gf2 import F2Matrix, F2Vector, kernel_basis, quotient_basis, rank  # noqa:
 from .report import Report
 
 
-def _model_zero(m: Monomial) -> bool:
-    n = m.min_v
-    return n is not None and m.rho_exp >= 2 ** n - 1
+def _model_zero(fam: int, b: int) -> bool:
+    """The Ext model's torsion: fam * rho^b is zero once b reaches the
+    tower length 2^n - 1 of the family's least v index n."""
+    n = family_min_v(fam)
+    return n is not None and b >= 2 ** n - 1
 
 
 def d2_rule(mw_max: int) -> Derivation:
@@ -117,41 +127,38 @@ def dr_rule(r: int, mw_max: int) -> list[AdamsDiffRule]:
 
 class RuleTable:
     """A rule page's differential: the AdamsDiffRule of each source
-    family, applied to single classes (as Page.rule_fn) or to whole
-    towers (family_image)."""
+    family, by packed family, applied to single classes (as
+    Page.rule_fn) or to whole towers (family_image)."""
 
     def __init__(self, rules: list[AdamsDiffRule]):
-        self.by_fam = {(rule.source.p_exp, rule.source.v_exps): rule for rule in rules}
+        self.rules = {family_of(rule.source): rule for rule in rules}
 
     def __call__(self, m: Monomial) -> list[Monomial]:
-        rule = self.by_fam.get((m.p_exp, m.v_exps))
+        rule = self.rules.get(family_of(m))
         if rule is None or m.rho_exp < rule.source.rho_exp:
             return []
         a = m.rho_exp - rule.source.rho_exp
         return [rule.target.times_rho(a) if a else rule.target]
 
-    def family_image(self, fam: Monomial) -> tuple[list[tuple[Monomial, int]], int]:
+    def family_image(self, fam: int) -> tuple[list[tuple[int, int]], int]:
         """(terms, threshold) in the form of Page.family_image: from
         rho exponent source.rho_exp on, the tower maps onto the target's
         tower shifted by target.rho_exp - source.rho_exp."""
-        rule = self.by_fam.get((fam.p_exp, fam.v_exps))
+        rule = self.rules.get(fam)
         if rule is None:
             return [], 0
-        t, src_rho = rule.target, rule.source.rho_exp
-        return [(Monomial(0, t.p_exp, t.v_exps), t.rho_exp - src_rho)], src_rho
+        src, tgt = rule.source, rule.target
+        return [(family_of(tgt), tgt.rho_exp - src.rho_exp)], src.rho_exp
 
 
-def _edges_from_rules(rules: list[AdamsDiffRule]):
-    edges: dict[int, dict[Monomial, tuple[Monomial, int, int]]] = {}
-    for rule in rules:
-        fam = Monomial(0, rule.source.p_exp, rule.source.v_exps)
-        tfam = Monomial(0, rule.target.p_exp, rule.target.v_exps)
-        mw = fam.bidegree.mw
-        edges.setdefault(mw, {})[fam] = (
-            tfam,
-            -rule.source.rho_exp,
-            rule.source.rho_exp,
-        )
+def _edges_from_rules(rules: list[AdamsDiffRule]) -> dict[int, dict[int, Edge]]:
+    """The rule table as page edges (target family, rho delta, least
+    source rho exponent), by source column."""
+    table = RuleTable(rules)
+    edges: dict[int, dict[int, Edge]] = {}
+    for fam, rule in table.rules.items():
+        [(tfam, delta)], threshold = table.family_image(fam)
+        edges.setdefault(rule.source.bidegree.mw, {})[fam] = (tfam, delta, threshold)
     return edges
 
 
@@ -160,7 +167,7 @@ def adams_r_max(mw_max: int) -> int:
     return max(2, max_v_index(mw_max) - 1)
 
 
-def _e3_from_e2(e2: Page) -> tuple[dict[int, dict[Monomial, Runs]], dict[int, dict[Monomial, Runs]]]:
+def _e3_from_e2(e2: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[int, Runs]]]:
     """Homology of the page-2 differential, bidegree by bidegree.
 
     Images here are genuine sums, so no tower shortcut applies: every
@@ -174,14 +181,14 @@ def _e3_from_e2(e2: Page) -> tuple[dict[int, dict[Monomial, Runs]], dict[int, di
     nor receive any later rule, so they are dropped there.
     """
     homology = Homology(e2)
-    new_alive: dict[int, dict[Monomial, Runs]] = {}
-    new_zero: dict[int, dict[Monomial, Runs]] = {}
+    new_alive: dict[int, dict[int, Runs]] = {}
+    new_zero: dict[int, dict[int, Runs]] = {}
     for mw in sorted(e2.alive):
-        column = e2._column_alive(mw)
-        alive_col: dict[Monomial, list[tuple[int, int]]] = {}
-        zero_col: dict[Monomial, list[tuple[int, int]]] = {}
+        alive_col: dict[int, list[tuple[int, int]]] = {}
+        zero_col: dict[int, list[tuple[int, int]]] = {}
         for c in dense_bidegrees(e2, mw):
             mid, reps, boundaries = homology.at(mw, c, sums_allowed=mw > e2.max_mw)
+            column = homology.column(mw).alive
             for i in reps:
                 fam, c0, _ = column[mid[i]]
                 alive_col.setdefault(fam, []).append((c - c0, c - c0 + 1))
@@ -220,18 +227,19 @@ def closed_form_e3(mw_max: int, columns: dict[int, Column] | None = None) -> Pag
     c_max = c_max_for(mw_max)
     if columns is None:
         columns = enumerate_ext_families(mw_max)
-    alive: dict[int, dict[Monomial, Runs]] = {}
+    alive: dict[int, dict[int, Runs]] = {}
     for mw, col in columns.items():
-        per: dict[Monomial, Runs] = {}
+        per: dict[int, Runs] = {}
         for fam in col.fams:
-            if fam.is_one():
-                per[fam] = ((0, c_max - col.c0[fam] + 1),)
+            if not fam:  # the unit
+                per[fam] = ((0, c_max + 1),)
                 continue
-            if len(fam.v_exps) != 1:
+            v_exps = family_v_exps(fam)
+            if len(v_exps) != 1:
                 continue
-            n, a = fam.v_exps[0]
+            n, a = v_exps[0]
             step = 2 ** (n - 1)
-            k = fam.p_exp // step
+            k = family_p(fam) // step
             if a == 1:
                 per[fam] = ((step - 1, 2 ** n - 1),) if n >= 3 else ((0, 3),)
             elif a == 2 and k % 2 == 1:
@@ -258,16 +266,17 @@ def closed_form_einfty(mw_max: int, columns: dict[int, Column] | None = None) ->
     c_max = c_max_for(mw_max)
     if columns is None:
         columns = enumerate_ext_families(mw_max)
-    alive: dict[int, dict[Monomial, Runs]] = {}
+    alive: dict[int, dict[int, Runs]] = {}
     for mw, col in columns.items():
-        per: dict[Monomial, Runs] = {}
+        per: dict[int, Runs] = {}
         for fam in col.fams:
-            if fam.is_one():
-                per[fam] = ((0, c_max - col.c0[fam] + 1),)
+            if not fam:  # the unit
+                per[fam] = ((0, c_max + 1),)
                 continue
-            if len(fam.v_exps) != 1 or fam.v_exps[0][1] != 1:
+            v_exps = family_v_exps(fam)
+            if len(v_exps) != 1 or v_exps[0][1] != 1:
                 continue
-            n = fam.v_exps[0][0]
+            n = v_exps[0][0]
             per[fam] = ((2 ** n - n - 2, 2 ** n - 1),)
         alive[mw] = per
     return Page(
@@ -292,6 +301,8 @@ def run_adams(
 ) -> tuple[list[Page], Page]:
     """Run from the Ext model through every rule page to the stable
     page.  Returns ([E2, E3, ..., E_rmax], Einf)."""
+    if verify == "auto":
+        verify = "all" if mw_max <= DENSE_VERIFY_LIMIT else "sample"
     e2 = build_e2(mw_max)
     pages = [e2]
     alive, zero = _e3_from_e2(e2)
@@ -315,12 +326,7 @@ def run_adams(
             is_model_zero=_model_zero,
         )
         new_alive, new_zero = _advance(page)
-        mode = verify
-        if mode == "auto":
-            from .bockstein import DENSE_VERIFY_LIMIT
-
-            mode = "all" if mw_max <= DENSE_VERIFY_LIMIT else "sample"
-        verify_transition(page, new_alive, new_zero, mode, seed)
+        verify_transition(page, new_alive, new_zero, verify, seed)
         pages.append(page)
         alive, zero = new_alive, new_zero
         last_r = r
@@ -443,7 +449,7 @@ def exhaustive_hit_scan(e3: Page, einfty: Page, mw_max: int) -> Report:
             if runs_subtract(runs, new_hits) != EMPTY or not runs_subset(
                 new_hits, runs
             ):
-                bad.append((mw, str(fam)))
+                bad.append((mw, str(family_monomial(fam))))
     rep.add(
         "exhaustive-differentials",
         f"stems = 2 mod 4 up to {mw_max}",
@@ -552,7 +558,7 @@ def oracle_spot_check(mw_max: int, count: int = 20, seed: int = 0, e3: Page | No
             rows_bits = [0] * len(targets)
             for j, m in enumerate(sources):
                 for term in leibniz_apply(e2.rule, m):
-                    if _model_zero(term):
+                    if normalize(term) is None:  # torsion kills it
                         continue
                     rows_bits[index[term]] ^= 1 << j
             return F2Matrix(len(sources), tuple(F2Vector(len(sources), b) for b in rows_bits))

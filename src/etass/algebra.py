@@ -9,13 +9,16 @@ plane where it vanishes.  Monomials are exponent data over these
 generators; the normal form attaches all P powers to the v generator of
 minimal index (divisibility p_exp = 0 mod 2^(n-1)) and enforces the
 torsion bound rho_exp <= 2^n - 2 when requested.  Values are immutable
-and operations pure.
+and operations pure.  The page engine keys everything by rho-free
+family packed into one int (family_of) and applies derivations to the
+packed exponents (derivation_image); Monomials are its read side, and
+leibniz_apply is the independent reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 
 class NormalizationFailure(Exception):
@@ -40,50 +43,8 @@ class Bidegree:
         return Bidegree(self.mw - other.mw, self.c - other.c)
 
 
-@dataclass(frozen=True)
-class GeneratorSymbol:
-    """One of rho, P, or v_n (n >= 2)."""
-
-    kind: str  # "rho" | "P" | "v"
-    index: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("rho", "P", "v"):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if (self.kind == "v") != (self.index is not None):
-            raise ValueError("index is for v generators only")
-        if self.kind == "v" and self.index < 2:
-            raise ValueError("v generators start at index 2")
-
-    @property
-    def degree(self) -> Bidegree:
-        if self.kind == "rho":
-            return Bidegree(0, 1)
-        if self.kind == "P":
-            return Bidegree(4, 4)
-        return Bidegree(2 ** self.index - 1, 1)
-
-
-RHO = GeneratorSymbol("rho")
-P = GeneratorSymbol("P")
-
-
-def v(n: int) -> GeneratorSymbol:
-    return GeneratorSymbol("v", n)
-
-
 def v_degree(n: int) -> Bidegree:
     return Bidegree(2 ** n - 1, 1)
-
-
-def default_generators(mw_max: int) -> list[GeneratorSymbol]:
-    """rho, P and every v_n that fits the window (2^n - 1 <= mw_max + 1)."""
-    gens = [RHO, P]
-    n = 2
-    while 2 ** n - 1 <= mw_max + 1:
-        gens.append(v(n))
-        n += 1
-    return gens
 
 
 def max_v_index(mw_max: int) -> int:
@@ -174,9 +135,6 @@ class Monomial:
             tail.extend(-exps.get(n, 0) for n in range(2, top + 1))
         return (self.total_exponent, tuple(tail))
 
-    def is_one(self) -> bool:
-        return self.rho_exp == 0 and self.p_exp == 0 and not self.v_exps
-
     def times_rho(self, k: int = 1) -> "Monomial":
         return Monomial(self.rho_exp + k, self.p_exp, self.v_exps)
 
@@ -228,6 +186,89 @@ def rho_label(rho_exp: int, family_label: str) -> str:
     return head if family_label == "1" else f"{head} {family_label}"
 
 
+# ---------------------------------------------------------------------------
+# packed rho-free families
+#
+# The engine keys every page by rho-free family P^p v_2^a_2 ... v_N^a_N
+# packed into one int of FIELD_BITS-wide fields, most significant first:
+#
+#     u = sum a_n (2^n - 1),  sum a_n,  s_2, s_3, ..., s_(V_TOP-1),  c0
+#
+# where s_k = a_(k+1) + ... + a_V_TOP counts the v factors of index above
+# k and c0 = 4p + sum a_n is the family's Chow degree.  Inside one
+# Milnor-Witt column u = mw - 4p, so ascending int order is the column
+# order (-p, sum a_n, -a_2, -a_3, ...).  Every field is linear in the
+# exponents: multiplying by P adds P_STEP and by v_n adds V_STEP[n], so a
+# differential moves a family by integer addition.  Every field is at
+# most the family's Milnor-Witt degree, which bounds the window.
+
+FIELD_BITS = 10
+_MASK = (1 << FIELD_BITS) - 1
+MW_LIMIT = 2 ** FIELD_BITS - 3  # largest window: mw_max + 1 fits a field
+V_TOP = FIELD_BITS - 1  # the last v_n with 2^n - 1 <= MW_LIMIT + 1
+_SUM_SHIFT = (V_TOP - 1) * FIELD_BITS
+_U_SHIFT = V_TOP * FIELD_BITS
+P_STEP = 4
+V_STEP = {
+    n: ((2 ** n - 1) << _U_SHIFT)
+    + (1 << _SUM_SHIFT)
+    + sum(1 << (V_TOP - k) * FIELD_BITS for k in range(2, n))
+    + 1
+    for n in range(2, V_TOP + 1)
+}
+
+
+def family_of(m: Monomial) -> int:
+    """The packed rho-free family of m (its rho exponent is dropped)."""
+    if m.bidegree.mw > MW_LIMIT + 1:
+        raise ValueError(f"{m} lies beyond the packed window mw <= {MW_LIMIT + 1}")
+    f = P_STEP * m.p_exp
+    for n, a in m.v_exps:
+        f += a * V_STEP[n]
+    return f
+
+
+def family_c0(f: int) -> int:
+    """Chow degree of the family (of its rho^0 class)."""
+    return f & _MASK
+
+
+def family_p(f: int) -> int:
+    return ((f & _MASK) - ((f >> _SUM_SHIFT) & _MASK)) >> 2
+
+
+def family_v_exps(f: int) -> tuple[tuple[int, int], ...]:
+    """The (index, positive exponent) pairs of the v factors, ascending."""
+    prev = (f >> _SUM_SHIFT) & _MASK
+    out = []
+    n, shift = 2, _SUM_SHIFT
+    while prev:
+        shift -= FIELD_BITS
+        rest = (f >> shift) & _MASK if shift else 0  # s_V_TOP = 0
+        if rest != prev:
+            out.append((n, prev - rest))
+        prev = rest
+        n += 1
+    return tuple(out)
+
+
+def family_min_v(f: int) -> int | None:
+    """The least v index of the family, None without v factors."""
+    total = (f >> _SUM_SHIFT) & _MASK
+    if not total:
+        return None
+    n, shift = 2, _SUM_SHIFT - FIELD_BITS
+    while shift and (f >> shift) & _MASK == total:
+        n += 1
+        shift -= FIELD_BITS
+    return n
+
+
+def family_monomial(f: int, rho: int = 0) -> Monomial:
+    """rho^rho times the family, as a Monomial (labels and read side)."""
+    return Monomial(rho, family_p(f), family_v_exps(f))
+
+
 @dataclass(frozen=True, eq=False)
 class NormalMonomial(Monomial):
     """A monomial in shifted normal form.
@@ -267,65 +308,6 @@ def multiply(a: NormalMonomial, b: NormalMonomial) -> NormalMonomial | None:
     """Product in the truncated ring: exponent sum, then normal form
     with the torsion rule enabled."""
     return normalize(a.raw_product(b), torsion=True)
-
-
-def enumerate_monomials(deg: Bidegree, generators: Sequence[GeneratorSymbol]) -> list[Monomial]:
-    """All monomials of exactly this bidegree, in canonical order.
-
-    Finite because every generator has Chow degree >= 1.
-    """
-    if deg.mw < 0 or deg.c < 0:
-        raise ValueError("bidegree must be nonnegative")
-    vs = sorted(g.index for g in generators if g.kind == "v")
-    has_rho = any(g.kind == "rho" for g in generators)
-    has_p = any(g.kind == "P" for g in generators)
-    out: list[Monomial] = []
-
-    def close(mw: int, c: int, acc: dict[int, int], p_exp: int):
-        if mw != 0:
-            return
-        if c == 0:
-            out.append(Monomial.make(0, p_exp, acc))
-        elif has_rho:
-            out.append(Monomial.make(c, p_exp, acc))
-
-    def rec(i: int, mw: int, c: int, acc: dict[int, int], p_exp: int):
-        if mw < 0 or c < 0:
-            return
-        if i == len(vs):
-            close(mw, c, acc, p_exp)
-            return
-        n = vs[i]
-        dmw = 2 ** n - 1
-        a = 0
-        while a * dmw <= mw and a <= c:
-            if a:
-                acc[n] = a
-            rec(i + 1, mw - a * dmw, c - a, acc, p_exp)
-            acc.pop(n, None)
-            a += 1
-
-    e = 0
-    while 4 * e <= deg.mw and 4 * e <= deg.c:
-        rec(0, deg.mw - 4 * e, deg.c - 4 * e, {}, e)
-        if not has_p:
-            break
-        e += 1
-    out.sort(key=Monomial.sort_key)
-    return out
-
-
-def enumerate_normal_monomials(deg: Bidegree, mw_max: int, torsion: bool = True) -> list[NormalMonomial]:
-    """All normal monomials of this bidegree over default_generators."""
-    out = []
-    for m in enumerate_monomials(deg, default_generators(mw_max)):
-        try:
-            nm = normalize(m, torsion=torsion)
-        except NormalizationFailure:
-            continue
-        if nm is not None:
-            out.append(nm)
-    return out
 
 
 MonomialSum = tuple[Monomial, ...]
@@ -376,6 +358,19 @@ class Derivation:
             q, img = self.p_rule
             if img.bidegree != Bidegree(4 * q, 4 * q) + self.shift:
                 raise ValueError(f"rule for P^{q} does not shift degree by {self.shift}")
+        # the rules as (family move, rho exponent) for derivation_image
+        packed = {
+            n: tuple(
+                (family_of(t) - family_of(Monomial(0, 0, ((n, 1),))), t.rho_exp)
+                for t in terms
+            )
+            for n, terms in self.v_rules.items()
+        }
+        object.__setattr__(self, "_packed_v", packed)
+        if self.p_rule is not None:
+            q, img = self.p_rule
+            move = (family_of(img) - P_STEP * q, img.rho_exp)
+            object.__setattr__(self, "_packed_p", move)
 
 
 def leibniz_apply(d: Derivation, m: Monomial) -> list[Monomial]:
@@ -418,3 +413,57 @@ def leibniz_apply(d: Derivation, m: Monomial) -> list[Monomial]:
                 kept.append(nt)
         return kept
     return out
+
+
+def derivation_image(d: Derivation, f: int) -> list[tuple[int, int]]:
+    """leibniz_apply(d, family_monomial(f)) on packed families.
+
+    Returns the (family, rho exponent) terms sorted by family, which is
+    the order of leibniz_apply's terms: they share one bidegree, where
+    the monomial order and the column order agree.  Every check and
+    exception of leibniz_apply is kept; rho is a cycle, so the image of
+    rho^b times the family is each term times rho^b (before the torsion
+    of normalize_terms, which is applied here to the rho-free family).
+    """
+    terms: list[tuple[int, int]] = []
+    v_exps = ()
+    if d.v_rules or not d.all_v_cycles:
+        v_exps = family_v_exps(f)
+        for n, a in v_exps:
+            rule = d._packed_v.get(n)
+            if rule is not None:
+                if a % 2:
+                    terms.extend((f + move, rho) for move, rho in rule)
+            elif not (d.all_v_cycles or n in d.v_cycles):
+                raise MissingRule(f"no rule or cycle declaration for v{n}")
+    p = family_p(f)
+    if p and d.p_rule is not None:
+        n = v_exps[0][0] if v_exps else family_min_v(f)
+        if d.p_attach_min is None or n is None or n >= d.p_attach_min:
+            q = d.p_rule[0]
+            if p % q:
+                raise MissingRule(f"P^{p} is not a power of the block generator P^{q}")
+            if (p // q) % 2:
+                move, rho = d._packed_p
+                terms.append((f + move, rho))
+    if len(terms) > 1:
+        odd: dict[tuple[int, int], int] = {}
+        for t in terms:
+            odd[t] = odd.get(t, 0) ^ 1
+        terms = sorted(t for t, k in odd.items() if k)
+    if d.normalize_terms:
+        kept = []
+        for tf, rho in terms:
+            n = family_min_v(tf)
+            if n is not None and rho >= 2 ** n - 1:
+                continue  # torsion kills it
+            tp = family_p(tf)
+            if n is None and tp:
+                raise NormalizationFailure(f"pure P power P^{tp} is not normal")
+            if n is not None and tp % 2 ** (n - 1):
+                raise NormalizationFailure(
+                    f"p_exp {tp} not a multiple of 2^{n - 1} for minimal v_{n}"
+                )
+            kept.append((tf, rho))
+        return kept
+    return terms

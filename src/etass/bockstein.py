@@ -1,9 +1,10 @@
 """The rho-Bockstein spectral sequence and the shared page engine.
 
 A page stores, for every Milnor-Witt column, the rho-towers that are
-alive: each rho-free monomial (a "family") spans the tower of its rho
-multiples, and the page keeps the interval of rho exponents alive plus
-the interval already hit by earlier differentials.  Differentials on
+alive: each rho-free monomial (a "family", packed into one int by
+algebra.family_of and enumerated by families()) spans the tower of its
+rho multiples, and the page keeps the interval of rho exponents alive
+plus the interval already hit by earlier differentials.  Differentials on
 these pages send single monomials to single monomials, so each page
 transition decomposes into tower-to-tower blocks whose homology is
 interval arithmetic.
@@ -20,9 +21,10 @@ differential the engine runs is rho-linear: rho is a cycle of each
 Bockstein derivation, whose P attachment depends on the v factors only,
 each later Adams rule maps every rho multiple of its source, and the
 Adams d2 drops only the shifted terms that torsion kills, which its
-model reports as zero.  Monomials are built only for image terms
-outside the target basis, which the page's status (and the ring torsion
-of its model) must certify as zero, and for error messages.  The
+model reports as zero.  An image term outside the target basis must be
+certified zero by the page's class_status (and the ring torsion of its
+model).  Family images are exponent arithmetic on the packed ints;
+Monomials are built only on the read side and for error messages.  The
 homology routine of the replay (Homology.at) also computes the Adams
 page-2 to page-3 step, whose images are genuine sums.  Both sweep the
 columns in ascending mw; the routine builds each bidegree's
@@ -40,13 +42,22 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .algebra import (
+    MW_LIMIT,
+    P_STEP,
+    V_STEP,
+    V_TOP,
     Bidegree,
     Derivation,
     Monomial,
-    leibniz_apply,
+    derivation_image,
+    family_c0,
+    family_min_v,
+    family_monomial,
+    family_of,
+    family_p,
 )
 from .gf2 import Echelon, F2Matrix, F2Vector, kernel_basis, quotient_basis
 from .report import Report
@@ -154,50 +165,71 @@ def runs_subset(a: Runs, b: Runs) -> bool:
 # ---------------------------------------------------------------------------
 # columns of rho-free families
 
-def _fam_key0(fam: Monomial):
-    """Column-local order key; the induced order of classes inside one
-    bidegree is independent of the Chow coordinate."""
-    deg0 = fam.total_exponent
-    c0 = fam.bidegree.c
-    return (deg0 - c0, c0) + fam.sort_key()[1][1:]
-
-
 @dataclass
 class Column:
-    fams: list[Monomial]  # sorted by _fam_key0
-    c0: dict[Monomial, int]
+    fams: list[int]  # packed families, ascending: the column order
+
+
+def families(mw_max: int, normal: bool) -> dict[int, Column]:
+    """The rho-free families by Milnor-Witt column, mw <= mw_max + 1.
+
+    All of them, or with normal=True the normal ones only: the unit, and
+    every P^p v_n ... whose minimal v index n has p a multiple of
+    2^(n-1).  Families are packed ints (algebra.family_of), built by
+    integer addition of the generator steps and sorted as ints.
+    """
+    if not 0 <= mw_max <= MW_LIMIT:
+        raise ValueError(f"the window must be 0..{MW_LIMIT}, got {mw_max}")
+    top = mw_max + 1
+    per_mw: list[list[int]] = [[] for _ in range(top + 1)]
+    vs = [(n, 2 ** n - 1, V_STEP[n]) for n in range(2, V_TOP + 1) if 2 ** n - 1 <= top]
+
+    def rec(i: int, mw: int, f: int, p_step: int):
+        # P powers in steps of p_step (0: the bare unit of the normal
+        # families), then every extension by v_n with n >= vs[i]
+        if p_step:
+            for e in range(0, (top - mw) // 4 + 1, p_step):
+                per_mw[mw + 4 * e].append(f + P_STEP * e)
+        else:
+            per_mw[mw].append(f)
+        for j in range(i, len(vs)):
+            n, d, step = vs[j]
+            if mw + d > top:
+                break
+            rec(j, mw + d, f + step, p_step or 2 ** (n - 1))
+
+    rec(0, 0, 0, 0 if normal else 1)
+    return {mw: Column(sorted(fams)) for mw, fams in enumerate(per_mw)}
 
 
 def enumerate_families(mw_max: int) -> dict[int, Column]:
-    """All rho-free monomials over the window's generators, by mw."""
-    vs = []
-    n = 2
-    while 2 ** n - 1 <= mw_max + 1:
-        vs.append(n)
-        n += 1
-    per_mw: dict[int, list[Monomial]] = {m: [] for m in range(mw_max + 2)}
+    """All rho-free families of the window, by mw."""
+    return families(mw_max, normal=False)
 
-    def rec(i: int, mw: int, acc: dict[int, int]):
-        e = 0
-        while mw + 4 * e <= mw_max + 1:
-            per_mw[mw + 4 * e].append(Monomial.make(0, e, acc))
-            e += 1
-        for j in range(i, len(vs)):
-            step = 2 ** vs[j] - 1
-            if mw + step > mw_max + 1:
-                break
-            acc[vs[j]] = acc.get(vs[j], 0) + 1
-            rec(j, mw + step, acc)
-            acc[vs[j]] -= 1
-            if not acc[vs[j]]:
-                del acc[vs[j]]
 
-    rec(0, 0, {})
-    cols = {}
-    for mw, fams in per_mw.items():
-        fams.sort(key=_fam_key0)
-        cols[mw] = Column(fams, {f: f.bidegree.c for f in fams})
-    return cols
+def _alive_column(per: dict[int, Runs]) -> list[tuple[int, int, Runs]]:
+    """(family, c0, runs) for the alive families of one column in column
+    order, which is ascending family order."""
+    return [(fam, family_c0(fam), per[fam]) for fam in sorted(per)]
+
+
+def _chow_index(column: list[tuple[int, int, Runs]]) -> tuple:
+    """A column's alive runs for Chow lookups: the (first, end, position)
+    Chow intervals of every run sorted by first Chow degree, their first
+    degrees, and the longest run."""
+    entries = sorted(
+        (c0 + lo, c0 + hi, pos) for pos, (_, c0, runs) in enumerate(column) for lo, hi in runs
+    )
+    longest = max((end - first for first, end, _ in entries), default=0)
+    return [e[0] for e in entries], entries, longest
+
+
+def _positions(index: tuple, c: int) -> list[int]:
+    """The ascending column positions of the classes at Chow degree c."""
+    firsts, entries, longest = index
+    hi = bisect.bisect_right(firsts, c)
+    lo = bisect.bisect_left(firsts, c - longest + 1)
+    return sorted(pos for _, end, pos in entries[lo:hi] if c < end)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +250,7 @@ class TorsionTower:
         return self.generator.bidegree.mw
 
 
-Edge = tuple[Monomial, int, int]  # (target family, rho shift, minimal source b)
+Edge = tuple[int, int, int]  # (target family, rho shift, minimal source b)
 # a class on the read side: (rho-free family, rho exponent)
 Class = tuple[Monomial, int]
 
@@ -227,13 +259,14 @@ Class = tuple[Monomial, int]
 class Page:
     """One spectral-sequence page over the truncated window.
 
-    `alive` holds the surviving rho-intervals per family, `zero` the
-    intervals already hit (known-zero classes).  `rule` is the
-    differential acting on this page (None once the sequence has
-    collapsed); `edges` is its family-level form used for matrices.
-    The read side (classes, differentials, tower_runs) gives a class
-    as a (rho-free family, rho exponent) pair, so reading a page builds
-    no monomial per class.
+    `alive` holds the surviving rho-intervals per packed family (see
+    algebra.family_of), `zero` the intervals already hit (known-zero
+    classes).  `rule` is the differential acting on this page (None once
+    the sequence has collapsed); `edges` is its family-level form used
+    for matrices.  The read side (basis_at, classes, differentials,
+    tower_runs, towers, status) speaks Monomials: it gives a class as a
+    (rho-free family, rho exponent) pair and builds one Monomial per
+    family it reads, none per class.
     """
 
     kind: str
@@ -243,20 +276,20 @@ class Page:
     c_max: int
     c_internal: int
     columns: dict[int, Column]
-    alive: dict[int, dict[Monomial, Runs]]
-    zero: dict[int, dict[Monomial, Runs]]
+    alive: dict[int, dict[int, Runs]]
+    zero: dict[int, dict[int, Runs]]
     rule: Derivation | None = None
-    edges: dict[int, dict[Monomial, Edge]] = field(default_factory=dict)
+    edges: dict[int, dict[int, Edge]] = field(default_factory=dict)
     # differential given as a rule table instead of a derivation (the
     # later Adams pages): family_image answers for whole towers, and a
     # call maps a single class
     rule_fn: Callable[[Monomial], list[Monomial]] | None = None
     shift_override: Bidegree | None = None
-    # ring-level torsion of the underlying model: monomials it reports
-    # as zero are the zero element, not classes
-    is_model_zero: Callable[[Monomial], bool] | None = None
+    # ring-level torsion of the underlying model: a class (family, rho
+    # exponent) it reports as zero is the zero element, not a class
+    is_model_zero: Callable[[int, int], bool] | None = None
     # caches; init=False so that dataclasses.replace starts them afresh
-    _alive_sorted: dict[int, list[tuple[Monomial, int, Runs]]] = field(
+    _alive_sorted: dict[int, list[tuple[int, int, Runs]]] = field(
         default_factory=dict, init=False, repr=False
     )
     _c0_index: dict[int, tuple] = field(default_factory=dict, init=False, repr=False)
@@ -268,49 +301,23 @@ class Page:
     )
 
     # -- basis ----------------------------------------------------------
-    def alive_runs(self, mw: int, fam: Monomial) -> Runs:
+    def alive_runs(self, mw: int, fam: int) -> Runs:
         return self.alive.get(mw, {}).get(fam, EMPTY)
 
-    def _column_alive(self, mw: int) -> list[tuple[Monomial, int, Runs]]:
-        """(family, c0, runs) for the alive families in column order."""
+    def _column_alive(self, mw: int) -> list[tuple[int, int, Runs]]:
+        """_alive_column of column mw, cached."""
         cached = self._alive_sorted.get(mw)
         if cached is None:
-            col = self.columns.get(mw)
-            per = self.alive.get(mw, {})
-            cached = (
-                []
-                if col is None
-                else [
-                    (fam, col.c0[fam], per[fam]) for fam in col.fams if fam in per
-                ]
-            )
-            self._alive_sorted[mw] = cached
-        return cached
-
-    def _column_by_c0(self, mw: int):
-        """Alive families bucketed for Chow lookups: entries sorted by
-        c0 with their column position, plus the widest run extent."""
-        cached = self._c0_index.get(mw)
-        if cached is None:
-            entries = sorted(
-                (c0, pos, fam, runs)
-                for pos, (fam, c0, runs) in enumerate(self._column_alive(mw))
-            )
-            c0s = [e[0] for e in entries]
-            maxspan = max((r[-1][1] for *_, r in entries if r), default=0)
-            cached = (c0s, entries, maxspan)
-            self._c0_index[mw] = cached
+            cached = self._alive_sorted[mw] = _alive_column(self.alive.get(mw, {}))
         return cached
 
     def positions_at(self, mw: int, c: int) -> list[int]:
         """The classes at one bidegree as ascending positions of their
         families in _column_alive(mw); class order is position order."""
-        c0s, entries, maxspan = self._column_by_c0(mw)
-        hi = bisect.bisect_right(c0s, c)
-        lo = bisect.bisect_left(c0s, c - maxspan + 1) if maxspan else hi
-        return sorted(
-            pos for c0, pos, _, runs in entries[lo:hi] if runs_contain(runs, c - c0)
-        )
+        index = self._c0_index.get(mw)
+        if index is None:
+            index = self._c0_index[mw] = _chow_index(self._column_alive(mw))
+        return _positions(index, c)
 
     def basis_at(self, mw: int, c: int) -> list[Monomial]:
         """Ordered class representatives at one bidegree."""
@@ -318,24 +325,23 @@ class Page:
         out = []
         for pos in self.positions_at(mw, c):
             fam, c0, _ = column[pos]
-            out.append(fam.times_rho(c - c0) if c != c0 else fam)
+            out.append(family_monomial(fam, c - c0))
         return out
 
     def dim_at(self, mw: int, c: int) -> int:
-        return len(self.basis_at(mw, c))
+        return len(self.positions_at(mw, c))
 
     def dims_column(self, mw: int) -> dict[int, int]:
         """dim at every Chow degree of one column, c <= c_max."""
         cached = self._dims_cache.get(mw)
         if cached is not None:
             return cached
-        diff = [0] * (self.c_max + 2)
-        col = self.columns.get(mw)
-        if col is None:
+        if mw not in self.columns:
             self._dims_cache[mw] = {}
             return {}
+        diff = [0] * (self.c_max + 2)
         for fam, runs in self.alive.get(mw, {}).items():
-            c0 = col.c0[fam]
+            c0 = family_c0(fam)
             for lo, hi in runs:
                 a = c0 + lo
                 b = min(c0 + hi, self.c_max + 1)
@@ -353,38 +359,37 @@ class Page:
 
     def status(self, m: Monomial) -> str:
         """'alive', 'zero', or 'absent' for a monomial on this page."""
-        fam = Monomial(0, m.p_exp, m.v_exps)
-        mw = fam.bidegree.mw
-        b = m.rho_exp
+        return self.class_status(m.bidegree.mw, family_of(m), m.rho_exp)
+
+    def class_status(self, mw: int, fam: int, b: int) -> str:
+        """status of the class fam * rho^b of column mw."""
         if runs_contain(self.alive.get(mw, {}).get(fam, EMPTY), b):
             return "alive"
         if runs_contain(self.zero.get(mw, {}).get(fam, EMPTY), b):
             return "zero"
-        if self.is_model_zero is not None and self.is_model_zero(m):
+        if self.is_model_zero is not None and self.is_model_zero(fam, b):
             return "zero"
         return "absent"
 
     # -- differential ----------------------------------------------------
-    def family_image(self, fam: Monomial) -> tuple[list[tuple[Monomial, int]], int]:
+    def family_image(self, fam: int) -> tuple[list[tuple[int, int]], int]:
         """The differential on the tower of a rho-free family.
 
         Returns (terms, threshold): for b >= threshold the class
         fam * rho^b maps to the sum of tfam * rho^(b + delta) over the
         (tfam, delta) terms, and below threshold it maps to zero.  A
         Leibniz derivation gives threshold 0, since rho is a cycle and
-        its P attachment ignores rho; a rule table reads the entry off
-        its rule.  A derivation that renormalizes its terms (page 2 of
-        the Adams side) is applied to the rho-free family, where the
-        torsion bound drops nothing; a shifted term that torsion kills
-        is one the model reports as zero (is_model_zero), so callers
-        must check every term outside the target basis against status.
+        its P attachment ignores rho; its terms come from the exponent
+        arithmetic of algebra.derivation_image.  A rule table reads the
+        entry off its rule.  A derivation that renormalizes its terms
+        (page 2 of the Adams side) is applied to the rho-free family,
+        where the torsion bound drops nothing; a shifted term that
+        torsion kills is one the model reports as zero (is_model_zero),
+        so callers must check every term outside the target basis
+        against class_status.
         """
         if self.rule is not None:
-            terms = leibniz_apply(self.rule, fam)
-            # a term without rho already is its family
-            return [
-                (Monomial(0, t.p_exp, t.v_exps) if t.rho_exp else t, t.rho_exp) for t in terms
-            ], 0
+            return derivation_image(self.rule, fam), 0
         if self.rule_fn is not None:
             return self.rule_fn.family_image(fam)
         return [], 0
@@ -404,72 +409,56 @@ class Page:
         Each family's image comes from family_image once and is shifted
         by the rho exponent; an image class is alive when its rho
         exponent lies in the target family's alive runs.  A term that is
-        not alive must be zero on the page (status), else EngineError.
+        not alive must be zero on the page (class_status), else
+        EngineError.
         """
         if self._differentials is not None:
             return self._differentials
         out: list[tuple[Class, list[Class]]] = []
+        shift = self.diff_shift().mw
         for mw in sorted(self.alive):
             if mw > self.max_mw:
                 continue
             for fam, c0, runs in self._column_alive(mw):
-                self._family_differentials(fam, runs, self.c_max - c0 + 1, out)
+                self._family_differentials(fam, runs, mw + shift, self.c_max - c0 + 1, out)
         self._differentials = out
         return out
 
-    def _family_differentials(self, fam: Monomial, runs: Runs, top: int, out: list) -> None:
+    def _family_differentials(self, fam: int, runs: Runs, tmw: int, top: int, out: list) -> None:
         """Append the nonzero differentials on the classes fam * rho^b
-        with b in runs and b < top."""
+        with b in runs and b < top; their targets lie in column tmw."""
         terms, threshold = self.family_image(fam)
         if not terms:
             return
+        source = family_monomial(fam)
         targets = [
-            (tfam, delta, self.alive_runs(tfam.bidegree.mw, tfam)) for tfam, delta in terms
+            (tfam, family_monomial(tfam), delta, self.alive_runs(tmw, tfam))
+            for tfam, delta in terms
         ]
         for lo, hi in runs:
             for b in range(max(lo, threshold), min(hi, top)):
                 img = []
-                for tfam, delta, talive in targets:
+                for tfam, target, delta, talive in targets:
                     if runs_contain(talive, b + delta):
-                        img.append((tfam, b + delta))
-                    else:
-                        term = tfam.times_rho(b + delta)
-                        if self.status(term) != "zero":
-                            raise EngineError(f"image term {term} is neither alive nor hit")
+                        img.append((target, b + delta))
+                    elif self.class_status(tmw, tfam, b + delta) != "zero":
+                        term = family_monomial(tfam, b + delta)
+                        raise EngineError(f"image term {term} is neither alive nor hit")
                 if img:
-                    out.append(((fam, b), img))
+                    out.append(((source, b), img))
 
-    # -- rho action -------------------------------------------------------
-    def rho_matrix_at(self, mw: int, c: int) -> F2Matrix:
-        """Multiplication by rho from (mw, c) to (mw, c+1) in the page
-        bases."""
-        src = self.basis_at(mw, c)
-        tgt = self.basis_at(mw, c + 1)
-        index = {m: i for i, m in enumerate(tgt)}
-        rows_bits = [0] * len(tgt)
-        for j, m in enumerate(src):
-            up = m.times_rho()
-            st = self.status(up)
-            if st == "alive":
-                rows_bits[index[up]] |= 1 << j
-            elif st != "zero":
-                raise EngineError(f"rho multiple {up} is neither alive nor hit")
-        return F2Matrix(len(src), tuple(F2Vector(len(src), b) for b in rows_bits))
-
+    # -- read side --------------------------------------------------------
     def tower_runs(self) -> Iterable[tuple[Monomial, int, int, bool]]:
         """(family, lo, hi, truncated) per maximal rho-run inside the
         reporting window: the tower of fam * rho^b for lo <= b < hi."""
         for mw in sorted(self.alive):
             if mw > self.max_mw:
                 continue
-            col = self.columns[mw]
-            for fam in col.fams:
-                runs = self.alive[mw].get(fam)
-                if not runs:
-                    continue
-                blim = self.c_internal - col.c0[fam] + 1
+            for fam, c0, runs in self._column_alive(mw):
+                blim = self.c_internal - c0 + 1
+                generator = family_monomial(fam)
                 for lo, hi in runs:
-                    yield fam, lo, hi, hi >= blim
+                    yield generator, lo, hi, hi >= blim
 
     def towers(self) -> list[TorsionTower]:
         return [
@@ -486,6 +475,7 @@ class Page:
             if mw > self.max_mw:
                 continue
             column = self._column_alive(mw)
+            names = [family_monomial(fam) for fam, _, _ in column]
             per_c: dict[int, list[int]] = {}
             for pos, (_, c0, runs) in enumerate(column):
                 for lo, hi in runs:
@@ -496,8 +486,7 @@ class Page:
                 if positions != self.positions_at(mw, c):
                     raise EngineError(f"basis at mw={mw}, c={c} disagrees with the alive runs")
                 for pos in positions:
-                    fam, c0, _ = column[pos]
-                    yield mw, c, (fam, c - c0)
+                    yield mw, c, (names[pos], c - column[pos][1])
 
 
 # ---------------------------------------------------------------------------
@@ -522,43 +511,40 @@ def bockstein_rule(n: int) -> Derivation:
 
 
 def _edges_from_rule(
-    alive: dict[int, dict[Monomial, Runs]], rule: Derivation
-) -> dict[int, dict[Monomial, Edge]]:
+    alive: dict[int, dict[int, Runs]], rule: Derivation
+) -> dict[int, dict[int, Edge]]:
     """Family-level form of a single-monomial derivation on the alive
     families, with injectivity of family images checked per target
-    column."""
-    edges: dict[int, dict[Monomial, Edge]] = {}
-    back: dict[tuple[int, Monomial], Monomial] = {}
+    column (a packed family determines its column)."""
+    edges: dict[int, dict[int, Edge]] = {}
+    back: dict[int, int] = {}
+    name = family_monomial
     p_only = rule.p_rule is not None and not rule.v_rules
-    attach = rule.p_attach_min
     for mw in sorted(alive):
         for fam in alive[mw]:
-            if p_only and not fam.p_exp:
+            if p_only and not family_p(fam):
                 continue
-            # the attachment test leibniz_apply would perform anyway
-            if attach is not None and fam.min_v is not None and fam.min_v < attach:
-                continue
-            img = leibniz_apply(rule, fam)
+            img = derivation_image(rule, fam)
             if not img:
                 continue
             if len(img) != 1:
-                raise EngineError(f"family image of {fam} is not a single monomial")
-            (target,) = img
-            if target.rho_exp < rule.r:
-                raise EngineError(f"family image {target} has rho exponent below r")
-            tfam = Monomial(0, target.p_exp, target.v_exps)
-            key = (mw - 1, tfam)
-            if key in back:
-                raise EngineError(f"families {back[key]} and {fam} share image {tfam}")
-            back[key] = fam
-            edges.setdefault(mw, {})[fam] = (tfam, target.rho_exp, 0)
+                raise EngineError(f"family image of {name(fam)} is not a single monomial")
+            ((tfam, rho),) = img
+            if rho < rule.r:
+                raise EngineError(f"family image {name(tfam, rho)} has rho exponent below r")
+            if tfam in back:
+                raise EngineError(
+                    f"families {name(back[tfam])} and {name(fam)} share image {name(tfam)}"
+                )
+            back[tfam] = fam
+            edges.setdefault(mw, {})[fam] = (tfam, rho, 0)
     return edges
 
 
 # ---------------------------------------------------------------------------
 # page transitions
 
-def _advance(page: Page) -> tuple[dict[int, dict[Monomial, Runs]], dict[int, dict[Monomial, Runs]]]:
+def _advance(page: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[int, Runs]]]:
     """Homology of the page differential, tower by tower.
 
     Each family maps to at most one family and receives from at most
@@ -566,23 +552,25 @@ def _advance(page: Page) -> tuple[dict[int, dict[Monomial, Runs]], dict[int, dic
     the surviving classes form interval complements.  The per-bidegree
     claim is re-derived through gf2 by verify_transition afterwards.
     """
-    incoming: dict[int, dict[Monomial, tuple[Monomial, int, int]]] = {}
+    incoming: dict[int, dict[int, tuple[int, int, int]]] = {}
     for mw, per in page.edges.items():
         for fam, (tfam, delta, min_b) in per.items():
             incoming.setdefault(mw - 1, {})[tfam] = (fam, delta, min_b)
 
-    new_alive: dict[int, dict[Monomial, Runs]] = {}
-    new_zero: dict[int, dict[Monomial, Runs]] = {}
+    new_alive: dict[int, dict[int, Runs]] = {}
+    new_zero: dict[int, dict[int, Runs]] = {}
     for mw, per_fam in page.alive.items():
-        na: dict[Monomial, Runs] = {}
-        nz: dict[Monomial, Runs] = dict(page.zero.get(mw, {}))
+        na: dict[int, Runs] = {}
+        zero = page.zero.get(mw, {})
+        nz = None  # zero, copied at the column's first hit
         out_edges = page.edges.get(mw, {})
         in_edges = incoming.get(mw, {})
         for fam, runs in per_fam.items():
-            if not out_edges and not in_edges:
+            edge = out_edges.get(fam)
+            inc = in_edges.get(fam)
+            if edge is None and inc is None:
                 na[fam] = runs
                 continue
-            edge = out_edges.get(fam)
             if edge is not None:
                 tfam, delta, min_b = edge
                 target_alive = page.alive_runs(mw - 1, tfam)
@@ -593,7 +581,6 @@ def _advance(page: Page) -> tuple[dict[int, dict[Monomial, Runs]], dict[int, dic
                 kernel = runs_subtract(runs, nonzero_domain)
             else:
                 kernel = runs
-            inc = in_edges.get(fam)
             if inc is not None:
                 sfam, sdelta, smin = inc
                 src_alive = page.alive_runs(mw + 1, sfam)
@@ -604,26 +591,30 @@ def _advance(page: Page) -> tuple[dict[int, dict[Monomial, Runs]], dict[int, dic
             else:
                 hit = EMPTY
             if hit and not runs_subset(hit, kernel):
-                raise EngineError(f"d o d != 0 at mw={mw} family {fam}")
+                raise EngineError(f"d o d != 0 at mw={mw} family {family_monomial(fam)}")
             alive = runs_subtract(kernel, hit)
             if alive:
                 na[fam] = alive
             if hit:
+                nz = dict(zero) if nz is None else nz
                 nz[fam] = runs_union(nz.get(fam, EMPTY), hit)
         new_alive[mw] = na
-        new_zero[mw] = {f: r for f, r in nz.items() if r}
+        new_zero[mw] = zero if nz is None else nz
     return new_alive, new_zero
 
 
 @dataclass
 class _ColumnTable:
-    """One column of a page by family position: the Chow degree and the
-    position of each alive family, plus the homology tables of the
-    column: the basis at each Chow degree, each family's image entries
-    and each Chow degree's image bits (Homology.map_columns)."""
+    """One column of a page by family position: the alive families
+    (_alive_column), their Chow degrees, positions and Chow index, plus
+    the homology tables of the column: the basis at each Chow degree,
+    each family's image entries and each Chow degree's image bits
+    (Homology.map_columns).  The page's own caches stay untouched."""
 
+    alive: list[tuple[int, int, Runs]]
     c0: list[int]
-    pos_of: dict[Monomial, int]
+    pos_of: dict[int, int]
+    index: tuple
     bases: dict[int, list[int]] = field(default_factory=dict)
     images: dict[int, tuple[list, int]] = field(default_factory=dict)
     maps: dict[int, list[int]] = field(default_factory=dict)
@@ -633,8 +624,8 @@ class Homology:
     """Homology of a page differential at single bidegrees, through gf2
     on integer classes.
 
-    A class at (mw, c) is the position of its family in
-    page._column_alive(mw); its rho exponent is b = c - c0.  Every table
+    A class at (mw, c) is the position of its family in the column's
+    alive families; its rho exponent is b = c - c0.  Every table
     (bases, family images, differential matrices) belongs to a column.
     at(mw, c) needs columns mw - 1, mw and mw + 1 only and drops every
     other column's tables, so a sweep in ascending mw builds each
@@ -651,21 +642,23 @@ class Homology:
     def column(self, mw: int) -> _ColumnTable:
         table = self._columns.get(mw)
         if table is None:
-            alive = self.page._column_alive(mw)
+            alive = _alive_column(self.page.alive.get(mw, {}))
             table = self._columns[mw] = _ColumnTable(
+                alive=alive,
                 c0=[c0 for _, c0, _ in alive],
                 pos_of={fam: pos for pos, (fam, _, _) in enumerate(alive)},
+                index=_chow_index(alive),
             )
         return table
 
     def basis(self, mw: int, c: int) -> list[int]:
-        bases = self.column(mw).bases
-        out = bases.get(c)
+        table = self.column(mw)
+        out = table.bases.get(c)
         if out is None:
-            out = bases[c] = self.page.positions_at(mw, c)
+            out = table.bases[c] = _positions(table.index, c)
         return out
 
-    def image(self, mw: int, pos: int) -> tuple[list[tuple[int | None, Monomial, int]], int]:
+    def image(self, mw: int, pos: int) -> tuple[list[tuple[int | None, int, int]], int]:
         """The family's image as (target position, target family, rho
         delta) entries plus the rho threshold.  The target position is
         None when the target family is not alive in the target column,
@@ -674,7 +667,7 @@ class Homology:
         images = self.column(mw).images
         cached = images.get(pos)
         if cached is None:
-            fam, c0, _ = self.page._column_alive(mw)[pos]
+            fam, c0, _ = self.column(mw).alive[pos]
             terms, threshold = self.page.family_image(fam)
             target = self.column(mw + self.shift.mw)
             entries = []
@@ -686,45 +679,37 @@ class Homology:
             cached = images[pos] = (entries, threshold)
         return cached
 
-    def image_bits(self, mw: int, pos: int, b: int, index: dict[int, int]) -> int:
-        """The image of class (pos, b) of column mw over a target basis
-        given as position -> coordinate.  A term outside that basis must
-        be zero on the page, else EngineError."""
-        entries, threshold = self.image(mw, pos)
-        if b < threshold:
-            return 0
-        bits = 0
-        for tpos, tfam, delta in entries:
-            i = index.get(tpos)
-            if i is not None:
-                bits ^= 1 << i
-            else:
-                term = tfam.times_rho(b + delta)
-                if self.page.status(term) != "zero":
-                    raise EngineError(f"image term {term} is neither alive nor hit")
-        return bits
-
     def map_columns(self, mw: int, c: int) -> list[int]:
         """The page differential out of (mw, c) as one column per class:
         the image bits of each class of basis(mw, c) over the basis of
-        the target bidegree (mw, c) + shift (image_bits and its check
-        included).  Built once per bidegree: at(mw, c) reads it as its
-        outgoing matrix, and at((mw, c) + shift) as its boundaries."""
+        the target bidegree (mw, c) + shift.  A term outside that basis
+        must be zero on the page, else EngineError.  Built once per
+        bidegree: at(mw, c) reads it as its outgoing matrix, and
+        at((mw, c) + shift) as its boundaries."""
         table = self.column(mw)
         out = table.maps.get(c)
         if out is None:
-            shift = self.shift
-            tgt = self.basis(mw + shift.mw, c + shift.c)
-            index = {pos: i for i, pos in enumerate(tgt)}
-            c0 = table.c0
-            out = table.maps[c] = [
-                self.image_bits(mw, pos, c - c0[pos], index) for pos in self.basis(mw, c)
-            ]
+            tmw = mw + self.shift.mw
+            index = {pos: i for i, pos in enumerate(self.basis(tmw, c + self.shift.c))}
+            out = []
+            for pos in self.basis(mw, c):
+                entries, threshold = table.images.get(pos) or self.image(mw, pos)
+                b = c - table.c0[pos]
+                bits = 0
+                for tpos, tfam, delta in entries if b >= threshold else ():
+                    i = index.get(tpos)
+                    if i is not None:
+                        bits ^= 1 << i
+                    elif self.page.class_status(tmw, tfam, b + delta) != "zero":
+                        term = family_monomial(tfam, b + delta)
+                        raise EngineError(f"image term {term} is neither alive nor hit")
+                out.append(bits)
+            table.maps[c] = out
         return out
 
     def name(self, mw: int, pos: int, c: int) -> str:
-        fam, c0, _ = self.page._column_alive(mw)[pos]
-        return str(fam.times_rho(c - c0) if c != c0 else fam)
+        fam, c0, _ = self.column(mw).alive[pos]
+        return str(family_monomial(fam, c - c0))
 
     def at(self, mw: int, c: int, sums_allowed: bool = False) -> tuple[list[int], list[int], Echelon]:
         """The homology at one bidegree: (basis, reps, boundaries).
@@ -738,7 +723,7 @@ class Homology:
         map_columns at (mw, c) - shift.  A representative that is a sum
         of several classes raises RepresentativeNotMonomial, or is left
         out when sums_allowed; an image term that is neither a basis
-        class nor zero on the page raises EngineError (image_bits).
+        class nor zero on the page raises EngineError (map_columns).
         """
         if mw != self._mw:
             self._mw = mw
@@ -757,7 +742,10 @@ class Homology:
                 rows_bits[low.bit_length() - 1] |= 1 << j
                 bits ^= low
         kernel = kernel_basis(F2Matrix(n, tuple(F2Vector(n, b) for b in rows_bits)))
-        boundaries = [F2Vector(n, b) for b in self.map_columns(mw - shift.mw, c - shift.c) if b]
+        boundaries = Echelon()
+        for b in self.map_columns(mw - shift.mw, c - shift.c):
+            if b:
+                boundaries.insert(b)
         reps: list[int] = []
         for v in quotient_basis(boundaries, kernel):
             sup = v.support()
@@ -767,10 +755,7 @@ class Homology:
                 raise RepresentativeNotMonomial(
                     f"no single-monomial representative at mw={mw}, c={c}: {v.coeffs()}"
                 )
-        ech = Echelon()
-        for v in boundaries:
-            ech.insert(v.bits)
-        return mid, reps, ech
+        return mid, reps, boundaries
 
 
 class _Replay(Homology):
@@ -794,7 +779,7 @@ class _Replay(Homology):
             )
             self._runs = [
                 (na.get(fam, EMPTY), nz.get(fam, EMPTY), oz.get(fam, EMPTY))
-                for fam, _, _ in self.page._column_alive(mw)
+                for fam, _, _ in self.column(mw).alive
             ]
             self._runs_mw = mw
         return self._runs
@@ -841,12 +826,11 @@ class _Replay(Homology):
 
 def dense_bidegrees(page: Page, mw: int) -> list[int]:
     """Every Chow degree c <= c_internal at which column mw has a class."""
-    col = page.columns.get(mw)
-    if col is None:
+    if mw not in page.columns:
         return []
     cs: set[int] = set()
     for fam, runs in page.alive.get(mw, {}).items():
-        c0 = col.c0[fam]
+        c0 = family_c0(fam)
         for lo, hi in runs:
             cs.update(range(c0 + lo, min(c0 + hi, page.c_internal + 1)))
     return sorted(cs)
@@ -880,10 +864,10 @@ def verify_transition(
             return dense_bidegrees(page, mw)
         rng = random.Random(sample_seed(seed, page.r, mw))
         pool: set[int] = set()
-        column = page._column_alive(mw)
-        stride = max(1, len(column) // 64)
-        for fam, c0, runs in column[:: stride]:
-            for lo, hi in runs:
+        per = page.alive.get(mw, {})
+        for fam in sorted(per)[:: max(1, len(per) // 64)]:
+            c0 = family_c0(fam)
+            for lo, hi in per[fam]:
                 pool.add(c0 + lo)
                 pool.add(min(c0 + hi - 1, page.c_internal))
                 pool.add(min(c0 + hi, page.c_internal))
@@ -911,14 +895,15 @@ def verify_transition(
 # ---------------------------------------------------------------------------
 # the Bockstein run
 
-def _full_runs(columns: dict[int, Column], c_internal: int) -> dict[int, dict[Monomial, Runs]]:
-    alive: dict[int, dict[Monomial, Runs]] = {}
+def _full_runs(columns: dict[int, Column], c_internal: int) -> dict[int, dict[int, Runs]]:
+    alive: dict[int, dict[int, Runs]] = {}
+    full = [((0, c_internal - c0 + 1),) for c0 in range(c_internal + 1)]  # shared
     for mw, col in columns.items():
-        alive[mw] = {
-            fam: ((0, c_internal - col.c0[fam] + 1),)
-            for fam in col.fams
-            if col.c0[fam] <= c_internal
-        }
+        per = alive[mw] = {}
+        for fam in col.fams:
+            c0 = family_c0(fam)
+            if c0 <= c_internal:
+                per[fam] = full[c0]
     return alive
 
 
@@ -1017,18 +1002,19 @@ def closed_form_einfty(mw_max: int, columns: dict[int, Column] | None = None) ->
     c_max = c_max_for(mw_max)
     if columns is None:
         columns = enumerate_families(mw_max)
-    alive: dict[int, dict[Monomial, Runs]] = {}
+    alive: dict[int, dict[int, Runs]] = {}
+    towers = {n: ((0, 2 ** n - 1),) for n in range(2, V_TOP + 1)}  # shared
     for mw, col in columns.items():
-        per: dict[Monomial, Runs] = {}
+        per: dict[int, Runs] = {}
         for fam in col.fams:
-            n = fam.min_v
+            n = family_min_v(fam)
             if n is None:
-                if fam.p_exp == 0:
-                    per[fam] = ((0, c_max - col.c0[fam] + 1),)
+                if fam == 0:  # the unit
+                    per[fam] = ((0, c_max + 1),)
                 continue
-            if fam.p_exp % 2 ** (n - 1):
+            if family_p(fam) % 2 ** (n - 1):
                 continue
-            per[fam] = ((0, 2 ** n - 1),)
+            per[fam] = towers[n]
         alive[mw] = per
     return Page(
         kind="bockstein",

@@ -25,6 +25,7 @@ from . import brackets as bracket_mod
 from . import charts as charts_mod
 from . import ext as ext_mod
 from . import homotopy as homotopy_mod
+from .algebra import MW_LIMIT
 from .homotopy import two_adic_valuation
 from .report import Report
 
@@ -336,8 +337,8 @@ def _cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     def window(text: str) -> int:
         mw = int(text)
-        if mw < 0:
-            raise argparse.ArgumentTypeError(f"the window must be >= 0, got {mw}")
+        if not 0 <= mw <= MW_LIMIT:
+            raise argparse.ArgumentTypeError(f"the window must be 0..{MW_LIMIT}, got {mw}")
         return mw
 
     parser = argparse.ArgumentParser(

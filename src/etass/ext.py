@@ -2,8 +2,9 @@
 
 The module basis consists of the normal monomials: rho powers, and
 P^(2^(n-1) k) v_n v_{m1} ... v_{ma} with n <= m1 <= ... <= ma and
-rho exponent below 2^n - 1.  This is the input to the Adams spectral
-sequence.  The scans check the structural facts the rest of the
+rho exponent below 2^n - 1, enumerated as packed families
+(bockstein.families with normal=True).  This is the input to the Adams
+spectral sequence.  The scans check the structural facts the rest of the
 pipeline depends on: generators of the two distinguished shapes share
 no bidegree with rho-divisible elements, the ring vanishes on the
 diagonal (2i, 2i), the three-fold product formulas hold with the right
@@ -19,6 +20,10 @@ from .algebra import (
     Bidegree,
     Monomial,
     NormalMonomial,
+    family_c0,
+    family_min_v,
+    family_monomial,
+    family_v_exps,
     normalize,
     multiply,
 )
@@ -26,55 +31,22 @@ from .bockstein import (
     Column,
     Page,
     Runs,
-    _fam_key0,
     c_max_for,
     closed_form_einfty,
+    families,
 )
 from .report import Report
 
 
-def torsion_bound(fam: Monomial) -> int | None:
-    """Length of the rho tower on a family; None means unbounded."""
-    n = fam.min_v
+def torsion_bound(fam: int) -> int | None:
+    """Length of the rho tower on a packed family; None means unbounded."""
+    n = family_min_v(fam)
     return None if n is None else 2 ** n - 1
 
 
 def enumerate_ext_families(mw_max: int) -> dict[int, Column]:
     """Normal rho-free families per Milnor-Witt column, in column order."""
-    vs = []
-    n = 2
-    while 2 ** n - 1 <= mw_max + 1:
-        vs.append(n)
-        n += 1
-    per_mw: dict[int, list[Monomial]] = {m: [] for m in range(mw_max + 2)}
-    per_mw[0].append(Monomial())
-
-    def rec(i: int, mw: int, acc: dict[int, int], min_v: int):
-        step = 2 ** (min_v - 1)
-        e = step
-        per_mw[mw].append(Monomial.make(0, 0, acc))
-        while mw + 4 * e <= mw_max + 1:
-            per_mw[mw + 4 * e].append(Monomial.make(0, e, acc))
-            e += step
-        for j in range(i, len(vs)):
-            d = 2 ** vs[j] - 1
-            if mw + d > mw_max + 1:
-                break
-            acc[vs[j]] = acc.get(vs[j], 0) + 1
-            rec(j, mw + d, acc, min_v)
-            acc[vs[j]] -= 1
-            if not acc[vs[j]]:
-                del acc[vs[j]]
-
-    for idx, n0 in enumerate(vs):
-        d = 2 ** n0 - 1
-        if d <= mw_max + 1:
-            rec(idx, d, {n0: 1}, n0)
-    cols = {}
-    for mw, fams in per_mw.items():
-        fams.sort(key=_fam_key0)
-        cols[mw] = Column(fams, {f: f.bidegree.c for f in fams})
-    return cols
+    return families(mw_max, normal=True)
 
 
 def ext_model_page(mw_max: int) -> Page:
@@ -85,14 +57,15 @@ def ext_model_page(mw_max: int) -> Page:
     """
     c_max = c_max_for(mw_max)
     columns = enumerate_ext_families(mw_max)
-    alive: dict[int, dict[Monomial, Runs]] = {}
+    alive: dict[int, dict[int, Runs]] = {}
+    towers = [((0, hi),) for hi in range(c_max + 2)]  # shared
     for mw, col in columns.items():
-        per: dict[Monomial, Runs] = {}
+        per: dict[int, Runs] = {}
         for fam in col.fams:
             t = torsion_bound(fam)
-            hi = c_max - col.c0[fam] + 1 if t is None else t
+            hi = c_max - family_c0(fam) + 1 if t is None else t
             if hi > 0:
-                per[fam] = ((0, hi),)
+                per[fam] = towers[hi]
         alive[mw] = per
     return Page(
         kind="adams",
@@ -107,7 +80,7 @@ def ext_model_page(mw_max: int) -> Page:
     )
 
 
-def _families_up_to(mw_max: int) -> list[Monomial]:
+def _families_up_to(mw_max: int) -> list[int]:
     out = []
     for mw, col in enumerate_ext_families(mw_max).items():
         if mw <= mw_max:
@@ -115,16 +88,16 @@ def _families_up_to(mw_max: int) -> list[Monomial]:
     return out
 
 
-def _collisions_at(fam: Monomial, columns: dict[int, Column]) -> list[Monomial]:
-    """rho-divisible normal monomials sharing the bidegree of fam."""
-    deg = fam.bidegree
+def _collisions_at(mw: int, fam: int, columns: dict[int, Column]) -> list[Monomial]:
+    """rho-divisible normal monomials sharing the bidegree of the
+    family fam of column mw."""
+    c = family_c0(fam)
     out = []
-    for other in columns[deg.mw].fams:
-        c0 = other.bidegree.c
-        b = deg.c - c0
+    for other in columns[mw].fams:
+        b = c - family_c0(other)
         t = torsion_bound(other)
         if b > 0 and (t is None or b < t):
-            out.append(other.times_rho(b))
+            out.append(family_monomial(other, b))
     return out
 
 
@@ -137,13 +110,13 @@ def unique_detection_scan(mw_max: int) -> Report:
     count = 0
     for mw in range(mw_max + 1):
         for fam in columns[mw].fams:
-            vd = fam.v_exps
+            vd = family_v_exps(fam)
             if len(vd) != 1 or vd[0][1] not in (1, 2):
                 continue
             count += 1
-            hits = _collisions_at(fam, columns)
+            hits = _collisions_at(mw, fam, columns)
             if hits:
-                bad.append((str(fam), [str(h) for h in hits]))
+                bad.append((str(family_monomial(fam)), [str(h) for h in hits]))
     rep.add(
         "unique-detection",
         f"{count} generators scanned, mw <= {mw_max}",
@@ -253,7 +226,7 @@ def product_consistency(mw_max: int, trials: int = 500, seed: int = 0) -> Report
     relation P^(2^(n-1)k) v_n * P^(2^(m-1)j) v_m =
     P^(2^(n-1)(k + 2^(m-n) j)) v_n v_m."""
     rng = random.Random(seed)
-    fams = [f for f in _families_up_to(mw_max) if not f.is_one()]
+    fams = [f for f in _families_up_to(mw_max) if f]  # all but the unit
     rep = Report()
     bad_assoc = bad_comm = 0
     # windows below mw 3 hold no family to pick from
@@ -264,7 +237,7 @@ def product_consistency(mw_max: int, trials: int = 500, seed: int = 0) -> Report
             fam = rng.choice(fams)
             t = torsion_bound(fam)
             b = rng.randrange(t) if t is not None else rng.randrange(8)
-            picks.append(normalize(fam.times_rho(b), torsion=True))
+            picks.append(normalize(family_monomial(fam, b), torsion=True))
         a, b, c = picks
         ab, bc = multiply(a, b), multiply(b, c)
         left = multiply(ab, c) if ab is not None else None

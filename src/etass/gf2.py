@@ -102,11 +102,6 @@ class F2Vector:
     def coeffs(self) -> list[int]:
         return [(self.bits >> i) & 1 for i in range(self.length)]
 
-    def dot(self, other: "F2Vector") -> int:
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return (self.bits & other.bits).bit_count() & 1
-
 
 # the slot setters, which bypass F2Vector.__setattr__
 _set_length = F2Vector.length.__set__
@@ -134,37 +129,9 @@ class F2Matrix:
             cols = vecs[0].length
         return cls(cols, tuple(vecs))
 
-    @classmethod
-    def zero(cls, nrows: int, cols: int) -> "F2Matrix":
-        return cls(cols, tuple(F2Vector(cols) for _ in range(nrows)))
-
-    @classmethod
-    def identity(cls, n: int) -> "F2Matrix":
-        return cls(n, tuple(F2Vector.unit(n, i) for i in range(n)))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def column(self, j: int) -> F2Vector:
-        bits = 0
-        for i, row in enumerate(self.rows):
-            if (row.bits >> j) & 1:
-                bits |= 1 << i
-        return F2Vector(self.nrows, bits)
-
-    def transpose(self) -> "F2Matrix":
-        return F2Matrix(self.nrows, tuple(self.column(j) for j in range(self.cols)))
-
-    def apply(self, v: F2Vector) -> F2Vector:
-        """Matrix-vector product; v has length cols, result length nrows."""
-        if v.length != self.cols:
-            raise ValueError("length mismatch")
-        bits = 0
-        for i, row in enumerate(self.rows):
-            if (row.bits & v.bits).bit_count() & 1:
-                bits |= 1 << i
-        return F2Vector(self.nrows, bits)
 
 
 class Echelon:
@@ -181,6 +148,16 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    def __len__(self) -> int:
+        """The rank: an Echelon stands for the list of its rows."""
+        return len(self.pivots)
+
+    def copy(self) -> "Echelon":
+        out = Echelon()
+        out.pivots = dict(self.pivots)
+        out._support = self._support
+        return out
 
     def reduce(self, bits: int) -> int:
         """Reduce bits against the stored rows; zero iff in the span.
@@ -233,26 +210,12 @@ def _echelon_of(m: F2Matrix) -> Echelon:
     return ech
 
 
-def row_reduce(m: F2Matrix) -> tuple[F2Matrix, int, list[int]]:
-    """Reduced row-echelon form over GF(2).
-
-    Returns (reduced, rank, pivot_cols).  The reduced matrix has the
-    nonzero rows first, ordered by strictly increasing pivot column,
-    each pivot column containing a single 1; zero rows follow.
-    """
-    ech = _echelon_of(m)
-    pivot_cols = sorted(ech.pivots)
-    out_rows = [F2Vector(m.cols, ech.pivots[p]) for p in pivot_cols]
-    out_rows.extend(F2Vector(m.cols) for _ in range(m.nrows - len(out_rows)))
-    return F2Matrix(m.cols, tuple(out_rows)), len(pivot_cols), pivot_cols
-
-
 def rank(m: F2Matrix) -> int:
     return _echelon_of(m).rank
 
 
 def kernel_basis(m: F2Matrix) -> list[F2Vector]:
-    """Basis of {v : m.apply(v) = 0}, one vector per free column.
+    """Basis of {v : m v = 0}, one vector per free column.
 
     The basis vector for free column f has coordinate f equal to 1 and
     support otherwise only on pivot columns, so the output is linearly
@@ -272,18 +235,29 @@ def kernel_basis(m: F2Matrix) -> list[F2Vector]:
     return [F2Vector(m.cols, bits) for bits in free.values()]
 
 
-def quotient_basis(subspace: Sequence[F2Vector], ambient: Sequence[F2Vector]) -> list[F2Vector]:
+def quotient_basis(
+    subspace: Sequence[F2Vector] | Echelon, ambient: Sequence[F2Vector]
+) -> list[F2Vector]:
     """Coset representatives for span(ambient) / span(subspace).
 
-    Every subspace vector must lie in the ambient span, else
-    SubspaceNotContained.  Representatives are chosen greedily,
-    preferring standard basis vectors in index order (then ambient
-    vectors in the given order), so the output is deterministic and a
-    single-coordinate coset is always represented by its standard
-    vector.
+    The subspace is given by spanning vectors, or as an Echelon of its
+    span, which is copied, not changed.  The subspace must lie in the
+    ambient span, else SubspaceNotContained.  Representatives are
+    chosen greedily, preferring standard basis vectors in index order
+    (then ambient vectors in the given order), so the output is
+    deterministic and a single-coordinate coset is always represented by
+    its standard vector.
     """
+    if isinstance(subspace, Echelon):
+        acc = subspace.copy()
+    else:
+        acc = Echelon()
+        for v in subspace:
+            if ambient and v.length != ambient[0].length:
+                raise ValueError("length mismatch in subspace")
+            acc.insert(v.bits)
     if not ambient:
-        if any(not v.is_zero() for v in subspace):
+        if acc.rank:
             raise SubspaceNotContained("nonzero subspace with empty ambient")
         return []
     length = ambient[0].length
@@ -292,13 +266,12 @@ def quotient_basis(subspace: Sequence[F2Vector], ambient: Sequence[F2Vector]) ->
         if v.length != length:
             raise ValueError("length mismatch in ambient")
         amb.insert(v.bits)
-    acc = Echelon()
-    for v in subspace:
-        if v.length != length:
+    for bits in acc.pivots.values():
+        if bits >> length:
             raise ValueError("length mismatch in subspace")
-        if not amb.contains(v.bits):
-            raise SubspaceNotContained(f"vector {v.support()} outside ambient span")
-        acc.insert(v.bits)
+        if not amb.contains(bits):
+            support = F2Vector(length, bits).support()
+            raise SubspaceNotContained(f"vector {support} outside ambient span")
     want = amb.rank - acc.rank
     reps: list[F2Vector] = []
     # the ambient echelon is fully reduced, so e_i lies in its span

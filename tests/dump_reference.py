@@ -9,7 +9,7 @@ the writer's integer read path.
 
 from __future__ import annotations
 
-from etass.algebra import leibniz_apply
+from etass.algebra import family_monomial, leibniz_apply
 from etass.bockstein import EngineError
 
 
@@ -58,7 +58,7 @@ def reference_differentials(page):
         for fam, c0, runs in page._column_alive(mw):
             for lo, hi in runs:
                 for b in range(lo, min(hi, page.c_max - c0 + 1)):
-                    m = fam.times_rho(b) if b else fam
+                    m = family_monomial(fam, b)
                     img = image_classes(page, m)
                     if img:
                         out.append((m, img))

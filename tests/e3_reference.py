@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dump_reference import apply_rule
 from etass.bockstein import EngineError, RepresentativeNotMonomial, runs_make
-from etass.algebra import Monomial
+from etass.algebra import Monomial, family_of
 from etass.gf2 import Echelon, F2Matrix, F2Vector, kernel_basis, quotient_basis
 
 
@@ -38,8 +38,9 @@ def reference_e3_from_e2(e2):
         return bits
 
     def do_column(mw: int):
-        alive_col: dict[Monomial, list[tuple[int, int]]] = {}
-        zero_col: dict[Monomial, list[tuple[int, int]]] = {}
+        # keyed by packed family, like the pages
+        alive_col: dict[int, list[tuple[int, int]]] = {}
+        zero_col: dict[int, list[tuple[int, int]]] = {}
         for c in column_cs(mw):
             mid = e2.basis_at(mw, c)
             if not mid:
@@ -71,15 +72,13 @@ def reference_e3_from_e2(e2):
                         f"page-3 class at mw={mw}, c={c} needs a sum representative"
                     )
                 m = mid[sup[0]]
-                fam = Monomial(0, m.p_exp, m.v_exps)
-                alive_col.setdefault(fam, []).append((m.rho_exp, m.rho_exp + 1))
+                alive_col.setdefault(family_of(m), []).append((m.rho_exp, m.rho_exp + 1))
             ech = Echelon()
             for vvec in boundaries:
                 ech.insert(vvec.bits)
             for i, m in enumerate(mid):
                 if ech.contains(1 << i):
-                    fam = Monomial(0, m.p_exp, m.v_exps)
-                    zero_col.setdefault(fam, []).append((m.rho_exp, m.rho_exp + 1))
+                    zero_col.setdefault(family_of(m), []).append((m.rho_exp, m.rho_exp + 1))
         return alive_col, zero_col
 
     new_alive = {}

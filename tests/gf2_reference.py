@@ -1,4 +1,5 @@
-"""The earlier gf2.kernel_basis and gf2.quotient_basis, kept as references.
+"""The earlier gf2.kernel_basis and gf2.quotient_basis, kept as references,
+and the matrix helpers that only the tests use.
 
 kernel_basis read the kernel off row_reduce's full reduced matrix (zero
 rows included), and quotient_basis tried every unit vector e_0, e_1, ...
@@ -17,8 +18,52 @@ from etass.gf2 import (
     F2Vector,
     GF2Error,
     SubspaceNotContained,
-    row_reduce,
+    _echelon_of,
 )
+
+
+def zero_matrix(nrows: int, cols: int) -> F2Matrix:
+    return F2Matrix(cols, tuple(F2Vector(cols) for _ in range(nrows)))
+
+
+def identity(n: int) -> F2Matrix:
+    return F2Matrix(n, tuple(F2Vector.unit(n, i) for i in range(n)))
+
+
+def transpose(m: F2Matrix) -> F2Matrix:
+    columns = []
+    for j in range(m.cols):
+        bits = 0
+        for i, row in enumerate(m.rows):
+            if (row.bits >> j) & 1:
+                bits |= 1 << i
+        columns.append(F2Vector(m.nrows, bits))
+    return F2Matrix(m.nrows, tuple(columns))
+
+
+def apply(m: F2Matrix, v: F2Vector) -> F2Vector:
+    """Matrix-vector product; v has length cols, result length nrows."""
+    if v.length != m.cols:
+        raise ValueError("length mismatch")
+    bits = 0
+    for i, row in enumerate(m.rows):
+        if (row.bits & v.bits).bit_count() & 1:
+            bits |= 1 << i
+    return F2Vector(m.nrows, bits)
+
+
+def row_reduce(m: F2Matrix) -> tuple[F2Matrix, int, list[int]]:
+    """Reduced row-echelon form over GF(2).
+
+    Returns (reduced, rank, pivot_cols).  The reduced matrix has the
+    nonzero rows first, ordered by strictly increasing pivot column,
+    each pivot column containing a single 1; zero rows follow.
+    """
+    ech = _echelon_of(m)
+    pivot_cols = sorted(ech.pivots)
+    out_rows = [F2Vector(m.cols, ech.pivots[p]) for p in pivot_cols]
+    out_rows.extend(F2Vector(m.cols) for _ in range(m.nrows - len(out_rows)))
+    return F2Matrix(m.cols, tuple(out_rows)), len(pivot_cols), pivot_cols
 
 
 def reference_kernel_basis(m: F2Matrix) -> list[F2Vector]:

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from etass import bockstein
-from etass.algebra import Bidegree, Monomial, leibniz_apply
+from etass.algebra import Bidegree, Monomial, family_monomial, family_of, leibniz_apply
 from etass.adams import (
     AdamsDiffRule,
     RuleTable,
@@ -148,7 +148,7 @@ def test_einfty_spot_towers(adams_64):
 def test_tower_bookkeeping_mw63(adams_64):
     # the 32-class tower loses 15, then 7, then 3 classes
     pages, einf = adams_64
-    fam = mono(v6=1)
+    fam = family_of(mono(v6=1))
     runs = {p.r: p.alive[63].get(fam) for p in pages if 63 in p.alive}
     assert runs[3] == ((31, 63),)
     assert runs[4] == ((46, 63),)
@@ -213,12 +213,12 @@ def test_rule_table_family_image_is_rho_linear():
                 terms, threshold = page.family_image(fam)
                 for lo, hi in runs:
                     for b in range(lo, hi):
-                        got = table(fam.times_rho(b))
+                        got = table(family_monomial(fam, b))
                         if b < threshold:
                             assert got == []
                             below += bool(terms)
                         else:
-                            assert got == [tfam.times_rho(b + d) for tfam, d in terms]
+                            assert got == [family_monomial(tfam, b + d) for tfam, d in terms]
                             moved += bool(terms)
         assert below and moved, f"page {r}: {below} classes below threshold, {moved} moved"
 
@@ -236,7 +236,7 @@ def test_replay_keeps_classes_below_rule_threshold():
         shift_override=Bidegree(-1, 2),
         edges=_edges_from_rules(rules),
     )
-    v4 = mono(v4=1)
+    v4 = family_of(mono(v4=1))
     assert [rule.source for rule in rules] == [mono(rho=7, v4=1)]
     assert page.alive[15][v4][0][0] == 0
     new_alive, new_zero = _advance(page)
@@ -256,8 +256,8 @@ def test_e3_step_rejects_image_term_neither_alive_nor_hit():
     e2 = build_e2(16)
     _e3_from_e2(e2)
     _, targets = e2.differentials()[0]
-    tfam, _ = targets[0]
-    tmw = tfam.bidegree.mw
+    target, _ = targets[0]
+    tmw, tfam = target.bidegree.mw, family_of(target)
     column = {fam: runs for fam, runs in e2.alive[tmw].items() if fam != tfam}
     mutant = replace(e2, alive={**e2.alive, tmw: column})
     with pytest.raises(EngineError, match="neither alive nor hit"):

@@ -10,13 +10,12 @@ from etass.algebra import (
     Monomial,
     NormalizationFailure,
     NormalMonomial,
-    default_generators,
-    enumerate_monomials,
     leibniz_apply,
     multiply,
     normalize,
     v_degree,
 )
+from brute_force import default_generators, enumerate_monomials
 
 
 def mono(rho=0, p=0, **vs):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from etass.adams import _model_zero, build_e2, d2_rule
-from etass.algebra import Bidegree, Derivation, Monomial, default_generators, enumerate_monomials, leibniz_apply
+from etass.algebra import Bidegree, Derivation, MissingRule, Monomial, family_monomial, leibniz_apply
 from etass.bockstein import (
     EMPTY,
     EngineError,
@@ -24,6 +24,7 @@ from etass.bockstein import (
     _advance,
 )
 from etass.gf2 import F2Matrix
+from brute_force import default_generators, enumerate_monomials, rho_matrix_at
 from dump_reference import image_classes
 from replay_mutations import check_mutations_caught, sampled_bidegrees
 
@@ -149,9 +150,9 @@ def test_verify_modes_agree():
 
 def test_rho_matrix_tower_shape(run32):
     _, einf = run32
-    m = einf.rho_matrix_at(3, 1)
+    m = rho_matrix_at(einf, 3, 1)
     assert m.nrows == 1 and m.cols == 1 and m.rows[0][0] == 1
-    m = einf.rho_matrix_at(3, 3)  # top of the tower maps to zero
+    m = rho_matrix_at(einf, 3, 3)  # top of the tower maps to zero
     assert m.nrows == 0 and m.cols == 1
 
 
@@ -256,8 +257,8 @@ def test_family_image_is_rho_linear():
                 moved += bool(terms)
                 for lo, hi in runs:
                     for b in range(lo, hi):
-                        want = [tfam.times_rho(b + d) for tfam, d in terms]
-                        assert leibniz_apply(page.rule, fam.times_rho(b)) == want
+                        want = [family_monomial(tfam, b + d) for tfam, d in terms]
+                        assert leibniz_apply(page.rule, family_monomial(fam, b)) == want
         assert moved, f"{page.label} moves no family"
 
     # the Adams page 2: d2 renormalizes, so the shifted family image
@@ -272,9 +273,33 @@ def test_family_image_is_rho_linear():
             assert threshold == 0
             for lo, hi in runs:
                 for b in range(lo, hi):
-                    shifted = [tfam.times_rho(b + d) for tfam, d in terms]
-                    want = leibniz_apply(d2, fam.times_rho(b))
-                    assert [t for t in shifted if not _model_zero(t)] == want
+                    shifted = [(tfam, b + d) for tfam, d in terms]
+                    want = leibniz_apply(d2, family_monomial(fam, b))
+                    kept = [family_monomial(*t) for t in shifted if not _model_zero(*t)]
+                    assert kept == want
                     moved += bool(want)
                     killed += len(shifted) - len(want)
     assert moved and killed, f"adams-E2: {moved} classes moved, {killed} terms killed"
+
+
+def test_derivation_image_matches_leibniz_at_64():
+    """The packed-exponent image of every family of every Bockstein page
+    and of adams-E2 at mw 64 is leibniz_apply on the family's Monomial,
+    exceptions included."""
+    pages, _ = run_bockstein(64, verify="off")
+    e2 = build_e2(64)
+    raised = 0
+    for page in [*pages, e2]:
+        for col in page.columns.values():
+            for fam in col.fams:
+                try:
+                    want = leibniz_apply(page.rule, family_monomial(fam))
+                except MissingRule:
+                    with pytest.raises(MissingRule):
+                        page.family_image(fam)
+                    raised += 1
+                    continue
+                got, threshold = page.family_image(fam)
+                assert threshold == 0
+                assert [family_monomial(tfam, rho) for tfam, rho in got] == want, page.label
+    assert raised, "no family reached the block-generator check"

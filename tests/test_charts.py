@@ -114,7 +114,7 @@ def test_empty_page_renders_grid_only():
         max_mw=8,
         c_max=10,
         c_internal=10,
-        columns={mw: Column([], {}) for mw in range(9)},
+        columns={mw: Column([]) for mw in range(9)},
         alive={mw: {} for mw in range(9)},
         zero={mw: {} for mw in range(9)},
     )

@@ -5,7 +5,8 @@ import pytest
 
 from etass import bockstein
 from etass.cli import build_parser, main, write_page_dump
-from etass.bockstein import run_bockstein
+from etass.algebra import MW_LIMIT
+from etass.bockstein import enumerate_families, run_bockstein
 
 
 def run_cli(args, capsys):
@@ -183,6 +184,20 @@ def test_negative_window_exit_2(command):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["bockstein", "adams", "groups", "verify"])
+def test_window_beyond_packing_exit_2(command):
+    """Windows whose families do not fit the packed-int fields are
+    rejected before any work starts."""
+    argv = [command, "--max-mw", str(MW_LIMIT + 1)]
+    if command == "verify":
+        argv.insert(1, "all")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    with pytest.raises(ValueError):
+        enumerate_families(MW_LIMIT + 1)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 
 from dump_reference import image_classes, reference_page_dump
 from etass.adams import run_adams
+from etass.algebra import family_of
 from etass.bockstein import EngineError, run_bockstein
 from etass.cli import main, write_page_dump
 
@@ -80,15 +81,15 @@ def drop_target_run(page):
     """A copy of the page whose first differential's target class lies
     in no alive run and no zero run."""
     _, targets = page.differentials()[0]
-    tfam, tb = targets[0]
-    tmw = tfam.bidegree.mw
+    target, tb = targets[0]
+    tmw, tfam = target.bidegree.mw, family_of(target)
     column = dict(page.alive[tmw])
     kept = tuple((lo, hi) for lo, hi in column[tfam] if not lo <= tb < hi)
     if kept:
         column[tfam] = kept
     else:
         del column[tfam]
-    assert page.status(tfam.times_rho(tb)) == "alive"
+    assert page.status(target.times_rho(tb)) == "alive"
     return replace(page, alive={**page.alive, tmw: column})
 
 

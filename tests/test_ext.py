@@ -1,5 +1,7 @@
-from etass.algebra import Bidegree, Monomial, enumerate_normal_monomials, normalize
-from etass.bockstein import run_bockstein
+import pytest
+
+from etass.algebra import Bidegree, Monomial, family_monomial, family_of, normalize
+from etass.bockstein import enumerate_families, run_bockstein
 from etass.ext import (
     enumerate_ext_families,
     ext_model_page,
@@ -12,6 +14,7 @@ from etass.ext import (
     unique_detection_scan,
     vanishing_scan,
 )
+from brute_force import column_key, enumerate_normal_monomials, monomial_families
 
 
 def mono(rho=0, p=0, **vs):
@@ -26,9 +29,9 @@ def test_model_page_matches_direct_enumeration():
 
 
 def test_torsion_bounds():
-    assert torsion_bound(mono(v2=1)) == 3
-    assert torsion_bound(mono(p=4, v3=1, v5=2)) == 7
-    assert torsion_bound(mono()) is None
+    assert torsion_bound(family_of(mono(v2=1))) == 3
+    assert torsion_bound(family_of(mono(p=4, v3=1, v5=2))) == 7
+    assert torsion_bound(family_of(mono())) is None
 
 
 def test_unique_detection_scan_passes():
@@ -99,13 +102,27 @@ def test_stem_finiteness():
 
 
 def test_family_enumeration_counts():
-    cols = enumerate_ext_families(16)
-    for mw, col in cols.items():
-        for fam in col.fams:
-            n = fam.min_v
-            if n is None:
-                assert fam.is_one()
-            else:
-                assert fam.p_exp % 2 ** (n - 1) == 0
-        assert col.fams == sorted(col.fams, key=lambda f: (f.bidegree.c, str(f))) or True
-        assert len(set(col.fams)) == len(col.fams)
+    """Each column holds distinct families of its Milnor-Witt degree,
+    normal ones for the Ext model, in the documented column order
+    (-p, sum a_n, -a_2, -a_3, ...), for both enumerators."""
+    for mw_max in (16, 64):
+        for enumerate_ in (enumerate_families, enumerate_ext_families):
+            cols = enumerate_(mw_max)
+            assert sorted(cols) == list(range(mw_max + 2))
+            for mw, col in cols.items():
+                fams = [family_monomial(f) for f in col.fams]
+                assert all(m.bidegree.mw == mw for m in fams)
+                if enumerate_ is enumerate_ext_families:
+                    assert all(normalize(m, torsion=False) is not None for m in fams)
+                assert len(set(col.fams)) == len(col.fams)
+                assert fams == sorted(fams, key=column_key)
+
+
+@pytest.mark.parametrize("mw_max", [*range(65), 112])
+def test_families_match_monomial_enumeration(mw_max):
+    """The packed enumerator gives the exhaustive Monomial search's
+    families, in content and order, for both family sets."""
+    for normal, enumerate_ in ((False, enumerate_families), (True, enumerate_ext_families)):
+        want = monomial_families(mw_max, normal)
+        got = enumerate_(mw_max)
+        assert {mw: [family_monomial(f) for f in col.fams] for mw, col in got.items()} == want

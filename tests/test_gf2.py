@@ -11,9 +11,16 @@ from etass.gf2 import (
     kernel_basis,
     quotient_basis,
     rank,
-    row_reduce,
 )
-from gf2_reference import reference_kernel_basis, reference_quotient_basis
+from gf2_reference import (
+    apply,
+    identity,
+    reference_kernel_basis,
+    reference_quotient_basis,
+    row_reduce,
+    transpose,
+    zero_matrix,
+)
 
 
 def naive_rank(rows, cols):
@@ -38,7 +45,7 @@ def random_matrix(rng, nrows, cols, density=0.4):
 
 
 def test_row_reduce_identity():
-    m = F2Matrix.identity(3)
+    m = identity(3)
     reduced, r, pivots = row_reduce(m)
     assert r == 3
     assert pivots == [0, 1, 2]
@@ -73,7 +80,7 @@ def test_row_reduce_is_reduced():
 
 
 def test_kernel_zero_matrix():
-    m = F2Matrix.zero(2, 3)
+    m = zero_matrix(2, 3)
     basis = kernel_basis(m)
     assert len(basis) == 3
     assert sorted(v.bits for v in basis) == [1, 2, 4]
@@ -93,9 +100,9 @@ def test_kernel_rank_nullity_random():
         basis = kernel_basis(m)
         assert len(basis) + rank(m) == 15
         for v in basis:
-            assert m.apply(v).is_zero()
+            assert apply(m, v).is_zero()
         # independence
-        span = F2Matrix.from_rows(basis, 15) if basis else F2Matrix.zero(0, 15)
+        span = F2Matrix.from_rows(basis, 15) if basis else zero_matrix(0, 15)
         assert rank(span) == len(basis)
 
 
@@ -161,7 +168,7 @@ def matrices(draw, max_dim=12):
 @settings(deadline=None, max_examples=60)
 @given(matrices())
 def test_rank_equals_rank_of_transpose(m):
-    assert rank(m) == rank(m.transpose())
+    assert rank(m) == rank(transpose(m))
 
 
 @settings(deadline=None, max_examples=60)
@@ -174,7 +181,7 @@ def test_rank_plus_nullity_is_cols(m):
 @given(matrices())
 def test_kernel_vectors_are_killed(m):
     for v in kernel_basis(m):
-        assert m.apply(v).is_zero()
+        assert apply(m, v).is_zero()
 
 
 @settings(deadline=None, max_examples=30)
@@ -307,6 +314,29 @@ def quotient_inputs(draw):
 def test_quotient_basis_matches_reference(case):
     subspace, ambient = case
     assert quotient_basis(subspace, ambient) == reference_quotient_basis(subspace, ambient)
+
+
+@settings(deadline=None, max_examples=100)
+@given(quotient_inputs())
+def test_quotient_basis_takes_subspace_echelon(case):
+    """An Echelon of the subspace gives the same representatives as its
+    spanning vectors and is left unchanged."""
+    subspace, ambient = case
+    ech = Echelon()
+    for v in subspace:
+        ech.insert(v.bits)
+    pivots = dict(ech.pivots)
+    assert quotient_basis(ech, ambient) == quotient_basis(subspace, ambient)
+    assert ech.pivots == pivots and len(ech) == ech.rank
+
+
+def test_quotient_rejects_outside_echelon():
+    ech = Echelon()
+    ech.insert(0b010)
+    with pytest.raises(SubspaceNotContained):
+        quotient_basis(ech, [F2Vector.from_coeffs([1, 0, 0])])
+    with pytest.raises(SubspaceNotContained):
+        quotient_basis(ech, [])
 
 
 def test_quotient_sum_representatives_match_reference():

@@ -79,13 +79,13 @@ def test_describe_format(groups64):
 
 def test_multiple_towers_guard():
     from etass.bockstein import Column, Page
-    from etass.algebra import Monomial
+    from etass.algebra import Monomial, family_of
 
-    v2 = Monomial.make(0, 0, {2: 1})
-    v2sq = Monomial.make(0, 0, {2: 2})
+    v2 = family_of(Monomial.make(0, 0, {2: 1}))
+    v2sq = family_of(Monomial.make(0, 0, {2: 2}))
     # an artificial page with two families in one stem triggers the guard
-    col = Column([v2], {v2: 1})
-    col6 = Column([v2sq], {v2sq: 2})
+    col = Column([v2])
+    col6 = Column([v2sq])
     page = Page(
         kind="adams",
         label="fake",
@@ -93,7 +93,7 @@ def test_multiple_towers_guard():
         max_mw=6,
         c_max=10,
         c_internal=10,
-        columns={3: col, 6: col6, 0: Column([], {})},
+        columns={3: col, 6: col6, 0: Column([])},
         alive={3: {v2: ((0, 1), (2, 3))}, 6: {}, 0: {}},
         zero={3: {}, 6: {}, 0: {}},
     )
