@@ -54,8 +54,8 @@ from .bockstein import (
 )
 from .ext import enumerate_ext_families, ext_model_page
 # kernel_basis and quotient_basis stay importable from here because
-# perfbench/tracer.py wraps them by module; the page-2 step reaches them
-# through bockstein.Homology
+# perfbench/tracer.py wraps them by module; the page-2 step's
+# bockstein.Homology calls them only to report a sum representative
 from .gf2 import F2Matrix, F2Vector, kernel_basis, quotient_basis, rank  # noqa: F401
 from .report import Report
 

@@ -9,9 +9,9 @@ these pages send single monomials to single monomials, so each page
 transition decomposes into tower-to-tower blocks whose homology is
 interval arithmetic.
 
-Every such transition is then replayed per bidegree through
-gf2.kernel_basis/quotient_basis (at every bidegree up to
-DENSE_VERIFY_LIMIT, on a deterministic sample above it) and any
+Every such transition is then replayed per bidegree through gf2
+elimination of the page differential's matrices (at every bidegree up
+to DENSE_VERIFY_LIMIT, on a deterministic sample above it) and any
 disagreement raises.  The replay works on integers: a class is the
 position of its family in the page's column plus its rho exponent, a
 bidegree's basis is a sorted list of positions, and each family's image
@@ -27,10 +27,12 @@ model).  Family images are exponent arithmetic on the packed ints;
 Monomials are built only on the read side and for error messages.  The
 homology routine of the replay (Homology.at) also computes the Adams
 page-2 to page-3 step, whose images are genuine sums.  Both sweep the
-columns in ascending mw; the routine builds each bidegree's
-differential matrix at most once per sweep (it is the outgoing matrix
-at its source and the boundary matrix at its target) and keeps its
-tables by column, for three columns at a time.
+columns in ascending mw; the routine builds and eliminates each
+bidegree's differential matrix at most once per sweep (its echelon
+gives the outgoing rank at its source and is the boundary span at its
+target), takes the coset representatives from the zero columns of the
+outgoing matrix, and keeps its tables by column, for three columns at
+a time.
 
 Only pages r = 2^n - 1 carry differentials; the page list returned by
 run_bockstein walks exactly those, and the E-infinity page is compared
@@ -59,7 +61,7 @@ from .algebra import (
     family_of,
     family_p,
 )
-from .gf2 import Echelon, F2Matrix, F2Vector, kernel_basis, quotient_basis
+from .gf2 import Echelon, F2Matrix, F2Vector, SubspaceNotContained, kernel_basis, quotient_basis
 from .report import Report
 
 MW_MAX_DEFAULT = 64
@@ -608,8 +610,9 @@ class _ColumnTable:
     """One column of a page by family position: the alive families
     (_alive_column), their Chow degrees, positions and Chow index, plus
     the homology tables of the column: the basis at each Chow degree,
-    each family's image entries and each Chow degree's image bits
-    (Homology.map_columns).  The page's own caches stay untouched."""
+    each family's image entries, and each Chow degree's image bits
+    (Homology.map_columns) and their echelon (Homology.echelon).  The
+    page's own caches stay untouched."""
 
     alive: list[tuple[int, int, Runs]]
     c0: list[int]
@@ -618,6 +621,7 @@ class _ColumnTable:
     bases: dict[int, list[int]] = field(default_factory=dict)
     images: dict[int, tuple[list, int]] = field(default_factory=dict)
     maps: dict[int, list[int]] = field(default_factory=dict)
+    echelons: dict[int, Echelon] = field(default_factory=dict)
 
 
 class Homology:
@@ -628,9 +632,12 @@ class Homology:
     alive families; its rho exponent is b = c - c0.  Every table
     (bases, family images, differential matrices) belongs to a column.
     at(mw, c) needs columns mw - 1, mw and mw + 1 only and drops every
-    other column's tables, so a sweep in ascending mw builds each
-    differential matrix at most once and holds tables for three
-    columns; a call out of that order just recomputes what it needs.
+    other column's tables, so a sweep in ascending mw builds and
+    eliminates each differential matrix at most once and holds tables
+    for three columns; a call out of that order just recomputes what it
+    needs.  The homology is read off integers: the rank of the outgoing
+    matrix, the boundary echelon and the zero columns of the outgoing
+    matrix, which are the classes that are cycles.
     """
 
     def __init__(self, page: Page):
@@ -711,19 +718,35 @@ class Homology:
         fam, c0, _ = self.column(mw).alive[pos]
         return str(family_monomial(fam, c - c0))
 
+    def echelon(self, mw: int, c: int) -> Echelon:
+        """The echelon of the nonzero columns of map_columns(mw, c),
+        built once per bidegree and kept next to the matrix: its rank is
+        the rank of the differential out of (mw, c), and it is the
+        boundary span at (mw, c) + shift.  Callers must not change it."""
+        table = self.column(mw)
+        out = table.echelons.get(c)
+        if out is None:
+            out = Echelon()
+            for bits in self.map_columns(mw, c):
+                if bits:
+                    out.insert(bits)
+            table.echelons[c] = out
+        return out
+
     def at(self, mw: int, c: int, sums_allowed: bool = False) -> tuple[list[int], list[int], Echelon]:
         """The homology at one bidegree: (basis, reps, boundaries).
 
         basis is the classes at (mw, c) as family positions; reps the
-        coordinates, in that basis, of the coset representatives that
-        kernel_basis and quotient_basis give on the matrices of the
-        page differential; boundaries the echelon of the boundary span.
-        The outgoing matrix is map_columns(mw, c), transposed into rows
-        for kernel_basis; the boundaries are the nonzero columns of
-        map_columns at (mw, c) - shift.  A representative that is a sum
-        of several classes raises RepresentativeNotMonomial, or is left
-        out when sums_allowed; an image term that is neither a basis
-        class nor zero on the page raises EngineError (map_columns).
+        coordinates, in that basis, of the single-class coset
+        representatives (unit_representatives); boundaries the echelon
+        of the boundary span, echelon((mw, c) - shift).  The outgoing
+        matrix is map_columns(mw, c), and its rank is that of
+        echelon(mw, c), so each matrix is eliminated once per sweep.
+        A boundary that is not a cycle raises gf2.SubspaceNotContained;
+        a class with no single-class representative raises
+        RepresentativeNotMonomial, or is left out when sums_allowed; an
+        image term that is neither a basis class nor zero on the page
+        raises EngineError (map_columns).
         """
         if mw != self._mw:
             self._mw = mw
@@ -734,28 +757,65 @@ class Homology:
         if not mid:
             return mid, [], Echelon()
         shift = self.shift
-        n = len(mid)
-        rows_bits = [0] * len(self.basis(mw + shift.mw, c + shift.c))
-        for j, bits in enumerate(self.map_columns(mw, c)):
-            while bits:
-                low = bits & -bits
-                rows_bits[low.bit_length() - 1] |= 1 << j
-                bits ^= low
-        kernel = kernel_basis(F2Matrix(n, tuple(F2Vector(n, b) for b in rows_bits)))
-        boundaries = Echelon()
-        for b in self.map_columns(mw - shift.mw, c - shift.c):
-            if b:
-                boundaries.insert(b)
-        reps: list[int] = []
-        for v in quotient_basis(boundaries, kernel):
-            sup = v.support()
-            if len(sup) == 1:
-                reps.append(sup[0])
-            elif not sums_allowed:
-                raise RepresentativeNotMonomial(
-                    f"no single-monomial representative at mw={mw}, c={c}: {v.coeffs()}"
+        out = self.map_columns(mw, c)
+        boundaries = self.echelon(mw - shift.mw, c - shift.c)
+        for row in boundaries.pivots.values():
+            image, todo = 0, row
+            while todo:
+                low = todo & -todo
+                image ^= out[low.bit_length() - 1]
+                todo ^= low
+            if image:
+                raise SubspaceNotContained(
+                    f"boundary {F2Vector(len(mid), row).support()} at mw={mw}, c={c} is not a cycle"
                 )
+        want = len(mid) - self.echelon(mw, c).rank - boundaries.rank
+        reps = unit_representatives(out, boundaries, want)
+        if len(reps) < want and not sums_allowed:
+            v = _sum_representative(out, boundaries, reps)
+            raise RepresentativeNotMonomial(
+                f"no single-monomial representative at mw={mw}, c={c}: {v.coeffs()}"
+            )
         return mid, reps, boundaries
+
+
+def unit_representatives(out: list[int], boundaries: Echelon, want: int) -> list[int]:
+    """The first `want` indices i, ascending, such that class i is a
+    cycle (out[i] == 0) whose unit vector is independent of the
+    boundaries and of the units already picked.
+
+    These are the representatives gf2.quotient_basis picks first from a
+    kernel basis, because e_i lies in the kernel exactly when column i
+    of the outgoing matrix is zero; the kernel vectors it tries next
+    never add a single class.  Fewer than `want` means some class needs
+    a sum of classes."""
+    reps: list[int] = []
+    if want > 0:
+        acc = boundaries.copy()
+        for i, bits in enumerate(out):
+            if not bits and acc.insert(1 << i):
+                reps.append(i)
+                if len(reps) == want:
+                    break
+    return reps
+
+
+def _sum_representative(out: list[int], boundaries: Echelon, reps: list[int]) -> F2Vector:
+    """A cycle outside the span of the boundaries and the unit
+    representatives: the first representative that quotient_basis gives
+    on the kernel of the outgoing matrix.  Only for the error message."""
+    n = len(out)
+    rows = [0] * max(out).bit_length()
+    for j, bits in enumerate(out):
+        while bits:
+            low = bits & -bits
+            rows[low.bit_length() - 1] |= 1 << j
+            bits ^= low
+    acc = boundaries.copy()
+    for i in reps:
+        acc.insert(1 << i)
+    kernel = kernel_basis(F2Matrix(n, tuple(F2Vector(n, b) for b in rows)))
+    return quotient_basis(acc, kernel)[0]
 
 
 class _Replay(Homology):

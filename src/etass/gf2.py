@@ -87,9 +87,6 @@ class F2Vector:
             raise IndexError(i)
         return (self.bits >> i) & 1
 
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
     def support(self) -> list[int]:
         """Indices of the nonzero coordinates, ascending."""
         out, b = [], self.bits
@@ -119,15 +116,6 @@ class F2Matrix:
         for row in self.rows:
             if row.length != self.cols:
                 raise ValueError("row length != cols")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int] | F2Vector], cols: int | None = None) -> "F2Matrix":
-        vecs = [r if isinstance(r, F2Vector) else F2Vector.from_coeffs(r) for r in rows]
-        if cols is None:
-            if not vecs:
-                raise ValueError("cols required for an empty matrix")
-            cols = vecs[0].length
-        return cls(cols, tuple(vecs))
 
     @property
     def nrows(self) -> int:

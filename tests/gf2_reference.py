@@ -10,7 +10,7 @@ they must return exactly the same lists.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from etass.gf2 import (
     Echelon,
@@ -20,6 +20,19 @@ from etass.gf2 import (
     SubspaceNotContained,
     _echelon_of,
 )
+
+
+def from_rows(rows: Iterable[Sequence[int] | F2Vector], cols: int | None = None) -> F2Matrix:
+    vecs = [r if isinstance(r, F2Vector) else F2Vector.from_coeffs(r) for r in rows]
+    if cols is None:
+        if not vecs:
+            raise ValueError("cols required for an empty matrix")
+        cols = vecs[0].length
+    return F2Matrix(cols, tuple(vecs))
+
+
+def is_zero(v: F2Vector) -> bool:
+    return v.bits == 0
 
 
 def zero_matrix(nrows: int, cols: int) -> F2Matrix:
@@ -87,7 +100,7 @@ def reference_quotient_basis(
     subspace: Sequence[F2Vector], ambient: Sequence[F2Vector]
 ) -> list[F2Vector]:
     if not ambient:
-        if any(not v.is_zero() for v in subspace):
+        if any(not is_zero(v) for v in subspace):
             raise SubspaceNotContained("nonzero subspace with empty ambient")
         return []
     length = ambient[0].length

@@ -1,0 +1,44 @@
+"""The earlier body of bockstein.Homology.at, kept as the reference that
+the one-elimination routine is compared against.
+
+It reads the same integer matrices (Homology.basis and map_columns) but
+computes the homology with the generic gf2 routines: the outgoing
+matrix transposed into F2Vector rows for kernel_basis, a fresh boundary
+Echelon, and quotient_basis of the boundaries in the kernel, whose
+single-class representatives are the reps.
+"""
+
+from __future__ import annotations
+
+from etass.bockstein import RepresentativeNotMonomial
+from etass.gf2 import Echelon, F2Matrix, F2Vector, kernel_basis, quotient_basis
+
+
+def reference_at(homology, mw: int, c: int, sums_allowed: bool = False):
+    """(basis, reps, boundaries) at (mw, c), as Homology.at returns them."""
+    mid = homology.basis(mw, c)
+    if not mid:
+        return mid, [], Echelon()
+    shift = homology.shift
+    n = len(mid)
+    rows_bits = [0] * len(homology.basis(mw + shift.mw, c + shift.c))
+    for j, bits in enumerate(homology.map_columns(mw, c)):
+        while bits:
+            low = bits & -bits
+            rows_bits[low.bit_length() - 1] |= 1 << j
+            bits ^= low
+    kernel = kernel_basis(F2Matrix(n, tuple(F2Vector(n, b) for b in rows_bits)))
+    boundaries = Echelon()
+    for b in homology.map_columns(mw - shift.mw, c - shift.c):
+        if b:
+            boundaries.insert(b)
+    reps: list[int] = []
+    for v in quotient_basis(boundaries, kernel):
+        sup = v.support()
+        if len(sup) == 1:
+            reps.append(sup[0])
+        elif not sums_allowed:
+            raise RepresentativeNotMonomial(
+                f"no single-monomial representative at mw={mw}, c={c}: {v.coeffs()}"
+            )
+    return mid, reps, boundaries

@@ -33,7 +33,6 @@ from etass.bockstein import (
     verify_transition,
 )
 from etass.ext import ext_model_page
-from etass.gf2 import F2Vector
 from e3_reference import reference_e3_from_e2
 from replay_mutations import check_mutations_caught
 
@@ -265,11 +264,11 @@ def test_e3_step_rejects_image_term_neither_alive_nor_hit():
 
 
 def sum_representatives(monkeypatch, columns):
-    """Make quotient_basis answer with a two-term first representative
-    at every bidegree of the given columns whose first representative
-    is a single class and that has two classes; returns the list of
-    bidegrees so changed."""
-    real_at, real_quotient = Homology.at, bockstein.quotient_basis
+    """Withhold the first unit representative at every bidegree of the
+    given columns that has one and two or more classes, so that its
+    class has only a sum representative; returns the list of bidegrees
+    so changed."""
+    real_at, real_units = Homology.at, bockstein.unit_representatives
     where: list[int] = []
     changed: list[tuple[int, int]] = []
 
@@ -277,15 +276,15 @@ def sum_representatives(monkeypatch, columns):
         where[:] = [mw, c]
         return real_at(self, mw, c, sums_allowed)
 
-    def quotient(subspace, ambient):
-        reps = real_quotient(subspace, ambient)
-        if where[0] in columns and reps and len(reps[0].support()) == 1 and reps[0].length >= 2:
+    def units(out, boundaries, want):
+        reps = real_units(out, boundaries, want)
+        if where[0] in columns and reps and len(out) >= 2:
             changed.append(tuple(where))
-            reps = [F2Vector(reps[0].length, 0b11), *reps[1:]]
+            reps = reps[1:]
         return reps
 
     monkeypatch.setattr(Homology, "at", at)
-    monkeypatch.setattr(bockstein, "quotient_basis", quotient)
+    monkeypatch.setattr(bockstein, "unit_representatives", units)
     return changed
 
 

@@ -9,6 +9,7 @@ from etass.bockstein import (
     EngineError,
     Homology,
     Page,
+    RepresentativeNotMonomial,
     bockstein_page_indices,
     bockstein_rule,
     build_e1,
@@ -23,9 +24,10 @@ from etass.bockstein import (
     verify_transition,
     _advance,
 )
-from etass.gf2 import F2Matrix
+from etass.gf2 import SubspaceNotContained
 from brute_force import default_generators, enumerate_monomials, rho_matrix_at
 from dump_reference import image_classes
+from homology_reference import reference_at
 from replay_mutations import check_mutations_caught, sampled_bidegrees
 
 
@@ -184,6 +186,106 @@ def test_homology_holds_three_columns_in_a_sweep(monkeypatch):
     checked = verify_transition(page, new_alive, new_zero, "all")
     assert checked > 0
     assert max(held) == 3
+
+
+def test_homology_builds_each_echelon_once(monkeypatch):
+    """A dense ascending sweep eliminates each bidegree's matrix once:
+    its echelon serves as the outgoing rank at its source and as the
+    boundaries at its target."""
+    page = bockstein_e3(32)
+    new_alive, new_zero = _advance(page)
+    built = []
+    real_echelon = Homology.echelon
+
+    def echelon(self, mw, c):
+        if c not in self.column(mw).echelons:
+            built.append((mw, c))
+        return real_echelon(self, mw, c)
+
+    monkeypatch.setattr(Homology, "echelon", echelon)
+    checked = verify_transition(page, new_alive, new_zero, "all")
+    assert checked > 0 and built
+    assert len(built) == len(set(built))
+    assert len(built) < 2 * checked
+
+
+@pytest.mark.parametrize("label", ["bockstein", "adams-E2"])
+def test_homology_matches_reference(label):
+    """Homology.at gives the basis, reps and boundary span of the
+    kernel_basis/quotient_basis reference at every dense bidegree of
+    every Bockstein page and of adams-E2 at mw 64.  In the Adams margin
+    column it agrees with sum classes allowed and, where a class needs a
+    sum, raises the same error as the reference when they are not."""
+    pages = run_bockstein(64, verify="off")[0] if label == "bockstein" else [build_e2(64)]
+
+    def outcome(at, homology, mw, c, sums_allowed):
+        try:
+            mid, reps, boundaries = at(homology, mw, c, sums_allowed)
+        except RepresentativeNotMonomial as err:
+            return str(err)
+        # a fully reduced echelon is determined by its span
+        return mid, reps, boundaries.pivots
+
+    reps_seen = rank_seen = raised = 0
+    for page in pages:
+        homology = Homology(page)
+        for mw in sorted(page.alive):
+            margin = page.kind == "adams" and mw > page.max_mw
+            for c in dense_bidegrees(page, mw):
+                for sums_allowed in (True, False) if margin else (False,):
+                    got = outcome(Homology.at, homology, mw, c, sums_allowed)
+                    assert got == outcome(reference_at, homology, mw, c, sums_allowed), (
+                        page.label,
+                        mw,
+                        c,
+                    )
+                    if isinstance(got, str):
+                        raised += 1
+                    else:
+                        reps_seen += len(got[1])
+                        rank_seen += len(got[2])
+    assert reps_seen and rank_seen
+    assert raised if label == "adams-E2" else not raised
+
+
+@pytest.mark.parametrize("mode", ["all", "sample"])
+def test_replay_rejects_boundary_that_is_not_a_cycle(monkeypatch, mode):
+    """One incoming matrix column changed by a class that is not a cycle
+    makes a boundary that is not a cycle: the replay's homology raises
+    at the target bidegree, in dense and in sampled replay."""
+    page = bockstein_e3(32)
+    new_alive, new_zero = _advance(page)
+    shift = page.diff_shift()
+    probe = Homology(page)
+
+    def target_in(bidegrees):
+        for mw, c in bidegrees:
+            out = probe.map_columns(mw, c)
+            if any(out) and probe.basis(mw - shift.mw, c - shift.c):
+                return mw, c, next(i for i, bits in enumerate(out) if bits)
+        return None
+
+    if mode == "all":
+        seed = 0
+        found = target_in((mw, c) for mw in sorted(page.alive) for c in dense_bidegrees(page, mw))
+    else:
+        for seed in range(16):
+            found = target_in(sampled_bidegrees(page, new_alive, new_zero, seed, monkeypatch))
+            if found:
+                break
+    assert found
+    mw, c, i = found
+    source = (mw - shift.mw, c - shift.c)
+    real_map_columns = Homology.map_columns
+
+    def map_columns(self, m, cc):
+        out = real_map_columns(self, m, cc)
+        return [out[0] ^ (1 << i), *out[1:]] if (m, cc) == source else out
+
+    verify_transition(page, new_alive, new_zero, mode, seed)
+    monkeypatch.setattr(Homology, "map_columns", map_columns)
+    with pytest.raises(SubspaceNotContained, match=f"mw={mw}, c={c} is not a cycle"):
+        verify_transition(page, new_alive, new_zero, mode, seed)
 
 
 @pytest.mark.parametrize("label", ["bockstein-E3", "adams-E2"])
