@@ -126,19 +126,12 @@ def dr_rule(r: int, mw_max: int) -> list[AdamsDiffRule]:
 
 
 class RuleTable:
-    """A rule page's differential: the AdamsDiffRule of each source
-    family, by packed family, applied to single classes (as
-    Page.rule_fn) or to whole towers (family_image)."""
+    """A rule page's differential (Page.rule_fn): the AdamsDiffRule of
+    each source family, by packed family, applied to whole towers
+    (family_image)."""
 
     def __init__(self, rules: list[AdamsDiffRule]):
         self.rules = {family_of(rule.source): rule for rule in rules}
-
-    def __call__(self, m: Monomial) -> list[Monomial]:
-        rule = self.rules.get(family_of(m))
-        if rule is None or m.rho_exp < rule.source.rho_exp:
-            return []
-        a = m.rho_exp - rule.source.rho_exp
-        return [rule.target.times_rho(a) if a else rule.target]
 
     def family_image(self, fam: int) -> tuple[list[tuple[int, int]], int]:
         """(terms, threshold) in the form of Page.family_image: from

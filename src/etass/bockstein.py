@@ -44,7 +44,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .algebra import (
     MW_LIMIT,
@@ -63,6 +63,9 @@ from .algebra import (
 )
 from .gf2 import Echelon, F2Matrix, F2Vector, SubspaceNotContained, kernel_basis, quotient_basis
 from .report import Report
+
+if TYPE_CHECKING:
+    from .adams import RuleTable
 
 MW_MAX_DEFAULT = 64
 
@@ -255,6 +258,8 @@ class TorsionTower:
 Edge = tuple[int, int, int]  # (target family, rho shift, minimal source b)
 # a class on the read side: (rho-free family, rho exponent)
 Class = tuple[Monomial, int]
+# a run of differentials: (family, lo, hi, [(target family, rho delta)])
+DiffRun = tuple[int, int, int, list[tuple[int, int]]]
 
 
 @dataclass
@@ -265,10 +270,12 @@ class Page:
     algebra.family_of), `zero` the intervals already hit (known-zero
     classes).  `rule` is the differential acting on this page (None once
     the sequence has collapsed); `edges` is its family-level form used
-    for matrices.  The read side (basis_at, classes, differentials,
-    tower_runs, towers, status) speaks Monomials: it gives a class as a
-    (rho-free family, rho exponent) pair and builds one Monomial per
-    family it reads, none per class.
+    for matrices.  The read side (basis_at, classes, towers, status)
+    speaks Monomials: it gives a class as a (rho-free family, rho
+    exponent) pair and builds one Monomial per family it reads, none per
+    class.  differentials and column_towers give packed families and
+    rho intervals, one entry per run of classes, for the dump writer
+    and the charts.
     """
 
     kind: str
@@ -283,9 +290,8 @@ class Page:
     rule: Derivation | None = None
     edges: dict[int, dict[int, Edge]] = field(default_factory=dict)
     # differential given as a rule table instead of a derivation (the
-    # later Adams pages): family_image answers for whole towers, and a
-    # call maps a single class
-    rule_fn: Callable[[Monomial], list[Monomial]] | None = None
+    # later Adams pages): family_image answers for whole towers
+    rule_fn: RuleTable | None = None
     shift_override: Bidegree | None = None
     # ring-level torsion of the underlying model: a class (family, rho
     # exponent) it reports as zero is the zero element, not a class
@@ -298,13 +304,20 @@ class Page:
     _dims_cache: dict[int, dict[int, int]] = field(
         default_factory=dict, init=False, repr=False
     )
-    _differentials: list[tuple[Class, list[Class]]] | None = field(
+    _differentials: list[DiffRun] | None = field(
         default=None, init=False, repr=False
     )
 
     # -- basis ----------------------------------------------------------
     def alive_runs(self, mw: int, fam: int) -> Runs:
         return self.alive.get(mw, {}).get(fam, EMPTY)
+
+    def window_columns(self) -> Iterable[tuple[int, list[tuple[int, int, Runs]]]]:
+        """(mw, _column_alive(mw)) per column of the reporting window,
+        ascending in mw."""
+        for mw in sorted(self.alive):
+            if mw <= self.max_mw:
+                yield mw, self._column_alive(mw)
 
     def _column_alive(self, mw: int) -> list[tuple[int, int, Runs]]:
         """_alive_column of column mw, cached."""
@@ -403,90 +416,109 @@ class Page:
             return self.shift_override
         return Bidegree(-1, 0)
 
-    def differentials(self) -> list[tuple[Class, list[Class]]]:
+    def differentials(self) -> list[DiffRun]:
         """All nonzero differentials on this page inside the reporting
-        window, as (source class, image classes), ordered by column,
-        family position and rho exponent; computed once per page.
+        window, run-length encoded, ordered by column, family position
+        and rho exponent; computed once per page.
 
-        Each family's image comes from family_image once and is shifted
-        by the rho exponent; an image class is alive when its rho
-        exponent lies in the target family's alive runs.  A term that is
-        not alive must be zero on the page (class_status), else
+        An entry (fam, lo, hi, targets) says that for every b in
+        [lo, hi) the class fam * rho^b maps to the sum of the alive
+        classes tfam * rho^(b + delta) over the (tfam, delta) pairs of
+        targets, in family_image's term order.  The runs are maximal:
+        each alive source run, clipped to the image threshold and the
+        window, is cut only where some term's target tower starts or
+        stops being alive, and alive runs never touch, so two touching
+        runs have different targets.  A term that is not alive must be
+        zero on the page for every b of its run: zero runs first, then
+        class_status class by class (the model's torsion), else
         EngineError.
         """
         if self._differentials is not None:
             return self._differentials
-        out: list[tuple[Class, list[Class]]] = []
+        out: list[DiffRun] = []
         shift = self.diff_shift().mw
-        for mw in sorted(self.alive):
-            if mw > self.max_mw:
-                continue
-            for fam, c0, runs in self._column_alive(mw):
+        for mw, column in self.window_columns():
+            for fam, c0, runs in column:
                 self._family_differentials(fam, runs, mw + shift, self.c_max - c0 + 1, out)
         self._differentials = out
         return out
 
     def _family_differentials(self, fam: int, runs: Runs, tmw: int, top: int, out: list) -> None:
-        """Append the nonzero differentials on the classes fam * rho^b
-        with b in runs and b < top; their targets lie in column tmw."""
+        """Append the runs of nonzero differentials on the classes
+        fam * rho^b with b in runs and b < top; their targets lie in
+        column tmw."""
         terms, threshold = self.family_image(fam)
         if not terms:
             return
-        source = family_monomial(fam)
-        targets = [
-            (tfam, family_monomial(tfam), delta, self.alive_runs(tmw, tfam))
-            for tfam, delta in terms
-        ]
+        runs = runs_intersect(runs, ((threshold, top),))
+        # each term's alive runs, in source rho exponents
+        alive = [runs_shift(self.alive_runs(tmw, tfam), -delta) for tfam, delta in terms]
+        zero = self.zero.get(tmw, {})
         for lo, hi in runs:
-            for b in range(max(lo, threshold), min(hi, top)):
-                img = []
-                for tfam, target, delta, talive in targets:
-                    if runs_contain(talive, b + delta):
-                        img.append((target, b + delta))
-                    elif self.class_status(tmw, tfam, b + delta) != "zero":
-                        term = family_monomial(tfam, b + delta)
-                        raise EngineError(f"image term {term} is neither alive nor hit")
-                if img:
-                    out.append(((source, b), img))
+            cuts = {lo, hi}
+            for talive in alive:
+                cuts.update(x for run in talive for x in run if lo < x < hi)
+            bounds = sorted(cuts)
+            for a, b in zip(bounds, bounds[1:]):
+                targets = []
+                for (tfam, delta), talive in zip(terms, alive):
+                    if runs_contain(talive, a):
+                        targets.append((tfam, delta))
+                    else:
+                        self._check_zero(tmw, tfam, delta, a, b, zero.get(tfam, EMPTY))
+                if targets:
+                    out.append((fam, a, b, targets))
+
+    def _check_zero(self, tmw: int, tfam: int, delta: int, lo: int, hi: int, zero: Runs) -> None:
+        """Raise unless tfam * rho^(b + delta) is zero on the page for
+        every b in [lo, hi)."""
+        for left_lo, left_hi in runs_subtract(((lo + delta, hi + delta),), zero):
+            for tb in range(left_lo, left_hi):
+                if self.class_status(tmw, tfam, tb) != "zero":
+                    term = family_monomial(tfam, tb)
+                    raise EngineError(f"image term {term} is neither alive nor hit")
 
     # -- read side --------------------------------------------------------
-    def tower_runs(self) -> Iterable[tuple[Monomial, int, int, bool]]:
-        """(family, lo, hi, truncated) per maximal rho-run inside the
-        reporting window: the tower of fam * rho^b for lo <= b < hi."""
-        for mw in sorted(self.alive):
-            if mw > self.max_mw:
-                continue
-            for fam, c0, runs in self._column_alive(mw):
-                blim = self.c_internal - c0 + 1
-                generator = family_monomial(fam)
-                for lo, hi in runs:
-                    yield generator, lo, hi, hi >= blim
+    def column_towers(self, mw: int) -> list[tuple[int, int, int, bool]]:
+        """(family, lo, hi, truncated) per maximal rho-run of column mw,
+        in column order: the tower of fam * rho^b for lo <= b < hi,
+        truncated when the Chow truncation rather than torsion cut it."""
+        return [
+            (fam, lo, hi, hi > self.c_internal - c0)
+            for fam, c0, runs in self._column_alive(mw)
+            for lo, hi in runs
+        ]
 
     def towers(self) -> list[TorsionTower]:
+        """The towers of the reporting window, in column order."""
         return [
-            TorsionTower(fam.times_rho(lo) if lo else fam, hi - lo, truncated)
-            for fam, lo, hi, truncated in self.tower_runs()
+            TorsionTower(family_monomial(fam, lo), hi - lo, truncated)
+            for mw, _ in self.window_columns()
+            for fam, lo, hi, truncated in self.column_towers(mw)
         ]
+
+    def column_classes(self, mw: int) -> list[tuple[int, list[int]]]:
+        """(c, positions) per Chow degree c <= c_max of column mw that
+        has classes, ascending in c; positions index _column_alive(mw).
+        They are gathered from the alive runs and must agree with
+        positions_at, else EngineError."""
+        per_c: dict[int, list[int]] = {}
+        for pos, (_, c0, runs) in enumerate(self._column_alive(mw)):
+            for lo, hi in runs:
+                for c in range(c0 + lo, min(c0 + hi, self.c_max + 1)):
+                    per_c.setdefault(c, []).append(pos)
+        out = sorted(per_c.items())
+        for c, positions in out:
+            if positions != self.positions_at(mw, c):
+                raise EngineError(f"basis at mw={mw}, c={c} disagrees with the alive runs")
+        return out
 
     def classes(self) -> Iterable[tuple[int, int, Class]]:
         """(mw, c, class) over the reporting window, ordered by mw, c
-        and family position.  Each column's classes are gathered from
-        the alive runs and must agree with positions_at at every Chow
-        degree, else EngineError."""
-        for mw in sorted(self.alive):
-            if mw > self.max_mw:
-                continue
-            column = self._column_alive(mw)
+        and family position (see column_classes)."""
+        for mw, column in self.window_columns():
             names = [family_monomial(fam) for fam, _, _ in column]
-            per_c: dict[int, list[int]] = {}
-            for pos, (_, c0, runs) in enumerate(column):
-                for lo, hi in runs:
-                    for c in range(c0 + lo, min(c0 + hi, self.c_max + 1)):
-                        per_c.setdefault(c, []).append(pos)
-            for c in sorted(per_c):
-                positions = per_c[c]
-                if positions != self.positions_at(mw, c):
-                    raise EngineError(f"basis at mw={mw}, c={c} disagrees with the alive runs")
+            for c, positions in self.column_classes(mw):
                 for pos in positions:
                     yield mw, c, (names[pos], c - column[pos][1])
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 
+from .algebra import family_c0, family_monomial
 from .bockstein import Page
 
 UNIT = 14  # pixels per degree in svg output
@@ -54,14 +55,16 @@ def _window_towers(page: Page, mw_hi: int | None, c_hi: int | None):
 
 
 def _differential_segments(page: Page, mw_hi: int, c_hi: int):
+    """(mw, c, target mw, target c) per nonzero differential and image
+    class, expanded from the page's runs."""
     segs = []
     shift = page.diff_shift()
-    for (fam, b), targets in page.differentials():
-        mw, c = fam.bidegree.mw, fam.bidegree.c + b
-        if mw > mw_hi + 1 or c > c_hi:
+    for fam, lo, hi, targets in page.differentials():
+        mw, c0 = family_monomial(fam).bidegree.mw, family_c0(fam)
+        if mw > mw_hi + 1:
             continue
-        for tgt in targets:
-            segs.append((mw, c, mw + shift.mw, c + shift.c))
+        for c in range(c0 + lo, min(c0 + hi, c_hi + 1)):
+            segs.extend([(mw, c, mw + shift.mw, c + shift.c)] * len(targets))
     return segs
 
 

@@ -25,7 +25,7 @@ from . import brackets as bracket_mod
 from . import charts as charts_mod
 from . import ext as ext_mod
 from . import homotopy as homotopy_mod
-from .algebra import MW_LIMIT
+from .algebra import MW_LIMIT, family_monomial
 from .homotopy import two_adic_valuation
 from .report import Report
 
@@ -36,64 +36,87 @@ def write_page_dump(page: bock_mod.Page, out) -> None:
     """Write a page in the fixed dump schema to a text stream.
 
     The text is byte for byte what json.dumps of the schema's dict with
-    indent=2 gives, but it is written entry by entry, so memory does
-    not grow with the size of the document.  Classes are read as
-    (family, rho exponent) pairs; each family's label and its constant
-    fields are formatted once.
+    indent=2 gives, but it is written one column of classes, one run of
+    differentials or one column of towers at a time, so memory does not
+    grow with the size of the document.  Each family's encoded label
+    and its constant fields are formatted once per page; a class label
+    is its family's label behind the rho power.
     """
-    from .algebra import rho_label
-
     enc = json.encoder.encode_basestring_ascii
-    fams: dict = {}
+    fams: dict[int, tuple[str, str, str]] = {}
 
-    def family(fam):
-        """(label, class tail) of a rho-free family."""
+    def family(fam: int) -> tuple[str, str, str]:
+        """A family's encoded label without quotes, the part of a class
+        label after its rho power, and the class entry's tail."""
         entry = fams.get(fam)
         if entry is None:
-            if fam.v_exps:
+            m = family_monomial(fam)
+            if m.v_exps:
                 v_exps = "{\n" + ",\n".join(
-                    f"        {enc(str(n))}: {a}" for n, a in fam.v_exps
+                    f"        {enc(str(n))}: {a}" for n, a in m.v_exps
                 ) + "\n      }"
             else:
                 v_exps = "{}"
-            tail = f',\n      "p_exp": {fam.p_exp},\n      "v_exps": {v_exps}\n    }}'
-            entry = fams[fam] = (str(fam), tail)
+            tail = f',\n      "p_exp": {m.p_exp},\n      "v_exps": {v_exps}\n    }}'
+            text = enc(str(m))[1:-1]
+            entry = fams[fam] = (text, "" if text == "1" else f" {text}", tail)
         return entry
 
-    def label(cls) -> str:
-        fam, b = cls
-        return enc(rho_label(b, family(fam)[0]))
+    def labels(fam: int, lo: int, hi: int) -> list[str]:
+        """The quoted labels of fam * rho^b for lo <= b < hi."""
+        text, rest, _ = family(fam)
+        low = [f'"{text}"', f'"rho{rest}"'][lo:hi]
+        return low + [f'"rho^{b}{rest}"' for b in range(max(lo, 2), hi)]
 
-    def write_list(key: str, items, last: bool = False) -> None:
+    def write_list(key: str, chunks, last: bool = False) -> None:
         out.write(f'  "{key}": ')
         sep = "[\n"
-        for item in items:
+        for chunk in chunks:
             out.write(sep)
-            out.write(item)
+            out.write(chunk)
             sep = ",\n"
         out.write("[]" if sep == "[\n" else "\n  ]")
         out.write("\n" if last else ",\n")
 
     def classes():
-        for mw, c, (fam, b) in page.classes():
-            text, tail = family(fam)
-            yield (
-                f'    {{\n      "mw": {mw},\n      "c": {c},\n'
-                f'      "label": {enc(rho_label(b, text))},\n      "rho_exp": {b}{tail}'
-            )
+        for mw, column in page.window_columns():
+            head = f'    {{\n      "mw": {mw},\n      "c": '
+            rows = []  # per position: labels from rho^lo on, lo, c0, tail
+            for fam, c0, runs in column:
+                lo, hi = runs[0][0], min(runs[-1][1], page.c_max - c0 + 1)
+                rows.append((labels(fam, lo, hi), lo, c0, family(fam)[2]))
+            entries = []
+            for c, positions in page.column_classes(mw):
+                for pos in positions:
+                    names, lo, c0, tail = rows[pos]
+                    b = c - c0
+                    entries.append(
+                        f'{head}{c},\n      "label": {names[b - lo]},\n      "rho_exp": {b}{tail}'
+                    )
+            if entries:
+                yield ",\n".join(entries)
 
     def differentials():
-        for src, targets in page.differentials():
-            labels = ",\n".join(f"        {label(t)}" for t in targets)
-            yield (
-                f'    {{\n      "r": {page.r},\n      "source_label": {label(src)},\n'
-                f'      "target_labels": [\n{labels}\n      ]\n    }}'
+        head = f'    {{\n      "r": {page.r},\n      "source_label": '
+        sep = ",\n        "
+        for fam, lo, hi, targets in page.differentials():
+            images = [labels(tfam, lo + delta, hi + delta) for tfam, delta in targets]
+            yield ",\n".join(
+                f'{head}{src},\n      "target_labels": [\n        {sep.join(tgts)}\n      ]\n    }}'
+                for src, *tgts in zip(labels(fam, lo, hi), *images)
             )
 
     def towers():
-        for fam, lo, hi, truncated in page.tower_runs():
-            extent = '"infinite": true' if truncated else f'"length": {hi - lo}'
-            yield f'    {{\n      "generator_label": {label((fam, lo))},\n      {extent}\n    }}'
+        for mw, _ in page.window_columns():
+            entries = []
+            for fam, lo, hi, truncated in page.column_towers(mw):
+                extent = '"infinite": true' if truncated else f'"length": {hi - lo}'
+                entries.append(
+                    f'    {{\n      "generator_label": {labels(fam, lo, lo + 1)[0]},\n'
+                    f'      {extent}\n    }}'
+                )
+            if entries:
+                yield ",\n".join(entries)
 
     out.write(
         f'{{\n  "page": {page.r},\n  "kind": {enc(page.kind)},\n'
@@ -245,26 +268,26 @@ def _dump_pages(pages, einf, directory: str) -> None:
         print(f"wrote {path}")
 
 
-def _cmd_bockstein(args) -> int:
-    pages, einf = bock_mod.run_bockstein(args.max_mw, verify=args.page_verify)
+def _run_sequence(run, args) -> int:
+    """Run a spectral sequence, print its pages' differential counts and
+    E-infinity torsion towers, and dump the pages if asked."""
+    pages, einf = run(args.max_mw, verify=args.page_verify)
     for page in pages:
-        print(f"{page.label}: {len(page.differentials())} differentials")
+        count = sum(hi - lo for _, lo, hi, _ in page.differentials())
+        print(f"{page.label}: {count} differentials")
     towers = [t for t in einf.towers() if not t.truncated]
     print(f"{einf.label}: {len(towers)} torsion towers, mw <= {args.max_mw}")
     if args.dump_pages:
         _dump_pages(pages, einf, args.dump_pages)
     return 0
+
+
+def _cmd_bockstein(args) -> int:
+    return _run_sequence(bock_mod.run_bockstein, args)
 
 
 def _cmd_adams(args) -> int:
-    pages, einf = adams_mod.run_adams(args.max_mw, verify=args.page_verify)
-    for page in pages:
-        print(f"{page.label}: {len(page.differentials())} differentials")
-    towers = [t for t in einf.towers() if not t.truncated]
-    print(f"{einf.label}: {len(towers)} torsion towers, mw <= {args.max_mw}")
-    if args.dump_pages:
-        _dump_pages(pages, einf, args.dump_pages)
-    return 0
+    return _run_sequence(adams_mod.run_adams, args)
 
 
 def _cmd_groups(args) -> int:

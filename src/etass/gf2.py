@@ -8,7 +8,7 @@ Everything is immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class GF2Error(Exception):
@@ -60,33 +60,6 @@ class F2Vector:
     def __repr__(self):
         return f"F2Vector(length={self.length!r}, bits={self.bits!r})"
 
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> "F2Vector":
-        coeffs = list(coeffs)
-        bits = 0
-        for i, x in enumerate(coeffs):
-            if x & 1:
-                bits |= 1 << i
-        return cls(len(coeffs), bits)
-
-    @classmethod
-    def unit(cls, length: int, index: int) -> "F2Vector":
-        if not 0 <= index < length:
-            raise ValueError("unit index out of range")
-        return cls(length, 1 << index)
-
-    def __add__(self, other: "F2Vector") -> "F2Vector":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return F2Vector(self.length, self.bits ^ other.bits)
-
-    __xor__ = __add__
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
     def support(self) -> list[int]:
         """Indices of the nonzero coordinates, ascending."""
         out, b = [], self.bits
@@ -116,10 +89,6 @@ class F2Matrix:
         for row in self.rows:
             if row.length != self.cols:
                 raise ValueError("row length != cols")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
 
 
 class Echelon:

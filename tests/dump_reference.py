@@ -9,15 +9,26 @@ the writer's integer read path.
 
 from __future__ import annotations
 
-from etass.algebra import family_monomial, leibniz_apply
+from etass.algebra import family_monomial, family_of, leibniz_apply
 from etass.bockstein import EngineError
+
+
+def apply_rule_table(table, m):
+    """A rule table (adams.RuleTable) on one class: its rule's target,
+    shifted by the class's rho exponent above the rule's source, or
+    nothing below the source or without a rule."""
+    rule = table.rules.get(family_of(m))
+    if rule is None or m.rho_exp < rule.source.rho_exp:
+        return []
+    a = m.rho_exp - rule.source.rho_exp
+    return [rule.target.times_rho(a) if a else rule.target]
 
 
 def apply_rule(page, m):
     """The page differential on one class, as the derivation or rule
     table gives it, without the family-level shortcut."""
     if page.rule_fn is not None:
-        return page.rule_fn(m)
+        return apply_rule_table(page.rule_fn, m)
     if page.rule is not None:
         return leibniz_apply(page.rule, m)
     return []

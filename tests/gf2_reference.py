@@ -1,5 +1,5 @@
 """The earlier gf2.kernel_basis and gf2.quotient_basis, kept as references,
-and the matrix helpers that only the tests use.
+and the vector and matrix helpers that only the tests use.
 
 kernel_basis read the kernel off row_reduce's full reduced matrix (zero
 rows included), and quotient_basis tried every unit vector e_0, e_1, ...
@@ -22,8 +22,39 @@ from etass.gf2 import (
 )
 
 
+def from_coeffs(coeffs: Iterable[int]) -> F2Vector:
+    coeffs = list(coeffs)
+    bits = 0
+    for i, x in enumerate(coeffs):
+        if x & 1:
+            bits |= 1 << i
+    return F2Vector(len(coeffs), bits)
+
+
+def unit(length: int, index: int) -> F2Vector:
+    if not 0 <= index < length:
+        raise ValueError("unit index out of range")
+    return F2Vector(length, 1 << index)
+
+
+def add(v: F2Vector, w: F2Vector) -> F2Vector:
+    if v.length != w.length:
+        raise ValueError("length mismatch")
+    return F2Vector(v.length, v.bits ^ w.bits)
+
+
+def coeff(v: F2Vector, i: int) -> int:
+    if not 0 <= i < v.length:
+        raise IndexError(i)
+    return (v.bits >> i) & 1
+
+
+def nrows(m: F2Matrix) -> int:
+    return len(m.rows)
+
+
 def from_rows(rows: Iterable[Sequence[int] | F2Vector], cols: int | None = None) -> F2Matrix:
-    vecs = [r if isinstance(r, F2Vector) else F2Vector.from_coeffs(r) for r in rows]
+    vecs = [r if isinstance(r, F2Vector) else from_coeffs(r) for r in rows]
     if cols is None:
         if not vecs:
             raise ValueError("cols required for an empty matrix")
@@ -40,7 +71,7 @@ def zero_matrix(nrows: int, cols: int) -> F2Matrix:
 
 
 def identity(n: int) -> F2Matrix:
-    return F2Matrix(n, tuple(F2Vector.unit(n, i) for i in range(n)))
+    return F2Matrix(n, tuple(unit(n, i) for i in range(n)))
 
 
 def transpose(m: F2Matrix) -> F2Matrix:
@@ -50,8 +81,8 @@ def transpose(m: F2Matrix) -> F2Matrix:
         for i, row in enumerate(m.rows):
             if (row.bits >> j) & 1:
                 bits |= 1 << i
-        columns.append(F2Vector(m.nrows, bits))
-    return F2Matrix(m.nrows, tuple(columns))
+        columns.append(F2Vector(nrows(m), bits))
+    return F2Matrix(nrows(m), tuple(columns))
 
 
 def apply(m: F2Matrix, v: F2Vector) -> F2Vector:
@@ -62,7 +93,7 @@ def apply(m: F2Matrix, v: F2Vector) -> F2Vector:
     for i, row in enumerate(m.rows):
         if (row.bits & v.bits).bit_count() & 1:
             bits |= 1 << i
-    return F2Vector(m.nrows, bits)
+    return F2Vector(nrows(m), bits)
 
 
 def row_reduce(m: F2Matrix) -> tuple[F2Matrix, int, list[int]]:
@@ -75,7 +106,7 @@ def row_reduce(m: F2Matrix) -> tuple[F2Matrix, int, list[int]]:
     ech = _echelon_of(m)
     pivot_cols = sorted(ech.pivots)
     out_rows = [F2Vector(m.cols, ech.pivots[p]) for p in pivot_cols]
-    out_rows.extend(F2Vector(m.cols) for _ in range(m.nrows - len(out_rows)))
+    out_rows.extend(F2Vector(m.cols) for _ in range(nrows(m) - len(out_rows)))
     return F2Matrix(m.cols, tuple(out_rows)), len(pivot_cols), pivot_cols
 
 

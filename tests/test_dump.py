@@ -4,10 +4,10 @@ from dataclasses import replace
 
 import pytest
 
-from dump_reference import image_classes, reference_page_dump
+from dump_reference import image_classes, reference_differentials, reference_page_dump
 from etass.adams import run_adams
-from etass.algebra import family_of
-from etass.bockstein import EngineError, run_bockstein
+from etass.algebra import family_monomial
+from etass.bockstein import EMPTY, EngineError, run_bockstein, runs_subtract, runs_union
 from etass.cli import main, write_page_dump
 
 
@@ -63,26 +63,77 @@ def image_class_expansion(page):
     return out
 
 
+def expand_runs(runs):
+    """The differential runs class by class: {source: image classes}."""
+    return {
+        family_monomial(fam, b): [family_monomial(tfam, b + delta) for tfam, delta in targets]
+        for fam, lo, hi, targets in runs
+        for b in range(lo, hi)
+    }
+
+
 @pytest.mark.parametrize("run", [run_bockstein, run_adams])
 def test_differentials_match_image_classes(run):
     pages, einf = run(32, verify="off")
     for page in [*pages, einf]:
         diffs = page.differentials()
-        got = {
-            fam.times_rho(b): [tfam.times_rho(tb) for tfam, tb in targets]
-            for (fam, b), targets in diffs
-        }
-        assert len(got) == len(diffs), page.label
+        got = expand_runs(diffs)
+        assert len(got) == sum(hi - lo for _, lo, hi, _ in diffs), page.label
         assert got == image_class_expansion(page), page.label
         assert page.differentials() is diffs  # computed once per page
+
+
+@pytest.mark.parametrize("run", [run_bockstein, run_adams])
+def test_differential_runs_are_maximal_and_disjoint(run):
+    """No two runs of one family overlap, and none with the same
+    targets touch; the runs hold as many classes as the class-by-class
+    reference has nonzero differentials."""
+    pages, einf = run(64, verify="off")
+    for page in [*pages, einf]:
+        diffs = page.differentials()
+        by_family: dict[int, list] = {}
+        for fam, lo, hi, targets in diffs:
+            assert lo < hi and targets, page.label
+            by_family.setdefault(fam, []).append((lo, hi, targets))
+        for fam, runs in by_family.items():
+            runs.sort(key=lambda run: run[0])
+            for (_, hi, targets), (lo, _, next_targets) in zip(runs, runs[1:]):
+                assert hi <= lo, (page.label, family_monomial(fam))
+                assert hi < lo or targets != next_targets, (page.label, family_monomial(fam))
+        count = sum(hi - lo for _, lo, hi, _ in diffs)
+        assert count == len(reference_differentials(page)), page.label
+
+
+def test_differential_runs_cut_where_any_target_changes():
+    """When the last target tower of a multi-term image loses a class
+    inside the source run (it becomes a zero class), the run is cut
+    there, and the runs still expand to the class-by-class images."""
+    e2 = run_adams(24, verify="off")[0][0]
+    fam, lo, hi, targets = next(
+        run for run in e2.differentials() if len(run[3]) > 1 and run[2] - run[1] > 2
+    )
+    tfam, delta = targets[-1]
+    tmw = family_monomial(tfam).bidegree.mw
+    hole = ((lo + 1 + delta, lo + 2 + delta),)
+    alive = {**e2.alive[tmw], tfam: runs_subtract(e2.alive[tmw][tfam], hole)}
+    zero = {**e2.zero[tmw], tfam: runs_union(e2.zero[tmw].get(tfam, EMPTY), hole)}
+    mutant = replace(e2, alive={**e2.alive, tmw: alive}, zero={**e2.zero, tmw: zero})
+    runs = [run for run in mutant.differentials() if run[0] == fam and lo <= run[1] < hi]
+    assert [(a, b, len(t)) for _, a, b, t in runs] == [
+        (lo, lo + 1, len(targets)),
+        (lo + 1, lo + 2, len(targets) - 1),
+        (lo + 2, hi, len(targets)),
+    ]
+    assert expand_runs(mutant.differentials()) == image_class_expansion(mutant)
 
 
 def drop_target_run(page):
     """A copy of the page whose first differential's target class lies
     in no alive run and no zero run."""
-    _, targets = page.differentials()[0]
-    target, tb = targets[0]
-    tmw, tfam = target.bidegree.mw, family_of(target)
+    _, b, _, targets = page.differentials()[0]
+    tfam, delta = targets[0]
+    target, tb = family_monomial(tfam), b + delta
+    tmw = target.bidegree.mw
     column = dict(page.alive[tmw])
     kept = tuple((lo, hi) for lo, hi in column[tfam] if not lo <= tb < hi)
     if kept:
