@@ -14,6 +14,9 @@ on, the differentials are explicit rho-linear rule lists on single
 tower classes, tabled by packed source family (RuleTable), and the
 transitions run on the shared tower engine, replayed through gf2 like
 the Bockstein ones.  A page-r differential shifts (mw, c) by (-1, r-1).
+Each page holds its differential (Page.differential: the d2 Derivation
+on page 2, a RuleTable from page 3 on), and every page of kind "adams"
+applies the Ext model's ring torsion (algebra.torsion_bound).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .algebra import (
     Bidegree,
     Derivation,
     Monomial,
-    family_min_v,
     family_monomial,
     family_of,
     family_p,
@@ -38,7 +40,6 @@ from .bockstein import (
     DENSE_VERIFY_LIMIT,
     EMPTY,
     Column,
-    Edge,
     EngineError,
     Homology,
     Page,
@@ -60,13 +61,6 @@ from .gf2 import F2Matrix, F2Vector, kernel_basis, quotient_basis, rank  # noqa:
 from .report import Report
 
 
-def _model_zero(fam: int, b: int) -> bool:
-    """The Ext model's torsion: fam * rho^b is zero once b reaches the
-    tower length 2^n - 1 of the family's least v index n."""
-    n = family_min_v(fam)
-    return n is not None and b >= 2 ** n - 1
-
-
 def d2_rule(mw_max: int) -> Derivation:
     """v_n -> v_{n-1}^2 for n >= 3; rho, P and v2 are cycles.  Terms are
     renormalized, so torsion may kill them."""
@@ -85,8 +79,7 @@ def d2_rule(mw_max: int) -> Derivation:
 
 def build_e2(mw_max: int) -> Page:
     """The Ext model armed with the page-2 differential."""
-    page = ext_model_page(mw_max)
-    return replace(page, rule=d2_rule(mw_max), is_model_zero=_model_zero)
+    return replace(ext_model_page(mw_max), differential=d2_rule(mw_max))
 
 
 @dataclass(frozen=True)
@@ -126,11 +119,12 @@ def dr_rule(r: int, mw_max: int) -> list[AdamsDiffRule]:
 
 
 class RuleTable:
-    """A rule page's differential (Page.rule_fn): the AdamsDiffRule of
-    each source family, by packed family, applied to whole towers
-    (family_image)."""
+    """Page r's differential (Page.differential) for r >= 3: the
+    AdamsDiffRule of each source family, by packed family, applied to
+    whole towers (family_image), shifting (mw, c) by (-1, r - 1)."""
 
-    def __init__(self, rules: list[AdamsDiffRule]):
+    def __init__(self, r: int, rules: list[AdamsDiffRule]):
+        self.shift = Bidegree(-1, r - 1)
         self.rules = {family_of(rule.source): rule for rule in rules}
 
     def family_image(self, fam: int) -> tuple[list[tuple[int, int]], int]:
@@ -142,17 +136,6 @@ class RuleTable:
             return [], 0
         src, tgt = rule.source, rule.target
         return [(family_of(tgt), tgt.rho_exp - src.rho_exp)], src.rho_exp
-
-
-def _edges_from_rules(rules: list[AdamsDiffRule]) -> dict[int, dict[int, Edge]]:
-    """The rule table as page edges (target family, rho delta, least
-    source rho exponent), by source column."""
-    table = RuleTable(rules)
-    edges: dict[int, dict[int, Edge]] = {}
-    for fam, rule in table.rules.items():
-        [(tfam, delta)], threshold = table.family_image(fam)
-        edges.setdefault(rule.source.bidegree.mw, {})[fam] = (tfam, delta, threshold)
-    return edges
 
 
 def adams_r_max(mw_max: int) -> int:
@@ -199,18 +182,7 @@ def compute_e3(mw_max: int, e2: Page | None = None) -> Page:
     if e2 is None:
         e2 = build_e2(mw_max)
     alive, zero = _e3_from_e2(e2)
-    return Page(
-        kind="adams",
-        label="adams-E3",
-        r=3,
-        max_mw=e2.max_mw,
-        c_max=e2.c_max,
-        c_internal=e2.c_internal,
-        columns=e2.columns,
-        alive=alive,
-        zero=zero,
-        is_model_zero=_model_zero,
-    )
+    return replace(e2, label="adams-E3", r=3, alive=alive, zero=zero, differential=None)
 
 
 def closed_form_e3(mw_max: int, columns: dict[int, Column] | None = None) -> Page:
@@ -239,16 +211,7 @@ def closed_form_e3(mw_max: int, columns: dict[int, Column] | None = None) -> Pag
                 per[fam] = ((0, 2 ** n - 1),)
         alive[mw] = per
     return Page(
-        kind="adams",
-        label="adams-E3-closed-form",
-        r=0,
-        max_mw=mw_max,
-        c_max=c_max,
-        c_internal=c_max,
-        columns=columns,
-        alive=alive,
-        zero={mw: {} for mw in columns},
-        is_model_zero=_model_zero,
+        kind="adams", label="adams-E3-closed-form", r=0, max_mw=mw_max, columns=columns, alive=alive
     )
 
 
@@ -277,12 +240,8 @@ def closed_form_einfty(mw_max: int, columns: dict[int, Column] | None = None) ->
         label="adams-Einf-closed-form",
         r=0,
         max_mw=mw_max,
-        c_max=c_max,
-        c_internal=c_max,
         columns=columns,
         alive=alive,
-        zero={mw: {} for mw in columns},
-        is_model_zero=_model_zero,
     )
 
 
@@ -296,44 +255,17 @@ def run_adams(
     page.  Returns ([E2, E3, ..., E_rmax], Einf)."""
     if verify == "auto":
         verify = "all" if mw_max <= DENSE_VERIFY_LIMIT else "sample"
-    e2 = build_e2(mw_max)
-    pages = [e2]
-    alive, zero = _e3_from_e2(e2)
-    r_max = adams_r_max(mw_max)
-    last_r = 2
-    for r in range(3, r_max + 1):
-        rules = dr_rule(r, mw_max)
-        page = Page(
-            kind="adams",
-            label=f"adams-E{r}",
-            r=r,
-            max_mw=mw_max,
-            c_max=e2.c_max,
-            c_internal=e2.c_internal,
-            columns=e2.columns,
-            alive=alive,
-            zero=zero,
-            rule_fn=RuleTable(rules),
-            shift_override=Bidegree(-1, r - 1),
-            edges=_edges_from_rules(rules),
-            is_model_zero=_model_zero,
-        )
-        new_alive, new_zero = _advance(page)
-        verify_transition(page, new_alive, new_zero, verify, seed)
+    page = build_e2(mw_max)
+    pages = [page]
+    alive, zero = _e3_from_e2(page)
+    for r in range(3, adams_r_max(mw_max) + 1):
+        table = RuleTable(r, dr_rule(r, mw_max))
+        page = replace(page, label=f"adams-E{r}", r=r, alive=alive, zero=zero, differential=table)
+        alive, zero = _advance(page)
+        verify_transition(page, alive, zero, verify, seed)
         pages.append(page)
-        alive, zero = new_alive, new_zero
-        last_r = r
-    einfty = Page(
-        kind="adams",
-        label="adams-Einf",
-        r=last_r + 1,
-        max_mw=mw_max,
-        c_max=e2.c_max,
-        c_internal=e2.c_internal,
-        columns=e2.columns,
-        alive=alive,
-        zero=zero,
-        is_model_zero=_model_zero,
+    einfty = replace(
+        page, label="adams-Einf", r=page.r + 1, alive=alive, zero=zero, differential=None
     )
     return pages, einfty
 
@@ -550,7 +482,7 @@ def oracle_spot_check(mw_max: int, count: int = 20, seed: int = 0, e3: Page | No
             index = {m: i for i, m in enumerate(targets)}
             rows_bits = [0] * len(targets)
             for j, m in enumerate(sources):
-                for term in leibniz_apply(e2.rule, m):
+                for term in leibniz_apply(e2.differential, m):
                     if normalize(term) is None:  # torsion kills it
                         continue
                     rows_bits[index[term]] ^= 1 << j

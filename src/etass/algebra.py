@@ -269,6 +269,13 @@ def family_monomial(f: int, rho: int = 0) -> Monomial:
     return Monomial(rho, family_p(f), family_v_exps(f))
 
 
+def torsion_bound(f: int) -> int | None:
+    """Length 2^n - 1 of the rho tower on a packed family in the Ext
+    model, n its least v index; None means unbounded."""
+    n = family_min_v(f)
+    return None if n is None else 2 ** n - 1
+
+
 @dataclass(frozen=True, eq=False)
 class NormalMonomial(Monomial):
     """A monomial in shifted normal form.
@@ -372,6 +379,12 @@ class Derivation:
             move = (family_of(img) - P_STEP * q, img.rho_exp)
             object.__setattr__(self, "_packed_p", move)
 
+    def family_image(self, f: int) -> tuple[list[tuple[int, int]], int]:
+        """The differential on the tower of a packed family, in the form
+        of Page.family_image: derivation_image with threshold 0, since
+        rho is a cycle and the P attachment ignores rho."""
+        return derivation_image(self, f), 0
+
 
 def leibniz_apply(d: Derivation, m: Monomial) -> list[Monomial]:
     """Apply the derivation to a monomial by the Leibniz rule.
@@ -454,9 +467,10 @@ def derivation_image(d: Derivation, f: int) -> list[tuple[int, int]]:
     if d.normalize_terms:
         kept = []
         for tf, rho in terms:
-            n = family_min_v(tf)
-            if n is not None and rho >= 2 ** n - 1:
+            t = torsion_bound(tf)
+            if t is not None and rho >= t:
                 continue  # torsion kills it
+            n = family_min_v(tf)
             tp = family_p(tf)
             if n is None and tp:
                 raise NormalizationFailure(f"pure P power P^{tp} is not normal")

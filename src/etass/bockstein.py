@@ -4,9 +4,12 @@ A page stores, for every Milnor-Witt column, the rho-towers that are
 alive: each rho-free monomial (a "family", packed into one int by
 algebra.family_of and enumerated by families()) spans the tower of its
 rho multiples, and the page keeps the interval of rho exponents alive
-plus the interval already hit by earlier differentials.  Differentials on
-these pages send single monomials to single monomials, so each page
-transition decomposes into tower-to-tower blocks whose homology is
+plus the interval already hit by earlier differentials.  A page carries
+one differential (Page.differential): a Leibniz Derivation or an Adams
+rule table (adams.RuleTable), both giving the image of a whole tower
+(family_image).  Differentials on these pages send single monomials to
+single monomials, so each page transition (_advance) decomposes into
+tower-to-tower blocks, derived from family_image, whose homology is
 interval arithmetic.
 
 Every such transition is then replayed per bidegree through gf2
@@ -22,9 +25,10 @@ Bockstein derivation, whose P attachment depends on the v factors only,
 each later Adams rule maps every rho multiple of its source, and the
 Adams d2 drops only the shifted terms that torsion kills, which its
 model reports as zero.  An image term outside the target basis must be
-certified zero by the page's class_status (and the ring torsion of its
-model).  Family images are exponent arithmetic on the packed ints;
-Monomials are built only on the read side and for error messages.  The
+certified zero by the page's class_status (on an Adams page, including
+the Ext model's ring torsion).  Family images are exponent arithmetic
+on the packed ints; Monomials are built only on the read side and for
+error messages.  The
 homology routine of the replay (Homology.at) also computes the Adams
 page-2 to page-3 step, whose images are genuine sums.  Both sweep the
 columns in ascending mw; the routine builds and eliminates each
@@ -43,8 +47,8 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Iterable
 
 from .algebra import (
     MW_LIMIT,
@@ -54,12 +58,12 @@ from .algebra import (
     Bidegree,
     Derivation,
     Monomial,
-    derivation_image,
     family_c0,
     family_min_v,
     family_monomial,
     family_of,
     family_p,
+    torsion_bound,
 )
 from .gf2 import Echelon, F2Matrix, F2Vector, SubspaceNotContained, kernel_basis, quotient_basis
 from .report import Report
@@ -255,7 +259,6 @@ class TorsionTower:
         return self.generator.bidegree.mw
 
 
-Edge = tuple[int, int, int]  # (target family, rho shift, minimal source b)
 # a class on the read side: (rho-free family, rho exponent)
 Class = tuple[Monomial, int]
 # a run of differentials: (family, lo, hi, [(target family, rho delta)])
@@ -268,34 +271,29 @@ class Page:
 
     `alive` holds the surviving rho-intervals per packed family (see
     algebra.family_of), `zero` the intervals already hit (known-zero
-    classes).  `rule` is the differential acting on this page (None once
-    the sequence has collapsed); `edges` is its family-level form used
-    for matrices.  The read side (basis_at, classes, towers, status)
-    speaks Monomials: it gives a class as a (rho-free family, rho
-    exponent) pair and builds one Monomial per family it reads, none per
-    class.  differentials and column_towers give packed families and
-    rho intervals, one entry per run of classes, for the dump writer
-    and the charts.
+    classes).  `differential` acts on this page (None once the sequence
+    has collapsed): a Leibniz Derivation or an Adams RuleTable, both
+    answering `shift` and `family_image`; the tower transition
+    (_advance) and the gf2 replay both read it through family_image.
+    On an "adams" page the Ext model's ring torsion holds as well: a
+    class past its family's torsion_bound is zero.  The Chow truncation
+    c_max follows from max_mw.  The read side (basis_at, classes,
+    towers, status) speaks Monomials: it gives a class as a (rho-free
+    family, rho exponent) pair and builds one Monomial per family it
+    reads, none per class.  differentials and column_towers give packed
+    families and rho intervals, one entry per run of classes, for the
+    dump writer and the charts.
     """
 
     kind: str
     label: str
     r: int
     max_mw: int
-    c_max: int
-    c_internal: int
     columns: dict[int, Column]
     alive: dict[int, dict[int, Runs]]
-    zero: dict[int, dict[int, Runs]]
-    rule: Derivation | None = None
-    edges: dict[int, dict[int, Edge]] = field(default_factory=dict)
-    # differential given as a rule table instead of a derivation (the
-    # later Adams pages): family_image answers for whole towers
-    rule_fn: RuleTable | None = None
-    shift_override: Bidegree | None = None
-    # ring-level torsion of the underlying model: a class (family, rho
-    # exponent) it reports as zero is the zero element, not a class
-    is_model_zero: Callable[[int, int], bool] | None = None
+    zero: dict[int, dict[int, Runs]] = field(default_factory=dict)
+    differential: Derivation | RuleTable | None = None
+    c_max: int = field(init=False)
     # caches; init=False so that dataclasses.replace starts them afresh
     _alive_sorted: dict[int, list[tuple[int, int, Runs]]] = field(
         default_factory=dict, init=False, repr=False
@@ -307,6 +305,14 @@ class Page:
     _differentials: list[DiffRun] | None = field(
         default=None, init=False, repr=False
     )
+
+    def __post_init__(self):
+        self.c_max = c_max_for(self.max_mw)
+
+    @property
+    def c_internal(self) -> int:
+        """An alias of c_max, read by perfbench/tracer.py."""
+        return self.c_max
 
     # -- basis ----------------------------------------------------------
     def alive_runs(self, mw: int, fam: int) -> Runs:
@@ -382,8 +388,10 @@ class Page:
             return "alive"
         if runs_contain(self.zero.get(mw, {}).get(fam, EMPTY), b):
             return "zero"
-        if self.is_model_zero is not None and self.is_model_zero(fam, b):
-            return "zero"
+        if self.kind == "adams":
+            t = torsion_bound(fam)
+            if t is not None and b >= t:
+                return "zero"
         return "absent"
 
     # -- differential ----------------------------------------------------
@@ -399,22 +407,14 @@ class Page:
         entry off its rule.  A derivation that renormalizes its terms
         (page 2 of the Adams side) is applied to the rho-free family,
         where the torsion bound drops nothing; a shifted term that
-        torsion kills is one the model reports as zero (is_model_zero),
-        so callers must check every term outside the target basis
-        against class_status.
+        torsion kills is one the Ext model makes zero (class_status on
+        an "adams" page), so callers must check every term outside the
+        target basis against class_status.
         """
-        if self.rule is not None:
-            return derivation_image(self.rule, fam), 0
-        if self.rule_fn is not None:
-            return self.rule_fn.family_image(fam)
-        return [], 0
+        return ([], 0) if self.differential is None else self.differential.family_image(fam)
 
     def diff_shift(self) -> Bidegree:
-        if self.rule is not None:
-            return self.rule.shift
-        if self.shift_override is not None:
-            return self.shift_override
-        return Bidegree(-1, 0)
+        return Bidegree(-1, 0) if self.differential is None else self.differential.shift
 
     def differentials(self) -> list[DiffRun]:
         """All nonzero differentials on this page inside the reporting
@@ -484,7 +484,7 @@ class Page:
         in column order: the tower of fam * rho^b for lo <= b < hi,
         truncated when the Chow truncation rather than torsion cut it."""
         return [
-            (fam, lo, hi, hi > self.c_internal - c0)
+            (fam, lo, hi, hi > self.c_max - c0)
             for fam, c0, runs in self._column_alive(mw)
             for lo, hi in runs
         ]
@@ -544,52 +544,50 @@ def bockstein_rule(n: int) -> Derivation:
     )
 
 
-def _edges_from_rule(
-    alive: dict[int, dict[int, Runs]], rule: Derivation
-) -> dict[int, dict[int, Edge]]:
-    """Family-level form of a single-monomial derivation on the alive
-    families, with injectivity of family images checked per target
-    column (a packed family determines its column)."""
-    edges: dict[int, dict[int, Edge]] = {}
-    back: dict[int, int] = {}
-    name = family_monomial
-    p_only = rule.p_rule is not None and not rule.v_rules
-    for mw in sorted(alive):
-        for fam in alive[mw]:
-            if p_only and not family_p(fam):
-                continue
-            img = derivation_image(rule, fam)
-            if not img:
-                continue
-            if len(img) != 1:
-                raise EngineError(f"family image of {name(fam)} is not a single monomial")
-            ((tfam, rho),) = img
-            if rho < rule.r:
-                raise EngineError(f"family image {name(tfam, rho)} has rho exponent below r")
-            if tfam in back:
-                raise EngineError(
-                    f"families {name(back[tfam])} and {name(fam)} share image {name(tfam)}"
-                )
-            back[tfam] = fam
-            edges.setdefault(mw, {})[fam] = (tfam, rho, 0)
-    return edges
-
-
 # ---------------------------------------------------------------------------
 # page transitions
 
 def _advance(page: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[int, Runs]]]:
     """Homology of the page differential, tower by tower.
 
-    Each family maps to at most one family and receives from at most
-    one, so every bidegree's matrix is a direct sum of 1x1 blocks and
-    the surviving classes form interval complements.  The per-bidegree
-    claim is re-derived through gf2 by verify_transition afterwards.
+    The edges are the page's family images (Page.family_image) on its
+    alive families.  Each family must map to at most one family and
+    receive from at most one, else EngineError, so that every
+    bidegree's matrix is a direct sum of 1x1 blocks and the surviving
+    classes form interval complements.  The per-bidegree claim is
+    re-derived through gf2 by verify_transition afterwards.  A
+    Bockstein page-r differential must raise the rho exponent by r at
+    least; derivation_image adds exactly the rule images' rho exponents,
+    so that is checked once on the derivation.
     """
-    incoming: dict[int, dict[int, tuple[int, int, int]]] = {}
-    for mw, per in page.edges.items():
-        for fam, (tfam, delta, min_b) in per.items():
-            incoming.setdefault(mw - 1, {})[tfam] = (fam, delta, min_b)
+    d = page.differential
+    if page.kind == "bockstein" and d is not None:
+        images = [t for terms in d.v_rules.values() for t in terms]
+        if d.p_rule is not None:
+            images.append(d.p_rule[1])
+        low = [m for m in images if m.rho_exp < d.r]
+        if low:
+            raise EngineError(f"rule image {low[0]} has rho exponent below r = {d.r}")
+    shift = page.diff_shift().mw
+    edges: dict[int, tuple[int, int, int]] = {}  # fam -> (target, rho delta, threshold)
+    incoming: dict[int, tuple[int, int, int]] = {}  # target -> (fam, rho delta, threshold)
+    name = family_monomial
+    # d.family_image is Page.family_image less its None check, which
+    # costs as much as the image itself on most families
+    for per in (page.alive if d is not None else {}).values():
+        for fam in per:
+            terms, threshold = d.family_image(fam)
+            if not terms:
+                continue
+            if len(terms) != 1:
+                raise EngineError(f"family image of {name(fam)} is not a single monomial")
+            ((tfam, delta),) = terms
+            if tfam in incoming:
+                raise EngineError(
+                    f"families {name(incoming[tfam][0])} and {name(fam)} share image {name(tfam)}"
+                )
+            edges[fam] = (tfam, delta, threshold)
+            incoming[tfam] = (fam, delta, threshold)
 
     new_alive: dict[int, dict[int, Runs]] = {}
     new_zero: dict[int, dict[int, Runs]] = {}
@@ -597,17 +595,15 @@ def _advance(page: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[int
         na: dict[int, Runs] = {}
         zero = page.zero.get(mw, {})
         nz = None  # zero, copied at the column's first hit
-        out_edges = page.edges.get(mw, {})
-        in_edges = incoming.get(mw, {})
         for fam, runs in per_fam.items():
-            edge = out_edges.get(fam)
-            inc = in_edges.get(fam)
+            edge = edges.get(fam)
+            inc = incoming.get(fam)
             if edge is None and inc is None:
                 na[fam] = runs
                 continue
             if edge is not None:
                 tfam, delta, min_b = edge
-                target_alive = page.alive_runs(mw - 1, tfam)
+                target_alive = page.alive_runs(mw + shift, tfam)
                 nonzero_domain = runs_intersect(
                     runs_shift(target_alive, -delta),
                     ((min_b, runs[-1][1]),) if runs else EMPTY,
@@ -617,7 +613,7 @@ def _advance(page: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[int
                 kernel = runs
             if inc is not None:
                 sfam, sdelta, smin = inc
-                src_alive = page.alive_runs(mw + 1, sfam)
+                src_alive = page.alive_runs(mw - shift, sfam)
                 src_alive = runs_intersect(
                     src_alive, ((smin, src_alive[-1][1]),) if src_alive else EMPTY
                 )
@@ -917,14 +913,14 @@ class _Replay(Homology):
 
 
 def dense_bidegrees(page: Page, mw: int) -> list[int]:
-    """Every Chow degree c <= c_internal at which column mw has a class."""
+    """Every Chow degree c <= c_max at which column mw has a class."""
     if mw not in page.columns:
         return []
     cs: set[int] = set()
     for fam, runs in page.alive.get(mw, {}).items():
         c0 = family_c0(fam)
         for lo, hi in runs:
-            cs.update(range(c0 + lo, min(c0 + hi, page.c_internal + 1)))
+            cs.update(range(c0 + lo, min(c0 + hi, page.c_max + 1)))
     return sorted(cs)
 
 
@@ -961,9 +957,9 @@ def verify_transition(
             c0 = family_c0(fam)
             for lo, hi in per[fam]:
                 pool.add(c0 + lo)
-                pool.add(min(c0 + hi - 1, page.c_internal))
-                pool.add(min(c0 + hi, page.c_internal))
-                pool.add((c0 + lo + min(c0 + hi, page.c_internal)) // 2)
+                pool.add(min(c0 + hi - 1, page.c_max))
+                pool.add(min(c0 + hi, page.c_max))
+                pool.add((c0 + lo + min(c0 + hi, page.c_max)) // 2)
         dims = {d: page.dims_column(mw + d) for d in (-1, 0, 1)}
         pool = {
             c
@@ -973,7 +969,7 @@ def verify_transition(
             <= SAMPLE_DIM_CAP
         }
         cs = rng.sample(sorted(pool), min(len(pool), SAMPLES_PER_COLUMN))
-        return sorted(c for c in cs if 0 <= c <= page.c_internal)
+        return sorted(c for c in cs if 0 <= c <= page.c_max)
 
     replay = _Replay(page, new_alive, new_zero)
     count = 0
@@ -987,14 +983,14 @@ def verify_transition(
 # ---------------------------------------------------------------------------
 # the Bockstein run
 
-def _full_runs(columns: dict[int, Column], c_internal: int) -> dict[int, dict[int, Runs]]:
+def _full_runs(columns: dict[int, Column], c_max: int) -> dict[int, dict[int, Runs]]:
     alive: dict[int, dict[int, Runs]] = {}
-    full = [((0, c_internal - c0 + 1),) for c0 in range(c_internal + 1)]  # shared
+    full = [((0, c_max - c0 + 1),) for c0 in range(c_max + 1)]  # shared
     for mw, col in columns.items():
         per = alive[mw] = {}
         for fam in col.fams:
             c0 = family_c0(fam)
-            if c0 <= c_internal:
+            if c0 <= c_max:
                 per[fam] = full[c0]
     return alive
 
@@ -1004,18 +1000,10 @@ def build_e1(mw_max: int) -> Page:
     zero differential."""
     if mw_max < 0:
         raise ValueError("mw_max >= 0")
-    c_max = c_max_for(mw_max)
     columns = enumerate_families(mw_max)
+    alive = _full_runs(columns, c_max_for(mw_max))
     return Page(
-        kind="bockstein",
-        label="bockstein-E1",
-        r=1,
-        max_mw=mw_max,
-        c_max=c_max,
-        c_internal=c_max,
-        columns=columns,
-        alive=_full_runs(columns, c_max),
-        zero={mw: {} for mw in columns},
+        kind="bockstein", label="bockstein-E1", r=1, max_mw=mw_max, columns=columns, alive=alive
     )
 
 
@@ -1043,42 +1031,19 @@ def run_bockstein(
     """
     if verify == "auto":
         verify = "all" if mw_max <= DENSE_VERIFY_LIMIT else "sample"
-    e1 = build_e1(mw_max)
-    columns = e1.columns
-    alive, zero = e1.alive, e1.zero
+    page = build_e1(mw_max)
+    alive, zero = page.alive, page.zero
     pages: list[Page] = []
-    last_r = 1
     for r in bockstein_page_indices(mw_max):
-        n = r.bit_length()  # r = 2^n - 1
-        rule = bockstein_rule(n)
-        page = Page(
-            kind="bockstein",
-            label=f"bockstein-E{r}",
-            r=r,
-            max_mw=mw_max,
-            c_max=e1.c_max,
-            c_internal=e1.c_internal,
-            columns=columns,
-            alive=alive,
-            zero=zero,
-            rule=rule,
-            edges=_edges_from_rule(alive, rule),
+        rule = bockstein_rule(r.bit_length())  # r = 2^n - 1
+        page = replace(
+            page, label=f"bockstein-E{r}", r=r, alive=alive, zero=zero, differential=rule
         )
-        new_alive, new_zero = _advance(page)
-        verify_transition(page, new_alive, new_zero, verify, seed)
+        alive, zero = _advance(page)
+        verify_transition(page, alive, zero, verify, seed)
         pages.append(page)
-        alive, zero = new_alive, new_zero
-        last_r = r
-    einfty = Page(
-        kind="bockstein",
-        label="bockstein-Einf",
-        r=last_r + 1,
-        max_mw=mw_max,
-        c_max=e1.c_max,
-        c_internal=e1.c_internal,
-        columns=columns,
-        alive=alive,
-        zero=zero,
+    einfty = replace(
+        page, label="bockstein-Einf", r=page.r + 1, alive=alive, zero=zero, differential=None
     )
     return pages, einfty
 
@@ -1113,11 +1078,8 @@ def closed_form_einfty(mw_max: int, columns: dict[int, Column] | None = None) ->
         label="bockstein-Einf-closed-form",
         r=0,
         max_mw=mw_max,
-        c_max=c_max,
-        c_internal=c_max,
         columns=columns,
         alive=alive,
-        zero={mw: {} for mw in columns},
     )
 
 

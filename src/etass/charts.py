@@ -1,14 +1,25 @@
-"""Chart rendering: Milnor-Witt degree horizontal, Chow degree vertical.
+"""Chart rendering and the page dump schema.
 
-Dots mark classes, vertical segments join consecutive rho multiples,
-and a page-r differential is drawn from (mw, c) to (mw-1, c+r-1), i.e.
-with slope -(r-1).  Tower-bottom generators carry their monomial
-labels.  Truncation-unbounded towers end in an upward arrow.
+Charts put the Milnor-Witt degree horizontal and the Chow degree
+vertical.  Dots mark classes, vertical segments join consecutive rho
+multiples, and a page-r differential is drawn from (mw, c) to
+(mw-1, c+r-1), i.e. with slope -(r-1).  Tower-bottom generators carry
+their monomial labels.  Truncation-unbounded towers end in an upward
+arrow.
+
+Page dumps (write_page_dump, and render's 'json') use one fixed JSON
+shape:
+
+    {"page": r, "kind": "bockstein"|"adams", "max_mw": N,
+     "classes": [{"mw", "c", "label", "rho_exp", "p_exp", "v_exps"}],
+     "differentials": [{"r", "source_label", "target_labels"}],
+     "towers": [{"generator_label", "length"} | {"generator_label", "infinite"}]}
 """
 
 from __future__ import annotations
 
 import io
+import json
 
 from .algebra import family_c0, family_monomial
 from .bockstein import Page
@@ -21,10 +32,8 @@ class UnsupportedFormat(Exception):
 
 
 def render(page: Page, fmt: str, mw_hi: int | None = None, c_hi: int | None = None) -> str:
-    """Render a page as 'svg', 'ascii' or 'json' (the cli dump schema)."""
+    """Render a page as 'svg', 'ascii' or 'json' (the dump schema)."""
     if fmt == "json":
-        from .cli import write_page_dump
-
         buf = io.StringIO()
         write_page_dump(page, buf)
         return buf.getvalue()
@@ -41,6 +50,102 @@ def render(page: Page, fmt: str, mw_hi: int | None = None, c_hi: int | None = No
     if fmt == "svg":
         return _render_svg(page, towers, mw_hi, c_hi)
     return _render_ascii(page, towers, mw_hi, c_hi)
+
+
+def write_page_dump(page: Page, out) -> None:
+    """Write a page in the fixed dump schema to a text stream.
+
+    The text is byte for byte what json.dumps of the schema's dict with
+    indent=2 gives, but it is written one column of classes, one run of
+    differentials or one column of towers at a time, so memory does not
+    grow with the size of the document.  Each family's encoded label
+    and its constant fields are formatted once per page; a class label
+    is its family's label behind the rho power.
+    """
+    enc = json.encoder.encode_basestring_ascii
+    fams: dict[int, tuple[str, str, str]] = {}
+
+    def family(fam: int) -> tuple[str, str, str]:
+        """A family's encoded label without quotes, the part of a class
+        label after its rho power, and the class entry's tail."""
+        entry = fams.get(fam)
+        if entry is None:
+            m = family_monomial(fam)
+            if m.v_exps:
+                v_exps = "{\n" + ",\n".join(
+                    f"        {enc(str(n))}: {a}" for n, a in m.v_exps
+                ) + "\n      }"
+            else:
+                v_exps = "{}"
+            tail = f',\n      "p_exp": {m.p_exp},\n      "v_exps": {v_exps}\n    }}'
+            text = enc(str(m))[1:-1]
+            entry = fams[fam] = (text, "" if text == "1" else f" {text}", tail)
+        return entry
+
+    def labels(fam: int, lo: int, hi: int) -> list[str]:
+        """The quoted labels of fam * rho^b for lo <= b < hi."""
+        text, rest, _ = family(fam)
+        low = [f'"{text}"', f'"rho{rest}"'][lo:hi]
+        return low + [f'"rho^{b}{rest}"' for b in range(max(lo, 2), hi)]
+
+    def write_list(key: str, chunks, last: bool = False) -> None:
+        out.write(f'  "{key}": ')
+        sep = "[\n"
+        for chunk in chunks:
+            out.write(sep)
+            out.write(chunk)
+            sep = ",\n"
+        out.write("[]" if sep == "[\n" else "\n  ]")
+        out.write("\n" if last else ",\n")
+
+    def classes():
+        for mw, column in page.window_columns():
+            head = f'    {{\n      "mw": {mw},\n      "c": '
+            rows = []  # per position: labels from rho^lo on, lo, c0, tail
+            for fam, c0, runs in column:
+                lo, hi = runs[0][0], min(runs[-1][1], page.c_max - c0 + 1)
+                rows.append((labels(fam, lo, hi), lo, c0, family(fam)[2]))
+            entries = []
+            for c, positions in page.column_classes(mw):
+                for pos in positions:
+                    names, lo, c0, tail = rows[pos]
+                    b = c - c0
+                    entries.append(
+                        f'{head}{c},\n      "label": {names[b - lo]},\n      "rho_exp": {b}{tail}'
+                    )
+            if entries:
+                yield ",\n".join(entries)
+
+    def differentials():
+        head = f'    {{\n      "r": {page.r},\n      "source_label": '
+        sep = ",\n        "
+        for fam, lo, hi, targets in page.differentials():
+            images = [labels(tfam, lo + delta, hi + delta) for tfam, delta in targets]
+            yield ",\n".join(
+                f'{head}{src},\n      "target_labels": [\n        {sep.join(tgts)}\n      ]\n    }}'
+                for src, *tgts in zip(labels(fam, lo, hi), *images)
+            )
+
+    def towers():
+        for mw, _ in page.window_columns():
+            entries = []
+            for fam, lo, hi, truncated in page.column_towers(mw):
+                extent = '"infinite": true' if truncated else f'"length": {hi - lo}'
+                entries.append(
+                    f'    {{\n      "generator_label": {labels(fam, lo, lo + 1)[0]},\n'
+                    f'      {extent}\n    }}'
+                )
+            if entries:
+                yield ",\n".join(entries)
+
+    out.write(
+        f'{{\n  "page": {page.r},\n  "kind": {enc(page.kind)},\n'
+        f'  "max_mw": {page.max_mw},\n'
+    )
+    write_list("classes", classes())
+    write_list("differentials", differentials())
+    write_list("towers", towers(), last=True)
+    out.write("}")
 
 
 def _window_towers(page: Page, mw_hi: int | None, c_hi: int | None):

@@ -1,14 +1,7 @@
-"""Command-line driver and the serialization schema.
-
-Page dumps use one fixed JSON shape:
-
-    {"page": r, "kind": "bockstein"|"adams", "max_mw": N,
-     "classes": [{"mw", "c", "label", "rho_exp", "p_exp", "v_exps"}],
-     "differentials": [{"r", "source_label", "target_labels"}],
-     "towers": [{"generator_label", "length"} | {"generator_label", "infinite"}]}
+"""Command-line driver.
 
 Runs are deterministic, so identical invocations produce byte-identical
-output.
+output; page dumps use the fixed schema of charts.write_page_dump.
 """
 
 from __future__ import annotations
@@ -25,107 +18,11 @@ from . import brackets as bracket_mod
 from . import charts as charts_mod
 from . import ext as ext_mod
 from . import homotopy as homotopy_mod
-from .algebra import MW_LIMIT, family_monomial
+from .algebra import MW_LIMIT
 from .homotopy import two_adic_valuation
 from .report import Report
 
 DEFAULT_MW = 64
-
-
-def write_page_dump(page: bock_mod.Page, out) -> None:
-    """Write a page in the fixed dump schema to a text stream.
-
-    The text is byte for byte what json.dumps of the schema's dict with
-    indent=2 gives, but it is written one column of classes, one run of
-    differentials or one column of towers at a time, so memory does not
-    grow with the size of the document.  Each family's encoded label
-    and its constant fields are formatted once per page; a class label
-    is its family's label behind the rho power.
-    """
-    enc = json.encoder.encode_basestring_ascii
-    fams: dict[int, tuple[str, str, str]] = {}
-
-    def family(fam: int) -> tuple[str, str, str]:
-        """A family's encoded label without quotes, the part of a class
-        label after its rho power, and the class entry's tail."""
-        entry = fams.get(fam)
-        if entry is None:
-            m = family_monomial(fam)
-            if m.v_exps:
-                v_exps = "{\n" + ",\n".join(
-                    f"        {enc(str(n))}: {a}" for n, a in m.v_exps
-                ) + "\n      }"
-            else:
-                v_exps = "{}"
-            tail = f',\n      "p_exp": {m.p_exp},\n      "v_exps": {v_exps}\n    }}'
-            text = enc(str(m))[1:-1]
-            entry = fams[fam] = (text, "" if text == "1" else f" {text}", tail)
-        return entry
-
-    def labels(fam: int, lo: int, hi: int) -> list[str]:
-        """The quoted labels of fam * rho^b for lo <= b < hi."""
-        text, rest, _ = family(fam)
-        low = [f'"{text}"', f'"rho{rest}"'][lo:hi]
-        return low + [f'"rho^{b}{rest}"' for b in range(max(lo, 2), hi)]
-
-    def write_list(key: str, chunks, last: bool = False) -> None:
-        out.write(f'  "{key}": ')
-        sep = "[\n"
-        for chunk in chunks:
-            out.write(sep)
-            out.write(chunk)
-            sep = ",\n"
-        out.write("[]" if sep == "[\n" else "\n  ]")
-        out.write("\n" if last else ",\n")
-
-    def classes():
-        for mw, column in page.window_columns():
-            head = f'    {{\n      "mw": {mw},\n      "c": '
-            rows = []  # per position: labels from rho^lo on, lo, c0, tail
-            for fam, c0, runs in column:
-                lo, hi = runs[0][0], min(runs[-1][1], page.c_max - c0 + 1)
-                rows.append((labels(fam, lo, hi), lo, c0, family(fam)[2]))
-            entries = []
-            for c, positions in page.column_classes(mw):
-                for pos in positions:
-                    names, lo, c0, tail = rows[pos]
-                    b = c - c0
-                    entries.append(
-                        f'{head}{c},\n      "label": {names[b - lo]},\n      "rho_exp": {b}{tail}'
-                    )
-            if entries:
-                yield ",\n".join(entries)
-
-    def differentials():
-        head = f'    {{\n      "r": {page.r},\n      "source_label": '
-        sep = ",\n        "
-        for fam, lo, hi, targets in page.differentials():
-            images = [labels(tfam, lo + delta, hi + delta) for tfam, delta in targets]
-            yield ",\n".join(
-                f'{head}{src},\n      "target_labels": [\n        {sep.join(tgts)}\n      ]\n    }}'
-                for src, *tgts in zip(labels(fam, lo, hi), *images)
-            )
-
-    def towers():
-        for mw, _ in page.window_columns():
-            entries = []
-            for fam, lo, hi, truncated in page.column_towers(mw):
-                extent = '"infinite": true' if truncated else f'"length": {hi - lo}'
-                entries.append(
-                    f'    {{\n      "generator_label": {labels(fam, lo, lo + 1)[0]},\n'
-                    f'      {extent}\n    }}'
-                )
-            if entries:
-                yield ",\n".join(entries)
-
-    out.write(
-        f'{{\n  "page": {page.r},\n  "kind": {enc(page.kind)},\n'
-        f'  "max_mw": {page.max_mw},\n'
-    )
-    write_list("classes", classes())
-    write_list("differentials", differentials())
-    write_list("towers", towers(), last=True)
-    out.write("}")
 
 
 class Session:
@@ -264,7 +161,7 @@ def _dump_pages(pages, einf, directory: str) -> None:
     for page in list(pages) + [einf]:
         path = out / f"{page.label}.json"
         with path.open("w", encoding="utf-8") as fh:
-            write_page_dump(page, fh)
+            charts_mod.write_page_dump(page, fh)
         print(f"wrote {path}")
 
 

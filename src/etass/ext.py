@@ -21,11 +21,11 @@ from .algebra import (
     Monomial,
     NormalMonomial,
     family_c0,
-    family_min_v,
     family_monomial,
     family_v_exps,
     normalize,
     multiply,
+    torsion_bound,
 )
 from .bockstein import (
     Column,
@@ -36,12 +36,6 @@ from .bockstein import (
     families,
 )
 from .report import Report
-
-
-def torsion_bound(fam: int) -> int | None:
-    """Length of the rho tower on a packed family; None means unbounded."""
-    n = family_min_v(fam)
-    return None if n is None else 2 ** n - 1
 
 
 def enumerate_ext_families(mw_max: int) -> dict[int, Column]:
@@ -72,8 +66,6 @@ def ext_model_page(mw_max: int) -> Page:
         label="adams-E2",
         r=2,
         max_mw=mw_max,
-        c_max=c_max,
-        c_internal=c_max,
         columns=columns,
         alive=alive,
         zero={mw: {} for mw in columns},

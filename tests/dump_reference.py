@@ -1,6 +1,6 @@
 """The page dump schema built as a dict, class by class from monomials.
 
-This is the reference the streamed writer (etass.cli.write_page_dump)
+This is the reference the streamed writer (etass.charts.write_page_dump)
 is compared against: `json.dumps(reference_page_dump(page), indent=2)`
 is the dump's exact text.  Classes come from Page.basis_at, images from
 image_classes below and towers from Page.towers, so none of it shares
@@ -9,7 +9,8 @@ the writer's integer read path.
 
 from __future__ import annotations
 
-from etass.algebra import family_monomial, family_of, leibniz_apply
+from etass.adams import RuleTable
+from etass.algebra import Derivation, family_monomial, family_of, leibniz_apply
 from etass.bockstein import EngineError
 
 
@@ -27,10 +28,11 @@ def apply_rule_table(table, m):
 def apply_rule(page, m):
     """The page differential on one class, as the derivation or rule
     table gives it, without the family-level shortcut."""
-    if page.rule_fn is not None:
-        return apply_rule_table(page.rule_fn, m)
-    if page.rule is not None:
-        return leibniz_apply(page.rule, m)
+    d = page.differential
+    if isinstance(d, RuleTable):
+        return apply_rule_table(d, m)
+    if isinstance(d, Derivation):
+        return leibniz_apply(d, m)
     return []
 
 
@@ -60,7 +62,7 @@ def reference_classes(page):
 def reference_differentials(page):
     """(source, image classes) per nonzero differential, expanded class
     by class in column, family and rho order."""
-    if page.rule is None and page.rule_fn is None:
+    if page.differential is None:
         return []
     out = []
     for mw in sorted(page.alive):

@@ -24,7 +24,7 @@ def reference_e3_from_e2(e2):
         cs: set[int] = set()
         for fam, c0, runs in e2._column_alive(mw):
             for lo, hi in runs:
-                cs.update(range(c0 + lo, min(c0 + hi, e2.c_internal + 1)))
+                cs.update(range(c0 + lo, min(c0 + hi, e2.c_max + 1)))
         return sorted(cs)
 
     def expand_bits(m: Monomial, index) -> int:

@@ -21,12 +21,12 @@ KINDS = ("drop-survivor", "add-dying", "drop-newly-hit")
 
 
 def eligible_bidegrees(page) -> list[tuple[int, int]]:
-    """Every bidegree of the page that carries a class, c <= c_internal."""
+    """Every bidegree of the page that carries a class, c <= c_max."""
     out = set()
     for mw in page.alive:
         for fam, c0, runs in page._column_alive(mw):
             for lo, hi in runs:
-                out.update((mw, c) for c in range(c0 + lo, min(c0 + hi, page.c_internal + 1)))
+                out.update((mw, c) for c in range(c0 + lo, min(c0 + hi, page.c_max + 1)))
     return sorted(out)
 
 

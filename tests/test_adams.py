@@ -3,12 +3,11 @@ from dataclasses import replace
 import pytest
 
 from etass import bockstein
-from etass.algebra import Bidegree, Monomial, family_monomial, family_of, leibniz_apply
+from etass.algebra import Monomial, family_monomial, family_of, leibniz_apply
 from etass.adams import (
     AdamsDiffRule,
     RuleTable,
     _e3_from_e2,
-    _edges_from_rules,
     adams_r_max,
     build_e2,
     check_e3_products,
@@ -195,7 +194,7 @@ def test_e2_page_status():
 
 def test_replay_catches_corrupted_transitions(monkeypatch):
     pages, _ = run_adams(24, verify="off")
-    assert pages[1].label == "adams-E3" and pages[1].rule_fn is not None
+    assert pages[1].label == "adams-E3" and isinstance(pages[1].differential, RuleTable)
     check_mutations_caught(pages[1], monkeypatch)
 
 
@@ -205,8 +204,8 @@ def test_rule_table_family_image_is_rho_linear():
     threshold."""
     e2 = build_e2(32)
     for r in range(3, adams_r_max(32) + 1):
-        table = RuleTable(dr_rule(r, 32))
-        page = replace(e2, rule=None, rule_fn=table, shift_override=Bidegree(-1, r - 1))
+        table = RuleTable(r, dr_rule(r, 32))
+        page = replace(e2, differential=table)
         below = moved = 0
         for mw in page.alive:
             for fam, _, runs in page._column_alive(mw):
@@ -228,14 +227,7 @@ def test_replay_keeps_classes_below_rule_threshold():
     rule's threshold rho^7: those classes are cycles, and the replay
     must not map them onto the target tower."""
     rules = dr_rule(3, 24)
-    page = replace(
-        build_e2(24),
-        r=3,
-        rule=None,
-        rule_fn=RuleTable(rules),
-        shift_override=Bidegree(-1, 2),
-        edges=_edges_from_rules(rules),
-    )
+    page = replace(build_e2(24), r=3, differential=RuleTable(3, rules))
     v4 = family_of(mono(v4=1))
     assert [rule.source for rule in rules] == [mono(rho=7, v4=1)]
     assert page.alive[15][v4][0][0] == 0
@@ -243,6 +235,18 @@ def test_replay_keeps_classes_below_rule_threshold():
     assert verify_transition(page, new_alive, new_zero, "all") > 0
     assert all(runs_contain(new_alive[15][v4], b) for b in range(7))
     assert not runs_contain(new_alive[15][v4], 7)
+
+
+def test_tower_shortcut_rejects_shared_rule_image():
+    """Two source families with one target family would make a 2x1
+    block: rho^3 v2^5 -> P^2 v2^2 next to the page-3 rule
+    rho^7 v4 -> P^2 v2^2."""
+    rules = dr_rule(3, 24)
+    assert [rule.target for rule in rules] == [mono(p=2, v2=2)]
+    extra = AdamsDiffRule(3, mono(rho=3, v2=5), mono(p=2, v2=2))
+    page = replace(build_e2(24), r=3, differential=RuleTable(3, [*rules, extra]))
+    with pytest.raises(EngineError, match="share image"):
+        _advance(page)
 
 
 @pytest.mark.parametrize("mw", [*range(41), 64])

@@ -1,9 +1,18 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from etass.adams import _model_zero, build_e2, d2_rule
-from etass.algebra import Bidegree, Derivation, MissingRule, Monomial, family_monomial, leibniz_apply
+from etass.adams import build_e2, d2_rule
+from etass.algebra import (
+    Bidegree,
+    Derivation,
+    MissingRule,
+    Monomial,
+    family_monomial,
+    leibniz_apply,
+    torsion_bound,
+)
 from etass.bockstein import (
     EMPTY,
     EngineError,
@@ -107,8 +116,6 @@ def test_intermediate_pages_are_identity(run32):
         label="identity-step",
         r=page.r - 1,
         max_mw=page.max_mw,
-        c_max=page.c_max,
-        c_internal=page.c_internal,
         columns=page.columns,
         alive=page.alive,
         zero=page.zero,
@@ -116,6 +123,42 @@ def test_intermediate_pages_are_identity(run32):
     new_alive, new_zero = _advance(silent)
     assert new_alive == page.alive
     assert new_zero == page.zero
+
+
+def shortcut_derivation(**kw):
+    """P -> rho^5 v2 and v3 -> rho v2^2, v2 a cycle."""
+    return Derivation(
+        r=1,
+        shift=Bidegree(-1, 2),
+        v_rules={3: (mono(rho=1, v2=2),)},
+        v_cycles=frozenset({2}),
+        p_rule=(1, mono(rho=5, v2=1)),
+        **kw,
+    )
+
+
+def test_tower_shortcut_rejects_multi_term_image():
+    """The tower transition needs single-term family images: P v3 maps
+    to rho^5 v2 v3 + rho P v2^2.  P stays attached to the v2 families,
+    so no two families share an image first."""
+    d = shortcut_derivation(p_attach_min=3)
+    with pytest.raises(EngineError, match="not a single monomial"):
+        _advance(replace(build_e1(10), differential=d))
+
+
+def test_tower_shortcut_rejects_shared_image():
+    """Two families with one image family would make a 2x1 block: P v2
+    and v3 both map to the v2^2 tower."""
+    with pytest.raises(EngineError, match="share image"):
+        _advance(replace(build_e1(8), differential=shortcut_derivation()))
+
+
+def test_tower_shortcut_rejects_bockstein_image_below_rho_r():
+    """A Bockstein page-r image carries rho^r at least: the page-3 rule
+    P -> rho^3 v2 falls short on page 7."""
+    d = replace(bockstein_rule(2), r=7)
+    with pytest.raises(EngineError, match="below r"):
+        _advance(replace(build_e1(8), r=7, differential=d))
 
 
 def test_closed_form_tower_degrees():
@@ -345,13 +388,20 @@ def test_sampler_picks_are_pinned(monkeypatch):
     assert [c for mw, c in picks if mw == 23] == [5, 9, 13, 17, 21, 40]
 
 
+def model_zero(fam, b):
+    """The Ext model's torsion: fam * rho^b is zero from the family's
+    tower length on."""
+    t = torsion_bound(fam)
+    return t is not None and b >= t
+
+
 def test_family_image_is_rho_linear():
     """The replay shifts each family's image by the rho exponent; that
     must agree with the derivation applied to every class of the tower."""
     pages, _ = run_bockstein(32, verify="off")
     assert [p.r for p in pages] == bockstein_page_indices(32)
     for page in pages:
-        assert page.rule == bockstein_rule(page.r.bit_length())
+        assert page.differential == bockstein_rule(page.r.bit_length())
         moved = 0
         for mw in page.alive:
             for fam, _, runs in page._column_alive(mw):
@@ -361,14 +411,14 @@ def test_family_image_is_rho_linear():
                 for lo, hi in runs:
                     for b in range(lo, hi):
                         want = [family_monomial(tfam, b + d) for tfam, d in terms]
-                        assert leibniz_apply(page.rule, family_monomial(fam, b)) == want
+                        assert leibniz_apply(page.differential, family_monomial(fam, b)) == want
         assert moved, f"{page.label} moves no family"
 
     # the Adams page 2: d2 renormalizes, so the shifted family image
     # equals it once the terms torsion kills (model zero) are dropped
     d2 = d2_rule(32)
     e2 = build_e2(32)
-    assert e2.rule == d2
+    assert e2.differential == d2
     moved = killed = 0
     for mw in e2.alive:
         for fam, _, runs in e2._column_alive(mw):
@@ -378,7 +428,7 @@ def test_family_image_is_rho_linear():
                 for b in range(lo, hi):
                     shifted = [(tfam, b + d) for tfam, d in terms]
                     want = leibniz_apply(d2, family_monomial(fam, b))
-                    kept = [family_monomial(*t) for t in shifted if not _model_zero(*t)]
+                    kept = [family_monomial(*t) for t in shifted if not model_zero(*t)]
                     assert kept == want
                     moved += bool(want)
                     killed += len(shifted) - len(want)
@@ -396,7 +446,7 @@ def test_derivation_image_matches_leibniz_at_64():
         for col in page.columns.values():
             for fam in col.fams:
                 try:
-                    want = leibniz_apply(page.rule, family_monomial(fam))
+                    want = leibniz_apply(page.differential, family_monomial(fam))
                 except MissingRule:
                     with pytest.raises(MissingRule):
                         page.family_image(fam)

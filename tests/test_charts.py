@@ -112,8 +112,6 @@ def test_empty_page_renders_grid_only():
         label="empty",
         r=0,
         max_mw=8,
-        c_max=10,
-        c_internal=10,
         columns={mw: Column([]) for mw in range(9)},
         alive={mw: {} for mw in range(9)},
         zero={mw: {} for mw in range(9)},

@@ -4,7 +4,8 @@ import json
 import pytest
 
 from etass import bockstein
-from etass.cli import build_parser, main, write_page_dump
+from etass.charts import write_page_dump
+from etass.cli import build_parser, main
 from etass.algebra import MW_LIMIT
 from etass.bockstein import enumerate_families, run_bockstein
 

@@ -8,7 +8,8 @@ from dump_reference import image_classes, reference_differentials, reference_pag
 from etass.adams import run_adams
 from etass.algebra import family_monomial
 from etass.bockstein import EMPTY, EngineError, run_bockstein, runs_subtract, runs_union
-from etass.cli import main, write_page_dump
+from etass.charts import write_page_dump
+from etass.cli import main
 
 
 def dump_text(page) -> str:

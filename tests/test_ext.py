@@ -1,6 +1,13 @@
 import pytest
 
-from etass.algebra import Bidegree, Monomial, family_monomial, family_of, normalize
+from etass.algebra import (
+    Bidegree,
+    Monomial,
+    family_monomial,
+    family_of,
+    normalize,
+    torsion_bound,
+)
 from etass.bockstein import enumerate_families, run_bockstein
 from etass.ext import (
     enumerate_ext_families,
@@ -10,7 +17,6 @@ from etass.ext import (
     massey_scan,
     product_consistency,
     stem_finiteness_scan,
-    torsion_bound,
     unique_detection_scan,
     vanishing_scan,
 )

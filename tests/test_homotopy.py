@@ -91,8 +91,6 @@ def test_multiple_towers_guard():
         label="fake",
         r=9,
         max_mw=6,
-        c_max=10,
-        c_internal=10,
         columns={3: col, 6: col6, 0: Column([])},
         alive={3: {v2: ((0, 1), (2, 3))}, 6: {}, 0: {}},
         zero={3: {}, 6: {}, 0: {}},

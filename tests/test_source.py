@@ -41,3 +41,35 @@ def test_benchmark_hooks_resolve():
         if not hasattr(importlib.import_module(f"etass.{mod}"), attr)
     }
     assert missing <= HOOKS_ALLOWED_MISSING, sorted(missing - HOOKS_ALLOWED_MISSING)
+
+
+def _imports_etass(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "etass"
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "etass" for alias in node.names)
+    return False
+
+
+def test_no_function_level_etass_imports():
+    """The package's modules import each other at module level only, so
+    that the import graph is what the module headers say; an import
+    inside a function body hides a dependency or a cycle.  Imports under
+    `if TYPE_CHECKING:` are exempt."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        exempt = {
+            id(node)
+            for block in ast.walk(tree)
+            if isinstance(block, ast.If) and ast.unparse(block.test).endswith("TYPE_CHECKING")
+            for node in ast.walk(block)
+        }
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update(
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(func)
+                    if _imports_etass(node) and id(node) not in exempt
+                )
+    assert not found, f"function-level etass imports in src/etass: {sorted(found)}"
