@@ -137,6 +137,10 @@ class RuleTable:
         src, tgt = rule.source, rule.target
         return [(family_of(tgt), tgt.rho_exp - src.rho_exp)], src.rho_exp
 
+    def sources(self, alive: dict[int, dict[int, Runs]]) -> list[int]:
+        """The families that may have an image: the alive rule sources."""
+        return [f for f, rule in self.rules.items() if f in alive.get(rule.source.bidegree.mw, {})]
+
 
 def adams_r_max(mw_max: int) -> int:
     """Last page with a rule whose source fits the window."""
@@ -168,10 +172,9 @@ def _e3_from_e2(e2: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[in
             for i in reps:
                 fam, c0, _ = column[mid[i]]
                 alive_col.setdefault(fam, []).append((c - c0, c - c0 + 1))
-            for i, pos in enumerate(mid):
-                if boundaries.contains(1 << i):
-                    fam, c0, _ = column[pos]
-                    zero_col.setdefault(fam, []).append((c - c0, c - c0 + 1))
+            for i in boundaries.units():
+                fam, c0, _ = column[mid[i]]
+                zero_col.setdefault(fam, []).append((c - c0, c - c0 + 1))
         new_alive[mw] = {fam: runs_make(pairs) for fam, pairs in alive_col.items()}
         new_zero[mw] = {fam: runs_make(pairs) for fam, pairs in zero_col.items()}
     return new_alive, new_zero

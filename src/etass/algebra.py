@@ -18,7 +18,7 @@ leibniz_apply is the independent reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 
 class NormalizationFailure(Exception):
@@ -384,6 +384,10 @@ class Derivation:
         of Page.family_image: derivation_image with threshold 0, since
         rho is a cycle and the P attachment ignores rho."""
         return derivation_image(self, f), 0
+
+    def sources(self, alive: Mapping[int, Mapping[int, object]]) -> Iterable[int]:
+        """The families that may have an image: all of Page.alive."""
+        return (f for per in alive.values() for f in per)
 
 
 def leibniz_apply(d: Derivation, m: Monomial) -> list[Monomial]:

@@ -16,27 +16,24 @@ Every such transition is then replayed per bidegree through gf2
 elimination of the page differential's matrices (at every bidegree up
 to DENSE_VERIFY_LIMIT, on a deterministic sample above it) and any
 disagreement raises.  The replay works on integers: a class is the
-position of its family in the page's column plus its rho exponent, a
-bidegree's basis is a sorted list of positions, and each family's image
-under the page differential is computed once (Page.family_image) and
-shifted by the rho exponent.  That shift is exact because every
-differential the engine runs is rho-linear: rho is a cycle of each
-Bockstein derivation, whose P attachment depends on the v factors only,
-each later Adams rule maps every rho multiple of its source, and the
-Adams d2 drops only the shifted terms that torsion kills, which its
-model reports as zero.  An image term outside the target basis must be
-certified zero by the page's class_status (on an Adams page, including
-the Ext model's ring torsion).  Family images are exponent arithmetic
-on the packed ints; Monomials are built only on the read side and for
-error messages.  The
-homology routine of the replay (Homology.at) also computes the Adams
-page-2 to page-3 step, whose images are genuine sums.  Both sweep the
-columns in ascending mw; the routine builds and eliminates each
-bidegree's differential matrix at most once per sweep (its echelon
-gives the outgoing rank at its source and is the boundary span at its
-target), takes the coset representatives from the zero columns of the
-outgoing matrix, and keeps its tables by column, for three columns at
-a time.
+position of its family in the page's column plus its rho exponent, and
+each family's image (Page.family_image) is computed once and shifted by
+the rho exponent, which is exact because every differential the engine
+runs is rho-linear (the Adams d2 drops only shifted terms that torsion
+kills, which its model reports as zero).  An image term outside the
+target basis must be zero by the page's class_status.  Family images
+are exponent arithmetic on the packed ints; Monomials are built only on
+the read side and for error messages.  One homology
+routine (Homology) serves the dense and the sampled replay and the
+Adams page-2 to page-3 step, whose images are genuine sums.  It sweeps
+the columns in ascending mw and fills each column's bases in one pass
+over its alive runs; it eliminates each bidegree's differential matrix
+once (the echelon gives the outgoing rank at its source and is the
+boundary span at its target), takes the coset representatives from
+the zero columns of the outgoing matrix (a cycle outside the boundary
+support needs no elimination), and keeps three columns' tables at a
+time.  The replay reads the survivors and new hits the transition
+claims from the same kind of sweep over the new runs.
 
 Only pages r = 2^n - 1 carry differentials; the page list returned by
 run_bockstein walks exactly those, and the E-infinity page is compared
@@ -48,7 +45,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .algebra import (
     MW_LIMIT,
@@ -231,6 +228,18 @@ def _chow_index(column: list[tuple[int, int, Runs]]) -> tuple:
     )
     longest = max((end - first for first, end, _ in entries), default=0)
     return [e[0] for e in entries], entries, longest
+
+
+def _sweep(entries: Iterable[tuple[int, int, Runs]], degrees: Sequence[int]) -> dict[int, list[int]]:
+    """The positions of the (position, c0, runs) entries with a class at
+    each Chow degree of `degrees` (ascending), in entry order: one pass
+    over the runs, each cut to the degrees it covers by bisection."""
+    out: dict[int, list[int]] = {c: [] for c in degrees}
+    for pos, c0, runs in entries:
+        for lo, hi in runs:
+            for c in degrees[bisect.bisect_left(degrees, c0 + lo) : bisect.bisect_left(degrees, c0 + hi)]:
+                out[c].append(pos)
+    return out
 
 
 def _positions(index: tuple, c: int) -> list[int]:
@@ -500,14 +509,10 @@ class Page:
     def column_classes(self, mw: int) -> list[tuple[int, list[int]]]:
         """(c, positions) per Chow degree c <= c_max of column mw that
         has classes, ascending in c; positions index _column_alive(mw).
-        They are gathered from the alive runs and must agree with
-        positions_at, else EngineError."""
-        per_c: dict[int, list[int]] = {}
-        for pos, (_, c0, runs) in enumerate(self._column_alive(mw)):
-            for lo, hi in runs:
-                for c in range(c0 + lo, min(c0 + hi, self.c_max + 1)):
-                    per_c.setdefault(c, []).append(pos)
-        out = sorted(per_c.items())
+        They are gathered by one sweep over the alive runs and must
+        agree with positions_at, else EngineError."""
+        swept = _Bases(self._column_alive(mw), range(self.c_max + 1))
+        out = [(c, positions) for c, positions in swept.items() if positions]
         for c, positions in out:
             if positions != self.positions_at(mw, c):
                 raise EngineError(f"basis at mw={mw}, c={c} disagrees with the alive runs")
@@ -550,12 +555,13 @@ def bockstein_rule(n: int) -> Derivation:
 def _advance(page: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[int, Runs]]]:
     """Homology of the page differential, tower by tower.
 
-    The edges are the page's family images (Page.family_image) on its
-    alive families.  Each family must map to at most one family and
-    receive from at most one, else EngineError, so that every
-    bidegree's matrix is a direct sum of 1x1 blocks and the surviving
-    classes form interval complements.  The per-bidegree claim is
-    re-derived through gf2 by verify_transition afterwards.  A
+    The edges are the differential's family images (Page.family_image)
+    on the sources it names: every alive family for a Derivation, the
+    alive rule sources for a RuleTable.  Each family must map to at
+    most one family and receive from at most one, else EngineError, so
+    that every bidegree's matrix is a direct sum of 1x1 blocks and the
+    surviving classes form interval complements.  The per-bidegree
+    claim is re-derived through gf2 by verify_transition afterwards.  A
     Bockstein page-r differential must raise the rho exponent by r at
     least; derivation_image adds exactly the rule images' rho exponents,
     so that is checked once on the derivation.
@@ -574,20 +580,19 @@ def _advance(page: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[int
     name = family_monomial
     # d.family_image is Page.family_image less its None check, which
     # costs as much as the image itself on most families
-    for per in (page.alive if d is not None else {}).values():
-        for fam in per:
-            terms, threshold = d.family_image(fam)
-            if not terms:
-                continue
-            if len(terms) != 1:
-                raise EngineError(f"family image of {name(fam)} is not a single monomial")
-            ((tfam, delta),) = terms
-            if tfam in incoming:
-                raise EngineError(
-                    f"families {name(incoming[tfam][0])} and {name(fam)} share image {name(tfam)}"
-                )
-            edges[fam] = (tfam, delta, threshold)
-            incoming[tfam] = (fam, delta, threshold)
+    for fam in d.sources(page.alive) if d is not None else ():
+        terms, threshold = d.family_image(fam)
+        if not terms:
+            continue
+        if len(terms) != 1:
+            raise EngineError(f"family image of {name(fam)} is not a single monomial")
+        ((tfam, delta),) = terms
+        if tfam in incoming:
+            raise EngineError(
+                f"families {name(incoming[tfam][0])} and {name(fam)} share image {name(tfam)}"
+            )
+        edges[fam] = (tfam, delta, threshold)
+        incoming[tfam] = (fam, delta, threshold)
 
     new_alive: dict[int, dict[int, Runs]] = {}
     new_zero: dict[int, dict[int, Runs]] = {}
@@ -633,21 +638,37 @@ def _advance(page: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[int
     return new_alive, new_zero
 
 
+class _Bases(dict):
+    """Chow degree -> the positions of one column's classes there, by
+    one _sweep over the alive runs at `degrees`, or (None) at every degree
+    up to the last class.  Another degree is swept alone when asked for;
+    after a dense sweep it has no class."""
+
+    def __init__(self, alive: list[tuple[int, int, Runs]], degrees: Sequence[int] | None):
+        self.entries = [(pos, c0, runs) for pos, (_, c0, runs) in enumerate(alive)]
+        self.dense = degrees is None
+        if degrees is None:
+            degrees = range(max((c0 + runs[-1][1] for _, c0, runs in alive if runs), default=0))
+        super().__init__(_sweep(self.entries, degrees))
+
+    def __missing__(self, c: int) -> list[int]:
+        out = self[c] = [] if self.dense else _sweep(self.entries, (c,))[c]
+        return out
+
+
 @dataclass
 class _ColumnTable:
     """One column of a page by family position: the alive families
-    (_alive_column), their Chow degrees, positions and Chow index, plus
-    the homology tables of the column: the basis at each Chow degree,
-    each family's image entries, and each Chow degree's image bits
-    (Homology.map_columns) and their echelon (Homology.echelon).  The
-    page's own caches stay untouched."""
+    (_alive_column), their Chow degrees and positions, the bases swept
+    from their runs, each family's image entries (Homology.image), and
+    each Chow degree's image bits (Homology.map_columns) and their
+    echelon (Homology.echelon).  The page's own caches stay untouched."""
 
     alive: list[tuple[int, int, Runs]]
     c0: list[int]
     pos_of: dict[int, int]
-    index: tuple
-    bases: dict[int, list[int]] = field(default_factory=dict)
-    images: dict[int, tuple[list, int]] = field(default_factory=dict)
+    bases: _Bases
+    images: list[tuple[list, int] | None]
     maps: dict[int, list[int]] = field(default_factory=dict)
     echelons: dict[int, Echelon] = field(default_factory=dict)
 
@@ -657,20 +678,22 @@ class Homology:
     on integer classes.
 
     A class at (mw, c) is the position of its family in the column's
-    alive families; its rho exponent is b = c - c0.  Every table
-    (bases, family images, differential matrices) belongs to a column.
-    at(mw, c) needs columns mw - 1, mw and mw + 1 only and drops every
-    other column's tables, so a sweep in ascending mw builds and
-    eliminates each differential matrix at most once and holds tables
-    for three columns; a call out of that order just recomputes what it
-    needs.  The homology is read off integers: the rank of the outgoing
-    matrix, the boundary echelon and the zero columns of the outgoing
-    matrix, which are the classes that are cycles.
+    alive families; its rho exponent is b = c - c0.  Every table belongs
+    to a column, whose bases come from one sweep over its alive runs
+    (_Bases): at every Chow degree by default, or, given `picks` (the
+    Chow degrees to visit, by column), at the picks and the degrees
+    their matrices reach in the neighbouring columns.  at(mw, c) keeps
+    the tables of columns mw - 1, mw and mw + 1 only, so an ascending
+    sweep builds and eliminates each matrix once; a call out of that
+    order just recomputes what it needs.  The homology is read off the
+    rank of the outgoing matrix, the boundary echelon and the zero
+    columns of the outgoing matrix, which are the cycles.
     """
 
-    def __init__(self, page: Page):
+    def __init__(self, page: Page, picks: dict[int, list[int]] | None = None):
         self.page = page
         self.shift = page.diff_shift()
+        self.picks = picks
         self._columns: dict[int, _ColumnTable] = {}
         self._mw: int | None = None
 
@@ -678,31 +701,33 @@ class Homology:
         table = self._columns.get(mw)
         if table is None:
             alive = _alive_column(self.page.alive.get(mw, {}))
+            degrees = None
+            if self.picks is not None:  # the picks and the degrees their matrices reach
+                s, get = self.shift, self.picks.get
+                reach = [c + s.c for c in get(mw - s.mw, ())] + [c - s.c for c in get(mw + s.mw, ())]
+                degrees = sorted({*get(mw, ()), *reach})
             table = self._columns[mw] = _ColumnTable(
                 alive=alive,
                 c0=[c0 for _, c0, _ in alive],
                 pos_of={fam: pos for pos, (fam, _, _) in enumerate(alive)},
-                index=_chow_index(alive),
+                bases=_Bases(alive, degrees),
+                images=[None] * len(alive),
             )
         return table
 
     def basis(self, mw: int, c: int) -> list[int]:
-        table = self.column(mw)
-        out = table.bases.get(c)
-        if out is None:
-            out = table.bases[c] = _positions(table.index, c)
-        return out
+        return self.column(mw).bases[c]
 
     def image(self, mw: int, pos: int) -> tuple[list[tuple[int | None, int, int]], int]:
         """The family's image as (target position, target family, rho
-        delta) entries plus the rho threshold.  The target position is
-        None when the target family is not alive in the target column,
-        or would land at another Chow degree, so the term is never in a
-        target basis."""
-        images = self.column(mw).images
-        cached = images.get(pos)
+        delta) entries plus the first Chow degree it applies at (c0 plus
+        the rho threshold).  The target position is None when the target
+        family is not alive in the target column, or would land at
+        another Chow degree, so the term is never in a target basis."""
+        table = self.column(mw)
+        cached = table.images[pos]
         if cached is None:
-            fam, c0, _ = self.column(mw).alive[pos]
+            fam, c0, _ = table.alive[pos]
             terms, threshold = self.page.family_image(fam)
             target = self.column(mw + self.shift.mw)
             entries = []
@@ -711,7 +736,7 @@ class Homology:
                 if tpos is not None and target.c0[tpos] + delta != c0 + self.shift.c:
                     tpos = None
                 entries.append((tpos, tfam, delta))
-            cached = images[pos] = (entries, threshold)
+            cached = table.images[pos] = (entries, c0 + threshold)
         return cached
 
     def map_columns(self, mw: int, c: int) -> list[int]:
@@ -725,19 +750,21 @@ class Homology:
         out = table.maps.get(c)
         if out is None:
             tmw = mw + self.shift.mw
-            index = {pos: i for i, pos in enumerate(self.basis(tmw, c + self.shift.c))}
+            target = self.column(tmw).bases[c + self.shift.c]
+            index = dict(zip(target, range(len(target))))
+            images = table.images
             out = []
-            for pos in self.basis(mw, c):
-                entries, threshold = table.images.get(pos) or self.image(mw, pos)
-                b = c - table.c0[pos]
+            for pos in table.bases[c]:
+                entries, start = images[pos] or self.image(mw, pos)
                 bits = 0
-                for tpos, tfam, delta in entries if b >= threshold else ():
-                    i = index.get(tpos)
-                    if i is not None:
-                        bits ^= 1 << i
-                    elif self.page.class_status(tmw, tfam, b + delta) != "zero":
-                        term = family_monomial(tfam, b + delta)
-                        raise EngineError(f"image term {term} is neither alive nor hit")
+                if entries and c >= start:
+                    for tpos, tfam, delta in entries:
+                        i = index.get(tpos)
+                        if i is not None:
+                            bits ^= 1 << i
+                        elif self.page.class_status(tmw, tfam, c - table.c0[pos] + delta) != "zero":
+                            term = family_monomial(tfam, c - table.c0[pos] + delta)
+                            raise EngineError(f"image term {term} is neither alive nor hit")
                 out.append(bits)
             table.maps[c] = out
         return out
@@ -755,9 +782,8 @@ class Homology:
         out = table.echelons.get(c)
         if out is None:
             out = Echelon()
-            for bits in self.map_columns(mw, c):
-                if bits:
-                    out.insert(bits)
+            for bits in filter(None, self.map_columns(mw, c)):
+                out.insert(bits)
             table.echelons[c] = out
         return out
 
@@ -781,14 +807,14 @@ class Homology:
             reach = abs(self.shift.mw)
             for k in [k for k in self._columns if not mw - reach <= k <= mw + reach]:
                 del self._columns[k]
-        mid = self.basis(mw, c)
+        mid = self.column(mw).bases[c]
         if not mid:
             return mid, [], Echelon()
         shift = self.shift
         out = self.map_columns(mw, c)
         boundaries = self.echelon(mw - shift.mw, c - shift.c)
-        for row in boundaries.pivots.values():
-            image, todo = 0, row
+        for p, row in boundaries.pivots.items():
+            image, todo = out[p], row ^ (1 << p)
             while todo:
                 low = todo & -todo
                 image ^= out[low.bit_length() - 1]
@@ -816,15 +842,22 @@ def unit_representatives(out: list[int], boundaries: Echelon, want: int) -> list
     kernel basis, because e_i lies in the kernel exactly when column i
     of the outgoing matrix is zero; the kernel vectors it tries next
     never add a single class.  Fewer than `want` means some class needs
-    a sum of classes."""
+    a sum of classes.  A unit outside the boundary support is independent
+    of the boundaries and of every other unit, so it is taken as it is;
+    the echelon is copied only for a unit inside the support that is not
+    a boundary itself."""
     reps: list[int] = []
-    if want > 0:
-        acc = boundaries.copy()
-        for i, bits in enumerate(out):
-            if not bits and acc.insert(1 << i):
-                reps.append(i)
-                if len(reps) == want:
-                    break
+    acc = None  # the boundaries and the units picked inside their support
+    for i in [i for i, bits in enumerate(out) if not bits] if want > 0 else ():
+        if (boundaries.support >> i) & 1:
+            if boundaries.contains(1 << i):
+                continue
+            acc = boundaries.copy() if acc is None else acc
+            if not acc.insert(1 << i):
+                continue
+        reps.append(i)
+        if len(reps) == want:
+            break
     return reps
 
 
@@ -848,29 +881,34 @@ def _sum_representative(out: list[int], boundaries: Echelon, reps: list[int]) ->
 
 class _Replay(Homology):
     """Compares one page transition (new_alive, new_zero) with the
-    homology at each bidegree.  The runs are tabled by family position
-    like the classes, for the current column only."""
+    homology at each bidegree.  The classes it claims survive and newly
+    hit are tabled like the bases (claims), for the current column."""
 
-    def __init__(self, page: Page, new_alive, new_zero):
-        super().__init__(page)
+    def __init__(self, page: Page, new_alive, new_zero, picks: dict[int, list[int]] | None = None):
+        super().__init__(page, picks)
         self.new_alive = new_alive
         self.new_zero = new_zero
-        self._runs_mw: int | None = None
-        self._runs: list[tuple[Runs, Runs, Runs]] = []
+        self._claims_mw, self._claims = None, ({}, {})
 
-    def runs(self, mw: int) -> list[tuple[Runs, Runs, Runs]]:
-        """The new alive, new zero and old zero runs of each family of
-        column mw, by family position."""
-        if mw != self._runs_mw:
-            na, nz, oz = (
-                per.get(mw, {}) for per in (self.new_alive, self.new_zero, self.page.zero)
-            )
-            self._runs = [
-                (na.get(fam, EMPTY), nz.get(fam, EMPTY), oz.get(fam, EMPTY))
-                for fam, _, _ in self.column(mw).alive
+    def claims(self, mw: int, c: int) -> tuple[list[int], list[int]]:
+        """The positions at (mw, c) that the transition claims survive,
+        and those it claims are newly hit: one _sweep per column over the
+        new alive runs and one over the new zero runs less the old zero
+        runs, at the degrees of the column's bases."""
+        if mw != self._claims_mw or c not in self._claims[0]:
+            table = self.column(mw)
+            na, nz, oz = (per.get(mw, {}) for per in (self.new_alive, self.new_zero, self.page.zero))
+            fams = list(enumerate(table.alive))
+            alive = [(pos, c0, na[fam]) for pos, (fam, c0, _) in fams if fam in na]
+            hit = [
+                (pos, c0, runs_subtract(nz.get(fam, EMPTY), oz.get(fam, EMPTY)))
+                for pos, (fam, c0, _) in fams
+                if nz.get(fam, EMPTY) is not oz.get(fam, EMPTY)
             ]
-            self._runs_mw = mw
-        return self._runs
+            degrees = sorted(table.bases)
+            self._claims, self._claims_mw = (_sweep(alive, degrees), _sweep(hit, degrees)), mw
+        survivors, hits = self._claims
+        return survivors[c], hits[c]
 
     def bidegree(self, mw: int, c: int) -> None:
         """Recompute the homology at one bidegree and compare: raises
@@ -881,47 +919,29 @@ class _Replay(Homology):
         mid, got, ech = self.at(mw, c)
         if not mid:
             return
-        c0 = self.column(mw).c0
-        runs = self.runs(mw)
-        expected: list[int] = []
-        newly_zero = 0
-        outside = None
-        for i, pos in enumerate(mid):
-            b = c - c0[pos]
-            alive, zero, old_zero = runs[pos]
-            if runs_contain(alive, b):
-                expected.append(i)
-            if runs_contain(zero, b) and not runs_contain(old_zero, b):
-                newly_zero += 1
-                if outside is None and not ech.contains(1 << i):
-                    outside = pos
+        expected, hits = self.claims(mw, c)
 
         # surviving classes are a subset of the old ones, in the same order
-        if got != expected:
+        if [mid[i] for i in got] != expected:
             raise EngineError(
                 f"homology mismatch at mw={mw}, c={c}: gf2 gives "
                 f"{[self.name(mw, mid[i], c) for i in got]}, towers give "
-                f"{[self.name(mw, mid[i], c) for i in expected]}"
+                f"{[self.name(mw, pos, c) for pos in expected]}"
             )
         # classes newly hit must span exactly the boundary space
-        if outside is not None:
-            raise EngineError(
-                f"class {self.name(mw, outside, c)} marked hit but outside boundary span"
-            )
-        if newly_zero != ech.rank:
+        spanned = {mid[i] for i in ech.units()}
+        for pos in hits:
+            if pos not in spanned:
+                raise EngineError(
+                    f"class {self.name(mw, pos, c)} marked hit but outside boundary span"
+                )
+        if len(hits) != ech.rank:
             raise EngineError(f"boundary rank mismatch at mw={mw}, c={c}")
 
 
 def dense_bidegrees(page: Page, mw: int) -> list[int]:
     """Every Chow degree c <= c_max at which column mw has a class."""
-    if mw not in page.columns:
-        return []
-    cs: set[int] = set()
-    for fam, runs in page.alive.get(mw, {}).items():
-        c0 = family_c0(fam)
-        for lo, hi in runs:
-            cs.update(range(c0 + lo, min(c0 + hi, page.c_max + 1)))
-    return sorted(cs)
+    return list(page.dims_column(mw))
 
 
 def sample_seed(seed: int, r: int, mw: int) -> int:
@@ -940,10 +960,10 @@ def verify_transition(
 ) -> int:
     """Replay the transition per bidegree via gf2 on integer class
     positions (see Homology).  mode 'all' covers every bidegree with
-    classes; 'sample' draws up to SAMPLES_PER_COLUMN deterministic
-    random picks per column from the run endpoints and midpoints,
-    skipping instances larger than SAMPLE_DIM_CAP.  Returns the number
-    of bidegrees checked."""
+    classes; 'sample' draws, up front, up to SAMPLES_PER_COLUMN random
+    picks per column from the run endpoints and midpoints, skipping
+    instances larger than SAMPLE_DIM_CAP, and sweeps only what they
+    reach.  Returns the number of bidegrees checked."""
     if mode == "off":
         return 0
 
@@ -956,28 +976,23 @@ def verify_transition(
         for fam in sorted(per)[:: max(1, len(per) // 64)]:
             c0 = family_c0(fam)
             for lo, hi in per[fam]:
-                pool.add(c0 + lo)
-                pool.add(min(c0 + hi - 1, page.c_max))
-                pool.add(min(c0 + hi, page.c_max))
-                pool.add((c0 + lo + min(c0 + hi, page.c_max)) // 2)
-        dims = {d: page.dims_column(mw + d) for d in (-1, 0, 1)}
+                top = min(c0 + hi, page.c_max)
+                pool.update((c0 + lo, min(c0 + hi - 1, page.c_max), top, (c0 + lo + top) // 2))
+        below, here, above = (page.dims_column(mw + d) for d in (-1, 0, 1))
         pool = {
             c
             for c in pool
-            if dims[0].get(c, 0)
-            and dims[0].get(c, 0) + dims[1].get(c, 0) + dims[-1].get(c, 0)
-            <= SAMPLE_DIM_CAP
+            if 0 < here.get(c, 0) <= SAMPLE_DIM_CAP - above.get(c, 0) - below.get(c, 0)
         }
         cs = rng.sample(sorted(pool), min(len(pool), SAMPLES_PER_COLUMN))
         return sorted(c for c in cs if 0 <= c <= page.c_max)
 
-    replay = _Replay(page, new_alive, new_zero)
-    count = 0
-    for mw in sorted(page.alive):
-        for c in column_bidegrees(mw):
+    picks = {mw: column_bidegrees(mw) for mw in sorted(page.alive)}
+    replay = _Replay(page, new_alive, new_zero, picks if mode == "sample" else None)
+    for mw, cs in picks.items():
+        for c in cs:
             replay.bidegree(mw, c)
-            count += 1
-    return count
+    return sum(map(len, picks.values()))
 
 
 # ---------------------------------------------------------------------------

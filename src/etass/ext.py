@@ -68,7 +68,6 @@ def ext_model_page(mw_max: int) -> Page:
         max_mw=mw_max,
         columns=columns,
         alive=alive,
-        zero={mw: {} for mw in columns},
     )
 
 

@@ -100,7 +100,7 @@ class Echelon:
     def __init__(self):
         self.pivots: dict[int, int] = {}
         # a superset of the bits set in any stored row
-        self._support = 0
+        self.support = 0
 
     @property
     def rank(self) -> int:
@@ -113,7 +113,7 @@ class Echelon:
     def copy(self) -> "Echelon":
         out = Echelon()
         out.pivots = dict(self.pivots)
-        out._support = self._support
+        out.support = self.support
         return out
 
     def reduce(self, bits: int) -> int:
@@ -138,6 +138,10 @@ class Echelon:
     def insert(self, bits: int) -> bool:
         """Add a vector to the span.  Returns True if the rank grew."""
         pivots = self.pivots
+        if bits and not bits & self.support:  # a new pivot row as it stands
+            pivots[(bits & -bits).bit_length() - 1] = bits
+            self.support |= bits
+            return True
         todo = bits
         while todo:  # reduce, inlined
             low = todo & -todo
@@ -148,16 +152,23 @@ class Echelon:
         if not bits:
             return False
         p = _low_bit(bits)
-        if (self._support >> p) & 1:
+        if (self.support >> p) & 1:
             for q, row in pivots.items():
                 if (row >> p) & 1:
                     pivots[q] = row ^ bits
         pivots[p] = bits
-        self._support |= bits
+        self.support |= bits
         return True
 
     def contains(self, bits: int) -> bool:
+        if bits and not bits & (bits - 1):
+            return self.pivots.get(bits.bit_length() - 1) == bits
         return self.reduce(bits) == 0
+
+    def units(self) -> list[int]:
+        """The i whose unit vector e_i lies in the span, in pivot order:
+        as the rows are fully reduced, those whose row is e_i."""
+        return [p for p, row in self.pivots.items() if row == 1 << p]
 
 
 def _echelon_of(m: F2Matrix) -> Echelon:
@@ -231,9 +242,7 @@ def quotient_basis(
             raise SubspaceNotContained(f"vector {support} outside ambient span")
     want = amb.rank - acc.rank
     reps: list[F2Vector] = []
-    # the ambient echelon is fully reduced, so e_i lies in its span
-    # exactly when e_i is the row of pivot i
-    for i in sorted(p for p, row in amb.pivots.items() if row == 1 << p):
+    for i in sorted(amb.units()):
         if len(reps) == want:
             return reps
         unit = 1 << i

@@ -5,7 +5,10 @@ kernel_basis read the kernel off row_reduce's full reduced matrix (zero
 rows included), and quotient_basis tried every unit vector e_0, e_1, ...
 against the ambient span.  The library versions read the echelon pivots
 directly and scan only the unit rows of the reduced ambient echelon;
-they must return exactly the same lists.
+they must return exactly the same lists.  reference_insert and
+reference_reduce are Echelon.insert and Echelon.reduce on a plain pivot
+dict, without the shortcuts for a vector outside the stored support and
+for a unit vector.
 """
 
 from __future__ import annotations
@@ -163,3 +166,25 @@ def reference_quotient_basis(
     if len(reps) != want:
         raise GF2Error(f"found {len(reps)} coset representatives, expected {want}")
     return reps
+
+
+def reference_reduce(pivots: dict[int, int], bits: int) -> int:
+    """bits reduced against the fully reduced rows {pivot: row}."""
+    for p, row in pivots.items():
+        if (bits >> p) & 1:
+            bits ^= row
+    return bits
+
+
+def reference_insert(pivots: dict[int, int], bits: int) -> bool:
+    """Add bits to the span of the fully reduced rows {pivot: row}, in
+    place, by reduction and back-substitution; True if the rank grew."""
+    bits = reference_reduce(pivots, bits)
+    if not bits:
+        return False
+    p = (bits & -bits).bit_length() - 1
+    for q, row in pivots.items():
+        if (row >> p) & 1:
+            pivots[q] = row ^ bits
+    pivots[p] = bits
+    return True

@@ -5,13 +5,16 @@ It reads the same integer matrices (Homology.basis and map_columns) but
 computes the homology with the generic gf2 routines: the outgoing
 matrix transposed into F2Vector rows for kernel_basis, a fresh boundary
 Echelon, and quotient_basis of the boundaries in the kernel, whose
-single-class representatives are the reps.
+single-class representatives are the reps.  reference_unit_representatives
+is the earlier unit_representatives, which inserted every cycle's unit
+vector into a copy of the boundary echelon.
 """
 
 from __future__ import annotations
 
 from etass.bockstein import RepresentativeNotMonomial
 from etass.gf2 import Echelon, F2Matrix, F2Vector, kernel_basis, quotient_basis
+from gf2_reference import reference_insert
 
 
 def reference_at(homology, mw: int, c: int, sums_allowed: bool = False):
@@ -42,3 +45,17 @@ def reference_at(homology, mw: int, c: int, sums_allowed: bool = False):
                 f"no single-monomial representative at mw={mw}, c={c}: {v.coeffs()}"
             )
     return mid, reps, boundaries
+
+
+def reference_unit_representatives(out: list[int], boundaries: dict[int, int], want: int):
+    """unit_representatives on the boundary rows {pivot: row}, by
+    generic insertion of each cycle's unit vector into a copy."""
+    reps: list[int] = []
+    if want > 0:
+        acc = dict(boundaries)
+        for i, bits in enumerate(out):
+            if not bits and reference_insert(acc, 1 << i):
+                reps.append(i)
+                if len(reps) == want:
+                    break
+    return reps

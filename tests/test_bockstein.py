@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from etass.adams import build_e2, d2_rule
+from etass import adams, bockstein
+from etass.adams import build_e2, d2_rule, run_adams
 from etass.algebra import (
     Bidegree,
     Derivation,
@@ -290,6 +291,52 @@ def test_homology_matches_reference(label):
                         rank_seen += len(got[2])
     assert reps_seen and rank_seen
     assert raised if label == "adams-E2" else not raised
+
+
+@pytest.mark.parametrize("label", ["bockstein", "adams-E2"])
+def test_sweep_tables_match_positions_at(label):
+    """A column table's bases, filled by one sweep over the alive runs,
+    are Page.positions_at at every Chow degree of every column: for a
+    dense Homology, and for a sampled one at the picks, at the degrees
+    their matrices reach in the neighbouring columns, and at any other
+    degree asked for later."""
+    pages = run_bockstein(32, verify="off")[0] if label == "bockstein" else [build_e2(32)]
+    for page in pages:
+        shift = page.diff_shift()
+        picks = {mw: dense_bidegrees(page, mw)[mw % 3 :: 3] for mw in page.alive}
+        dense, sampled = Homology(page), Homology(page, picks)
+        for mw in sorted(page.alive):
+            reach = {c + shift.c for c in picks.get(mw - shift.mw, ())}
+            reach |= {c - shift.c for c in picks.get(mw + shift.mw, ())}
+            swept = dict(sampled.column(mw).bases)
+            assert sorted(swept) == sorted(reach | set(picks[mw]))
+            for c, positions in swept.items():
+                assert positions == page.positions_at(mw, c), (page.label, mw, c)
+            for c in range(-2, page.c_max + 4):
+                assert dense.basis(mw, c) == page.positions_at(mw, c), (page.label, mw, c)
+                assert sampled.basis(mw, c) == page.positions_at(mw, c), (page.label, mw, c)
+
+
+def test_replay_counts_are_pinned(monkeypatch):
+    """The dense replay at mw 64 checks 21,056 Bockstein and 792 Adams
+    bidegrees, and the sampled replay at mw 112, seed 1, 3,472."""
+    counts = {"bockstein": 0, "adams": 0}
+    for module in (bockstein, adams):
+        name = module.__name__.rsplit(".", 1)[1]
+
+        def counted(*args, _real=module.verify_transition, _name=name, **kwargs):
+            checked = _real(*args, **kwargs)
+            counts[_name] += checked
+            return checked
+
+        monkeypatch.setattr(module, "verify_transition", counted)
+    run_bockstein(64, verify="all")
+    run_adams(64, verify="all")
+    assert counts == {"bockstein": 21_056, "adams": 792}
+    counts.update(bockstein=0, adams=0)
+    run_bockstein(112, verify="sample", seed=1)
+    run_adams(112, verify="sample", seed=1)
+    assert sum(counts.values()) == 3_472
 
 
 @pytest.mark.parametrize("mode", ["all", "sample"])

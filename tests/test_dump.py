@@ -117,7 +117,10 @@ def test_differential_runs_cut_where_any_target_changes():
     tmw = family_monomial(tfam).bidegree.mw
     hole = ((lo + 1 + delta, lo + 2 + delta),)
     alive = {**e2.alive[tmw], tfam: runs_subtract(e2.alive[tmw][tfam], hole)}
-    zero = {**e2.zero[tmw], tfam: runs_union(e2.zero[tmw].get(tfam, EMPTY), hole)}
+    zero = {
+        **e2.zero.get(tmw, {}),
+        tfam: runs_union(e2.zero.get(tmw, {}).get(tfam, EMPTY), hole),
+    }
     mutant = replace(e2, alive={**e2.alive, tmw: alive}, zero={**e2.zero, tmw: zero})
     runs = [run for run in mutant.differentials() if run[0] == fam and lo <= run[1] < hi]
     assert [(a, b, len(t)) for _, a, b, t in runs] == [

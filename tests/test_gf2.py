@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from etass.bockstein import unit_representatives
 from etass.gf2 import (
     Echelon,
     F2Matrix,
@@ -21,13 +22,16 @@ from gf2_reference import (
     identity,
     is_zero,
     nrows,
+    reference_insert,
     reference_kernel_basis,
     reference_quotient_basis,
+    reference_reduce,
     row_reduce,
     transpose,
     unit,
     zero_matrix,
 )
+from homology_reference import reference_unit_representatives
 
 
 def naive_rank(rows, cols):
@@ -252,6 +256,37 @@ def test_echelon_matches_reference_elimination(case):
         assert len(reference_rref(seen + [x ^ y], width)) == len(basis)
         in_span = len(reference_rref(seen + [x], width)) == len(basis)
         assert ech.contains(x) == in_span == (y == 0)
+
+
+@st.composite
+def unit_echelons(draw):
+    """Rows for an echelon, mostly unit vectors as on the tower pages,
+    the columns of an outgoing matrix (0 marks a cycle) and a `want`."""
+    width = draw(st.integers(1, 40))
+    units = st.integers(0, width - 1).map(lambda i: 1 << i)
+    rows = draw(st.lists(st.one_of(units, units, st.integers(0, (1 << width) - 1)), max_size=16))
+    out = draw(st.lists(st.sampled_from([0, 0, 1, 6]), min_size=width, max_size=width))
+    return width, rows, out, draw(st.integers(-1, width))
+
+
+@settings(deadline=None, max_examples=300)
+@given(unit_echelons())
+def test_unit_fast_paths_match_generic_elimination(case):
+    """Storing a vector outside the support as it stands, reading a unit's
+    membership off its pivot row (contains, units) and picking cycles
+    outside the boundary support without the echelon give the pivots,
+    memberships and picks of generic elimination."""
+    width, rows, out, want = case
+    ech, ref = Echelon(), {}
+    for bits in rows:
+        assert ech.insert(bits) == reference_insert(ref, bits)
+        assert ech.pivots == ref
+    in_span = [i for i in range(width) if reference_reduce(ref, 1 << i) == 0]
+    assert [i for i in range(width) if ech.contains(1 << i)] == in_span
+    assert sorted(ech.units()) == in_span
+    reps = unit_representatives(out, ech, want)
+    assert reps == reference_unit_representatives(out, ref, want)
+    assert ech.pivots == ref
 
 
 def test_vector_is_immutable_and_hashes_by_value():
