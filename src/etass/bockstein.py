@@ -42,7 +42,7 @@ against the closed-form answer by the caller.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 import random
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -230,14 +230,14 @@ def _chow_index(column: list[tuple[int, int, Runs]]) -> tuple:
     return [e[0] for e in entries], entries, longest
 
 
-def _sweep(entries: Iterable[tuple[int, int, Runs]], degrees: Sequence[int]) -> dict[int, list[int]]:
+def _sweep(entries: Iterable, degrees: Sequence[int]) -> dict[int, list[int]]:
     """The positions of the (position, c0, runs) entries with a class at
     each Chow degree of `degrees` (ascending), in entry order: one pass
     over the runs, each cut to the degrees it covers by bisection."""
     out: dict[int, list[int]] = {c: [] for c in degrees}
     for pos, c0, runs in entries:
         for lo, hi in runs:
-            for c in degrees[bisect.bisect_left(degrees, c0 + lo) : bisect.bisect_left(degrees, c0 + hi)]:
+            for c in degrees[bisect_left(degrees, c0 + lo) : bisect_left(degrees, c0 + hi)]:
                 out[c].append(pos)
     return out
 
@@ -245,8 +245,8 @@ def _sweep(entries: Iterable[tuple[int, int, Runs]], degrees: Sequence[int]) -> 
 def _positions(index: tuple, c: int) -> list[int]:
     """The ascending column positions of the classes at Chow degree c."""
     firsts, entries, longest = index
-    hi = bisect.bisect_right(firsts, c)
-    lo = bisect.bisect_left(firsts, c - longest + 1)
+    hi = bisect_right(firsts, c)
+    lo = bisect_left(firsts, c - longest + 1)
     return sorted(pos for _, end, pos in entries[lo:hi] if c < end)
 
 
