@@ -47,7 +47,6 @@ from .bockstein import (
     TorsionTower,
     _advance,
     c_max_for,
-    dense_bidegrees,
     runs_make,
     runs_subset,
     runs_subtract,
@@ -166,7 +165,7 @@ def _e3_from_e2(e2: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[in
     for mw in sorted(e2.alive):
         alive_col: dict[int, list[tuple[int, int]]] = {}
         zero_col: dict[int, list[tuple[int, int]]] = {}
-        for c in dense_bidegrees(e2, mw):
+        for c in homology.bidegrees(mw):
             mid, reps, boundaries = homology.at(mw, c, sums_allowed=mw > e2.max_mw)
             column = homology.column(mw).alive
             for i in reps:

@@ -231,9 +231,8 @@ def _chow_index(column: list[tuple[int, int, Runs]]) -> tuple:
 
 
 def _sweep(entries: Iterable, degrees: Sequence[int]) -> dict[int, list[int]]:
-    """The positions of the (position, c0, runs) entries with a class at
-    each Chow degree of `degrees` (ascending), in entry order: one pass
-    over the runs, each cut to the degrees it covers by bisection."""
+    """Per Chow degree of `degrees` (ascending), the positions of the
+    (position, c0, runs) entries with a class there, in one pass."""
     out: dict[int, list[int]] = {c: [] for c in degrees}
     for pos, c0, runs in entries:
         for lo, hi in runs:
@@ -639,10 +638,9 @@ def _advance(page: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[int
 
 
 class _Bases(dict):
-    """Chow degree -> the positions of one column's classes there, by
-    one _sweep over the alive runs at `degrees`, or (None) at every degree
-    up to the last class.  Another degree is swept alone when asked for;
-    after a dense sweep it has no class."""
+    """Chow degree -> the positions of a column's classes there: one _sweep
+    at `degrees`, or (None) at every degree up to the last class.  Another
+    degree is swept alone when asked for; a dense sweep found none there."""
 
     def __init__(self, alive: list[tuple[int, int, Runs]], degrees: Sequence[int] | None):
         self.entries = [(pos, c0, runs) for pos, (_, c0, runs) in enumerate(alive)]
@@ -659,10 +657,9 @@ class _Bases(dict):
 @dataclass
 class _ColumnTable:
     """One column of a page by family position: the alive families
-    (_alive_column), their Chow degrees and positions, the bases swept
-    from their runs, each family's image entries (Homology.image), and
-    each Chow degree's image bits (Homology.map_columns) and their
-    echelon (Homology.echelon).  The page's own caches stay untouched."""
+    (_alive_column), their Chow degrees, positions, bases and image
+    entries (Homology.image), and each Chow degree's image bits
+    (Homology.map_columns) and echelon (Homology.echelon)."""
 
     alive: list[tuple[int, int, Runs]]
     c0: list[int]
@@ -717,6 +714,21 @@ class Homology:
 
     def basis(self, mw: int, c: int) -> list[int]:
         return self.column(mw).bases[c]
+
+    def visit(self, mw: int) -> _ColumnTable:
+        """Column mw's table, dropping those of columns out of reach."""
+        if mw != self._mw:
+            self._mw = mw
+            reach = abs(self.shift.mw)
+            for k in [k for k in self._columns if not mw - reach <= k <= mw + reach]:
+                del self._columns[k]
+        return self.column(mw)
+
+    def bidegrees(self, mw: int) -> list[int]:
+        """The degrees to visit in column mw: the picks, or all c <= c_max with classes."""
+        if self.picks is not None:
+            return self.picks.get(mw, [])
+        return [c for c, mid in self.visit(mw).bases.items() if mid and c <= self.page.c_max]
 
     def image(self, mw: int, pos: int) -> tuple[list[tuple[int | None, int, int]], int]:
         """The family's image as (target position, target family, rho
@@ -802,12 +814,7 @@ class Homology:
         image term that is neither a basis class nor zero on the page
         raises EngineError (map_columns).
         """
-        if mw != self._mw:
-            self._mw = mw
-            reach = abs(self.shift.mw)
-            for k in [k for k in self._columns if not mw - reach <= k <= mw + reach]:
-                del self._columns[k]
-        mid = self.column(mw).bases[c]
+        mid = self.visit(mw).bases[c]
         if not mid:
             return mid, [], Echelon()
         shift = self.shift
@@ -843,9 +850,8 @@ def unit_representatives(out: list[int], boundaries: Echelon, want: int) -> list
     of the outgoing matrix is zero; the kernel vectors it tries next
     never add a single class.  Fewer than `want` means some class needs
     a sum of classes.  A unit outside the boundary support is independent
-    of the boundaries and of every other unit, so it is taken as it is;
-    the echelon is copied only for a unit inside the support that is not
-    a boundary itself."""
+    of the boundaries and of every other unit; the echelon is copied only
+    for a unit inside the support that is not a boundary itself."""
     reps: list[int] = []
     acc = None  # the boundaries and the units picked inside their support
     for i in [i for i, bits in enumerate(out) if not bits] if want > 0 else ():
@@ -939,11 +945,6 @@ class _Replay(Homology):
             raise EngineError(f"boundary rank mismatch at mw={mw}, c={c}")
 
 
-def dense_bidegrees(page: Page, mw: int) -> list[int]:
-    """Every Chow degree c <= c_max at which column mw has a class."""
-    return list(page.dims_column(mw))
-
-
 def sample_seed(seed: int, r: int, mw: int) -> int:
     """The sampler's seed for page r and column mw, by explicit integer
     arithmetic: random.Random seeds from an int the same way on every
@@ -967,9 +968,7 @@ def verify_transition(
     if mode == "off":
         return 0
 
-    def column_bidegrees(mw: int) -> list[int]:
-        if mode == "all":
-            return dense_bidegrees(page, mw)
+    def sampled(mw: int) -> list[int]:
         rng = random.Random(sample_seed(seed, page.r, mw))
         pool: set[int] = set()
         per = page.alive.get(mw, {})
@@ -987,12 +986,14 @@ def verify_transition(
         cs = rng.sample(sorted(pool), min(len(pool), SAMPLES_PER_COLUMN))
         return sorted(c for c in cs if 0 <= c <= page.c_max)
 
-    picks = {mw: column_bidegrees(mw) for mw in sorted(page.alive)}
-    replay = _Replay(page, new_alive, new_zero, picks if mode == "sample" else None)
-    for mw, cs in picks.items():
-        for c in cs:
+    picks = None if mode == "all" else {mw: sampled(mw) for mw in sorted(page.alive)}
+    replay = _Replay(page, new_alive, new_zero, picks)
+    count = 0
+    for mw in sorted(page.alive):
+        for c in replay.bidegrees(mw):
             replay.bidegree(mw, c)
-    return sum(map(len, picks.values()))
+            count += 1
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from etass.bockstein import (
     build_e1,
     closed_form_einfty,
     compare_pages,
-    dense_bidegrees,
     rho_inverted_check,
     run_bockstein,
     runs_contain,
@@ -39,7 +38,7 @@ from brute_force import default_generators, enumerate_monomials, rho_matrix_at
 from dump_reference import image_classes
 from gf2_reference import coeff, nrows
 from homology_reference import reference_at
-from replay_mutations import check_mutations_caught, sampled_bidegrees
+from replay_mutations import check_mutations_caught, dense_bidegrees, sampled_bidegrees
 
 
 def mono(rho=0, p=0, **vs):
