@@ -23,17 +23,17 @@ runs is rho-linear (the Adams d2 drops only shifted terms that torsion
 kills, which its model reports as zero).  An image term outside the
 target basis must be zero by the page's class_status.  Family images
 are exponent arithmetic on the packed ints; Monomials are built only on
-the read side and for error messages.  One homology
-routine (Homology) serves the dense and the sampled replay and the
-Adams page-2 to page-3 step, whose images are genuine sums.  It sweeps
-the columns in ascending mw and fills each column's bases in one pass
-over its alive runs; it eliminates each bidegree's differential matrix
-once (the echelon gives the outgoing rank at its source and is the
-boundary span at its target), takes the coset representatives from
-the zero columns of the outgoing matrix (a cycle outside the boundary
-support needs no elimination), and keeps three columns' tables at a
-time.  The replay reads the survivors and new hits the transition
-claims from the same kind of sweep over the new runs.
+the read side and for error messages.  One homology routine (Homology)
+serves the dense and the sampled replay and the Adams page-2 to page-3
+step, whose images are genuine sums.  It sweeps the columns in
+ascending mw and fills each column's bases in one pass over its alive
+runs; it eliminates each bidegree's differential matrix once (the
+echelon gives the outgoing rank at its source and is the boundary span
+at its target), takes the coset representatives from the zero columns
+of the outgoing matrix (a cycle outside the boundary support needs no
+elimination), and keeps three columns' tables at a time.  The replay
+reads the survivors and new hits the transition claims from the same
+kind of sweep over the new runs.
 
 Only pages r = 2^n - 1 carry differentials; the page list returned by
 run_bockstein walks exactly those, and the E-infinity page is compared
@@ -42,8 +42,8 @@ against the closed-form answer by the caller.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
