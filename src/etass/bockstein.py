@@ -508,10 +508,14 @@ class Page:
     def column_classes(self, mw: int) -> list[tuple[int, list[int]]]:
         """(c, positions) per Chow degree c <= c_max of column mw that
         has classes, ascending in c; positions index _column_alive(mw).
-        They are gathered by one sweep over the alive runs and must
-        agree with positions_at, else EngineError."""
-        swept = _Bases(self._column_alive(mw), range(self.c_max + 1))
-        out = [(c, positions) for c, positions in swept.items() if positions]
+        They are gathered from the alive runs and must agree with
+        positions_at, else EngineError."""
+        per_c: dict[int, list[int]] = {}
+        for pos, (_, c0, runs) in enumerate(self._column_alive(mw)):
+            for lo, hi in runs:
+                for c in range(c0 + lo, min(c0 + hi, self.c_max + 1)):
+                    per_c.setdefault(c, []).append(pos)
+        out = sorted(per_c.items())
         for c, positions in out:
             if positions != self.positions_at(mw, c):
                 raise EngineError(f"basis at mw={mw}, c={c} disagrees with the alive runs")
@@ -657,12 +661,11 @@ class _Bases(dict):
 @dataclass
 class _ColumnTable:
     """One column of a page by family position: the alive families
-    (_alive_column), their Chow degrees, positions, bases and image
-    entries (Homology.image), and each Chow degree's image bits
+    (_alive_column) with their Chow degrees, their positions, bases and
+    image entries (Homology.image), and each Chow degree's image bits
     (Homology.map_columns) and echelon (Homology.echelon)."""
 
     alive: list[tuple[int, int, Runs]]
-    c0: list[int]
     pos_of: dict[int, int]
     bases: _Bases
     images: list[tuple[list, int] | None]
@@ -705,7 +708,6 @@ class Homology:
                 degrees = sorted({*get(mw, ()), *reach})
             table = self._columns[mw] = _ColumnTable(
                 alive=alive,
-                c0=[c0 for _, c0, _ in alive],
                 pos_of={fam: pos for pos, (fam, _, _) in enumerate(alive)},
                 bases=_Bases(alive, degrees),
                 images=[None] * len(alive),
@@ -745,7 +747,7 @@ class Homology:
             entries = []
             for tfam, delta in terms:
                 tpos = target.pos_of.get(tfam)
-                if tpos is not None and target.c0[tpos] + delta != c0 + self.shift.c:
+                if tpos is not None and target.alive[tpos][1] + delta != c0 + self.shift.c:
                     tpos = None
                 entries.append((tpos, tfam, delta))
             cached = table.images[pos] = (entries, c0 + threshold)
@@ -764,7 +766,7 @@ class Homology:
             tmw = mw + self.shift.mw
             target = self.column(tmw).bases[c + self.shift.c]
             index = dict(zip(target, range(len(target))))
-            images = table.images
+            images, alive = table.images, table.alive
             out = []
             for pos in table.bases[c]:
                 entries, start = images[pos] or self.image(mw, pos)
@@ -774,8 +776,8 @@ class Homology:
                         i = index.get(tpos)
                         if i is not None:
                             bits ^= 1 << i
-                        elif self.page.class_status(tmw, tfam, c - table.c0[pos] + delta) != "zero":
-                            term = family_monomial(tfam, c - table.c0[pos] + delta)
+                        elif self.page.class_status(tmw, tfam, c - alive[pos][1] + delta) != "zero":
+                            term = family_monomial(tfam, c - alive[pos][1] + delta)
                             raise EngineError(f"image term {term} is neither alive nor hit")
                 out.append(bits)
             table.maps[c] = out
@@ -817,9 +819,8 @@ class Homology:
         mid = self.visit(mw).bases[c]
         if not mid:
             return mid, [], Echelon()
-        shift = self.shift
         out = self.map_columns(mw, c)
-        boundaries = self.echelon(mw - shift.mw, c - shift.c)
+        boundaries = self.echelon(mw - self.shift.mw, c - self.shift.c)
         for p, row in boundaries.pivots.items():
             image, todo = out[p], row ^ (1 << p)
             while todo:

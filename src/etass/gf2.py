@@ -166,8 +166,7 @@ class Echelon:
         return self.reduce(bits) == 0
 
     def units(self) -> list[int]:
-        """The i whose unit vector e_i lies in the span, in pivot order:
-        as the rows are fully reduced, those whose row is e_i."""
+        """The i with e_i in the span: fully reduced, its row i is e_i."""
         return [p for p, row in self.pivots.items() if row == 1 << p]
 
 

@@ -7,7 +7,9 @@ matrix transposed into F2Vector rows for kernel_basis, a fresh boundary
 Echelon, and quotient_basis of the boundaries in the kernel, whose
 single-class representatives are the reps.  reference_unit_representatives
 is the earlier unit_representatives, which inserted every cycle's unit
-vector into a copy of the boundary echelon.
+vector into a copy of the boundary echelon, and dense_bidegrees the
+earlier bockstein.dense_bidegrees, which gathered the Chow degrees with
+classes from the page's alive runs instead of the homology's sweep.
 """
 
 from __future__ import annotations
@@ -59,3 +61,12 @@ def reference_unit_representatives(out: list[int], boundaries: dict[int, int], w
                 if len(reps) == want:
                     break
     return reps
+
+
+def dense_bidegrees(page, mw: int) -> list[int]:
+    """Every Chow degree c <= c_max at which column mw has a class."""
+    out: set[int] = set()
+    for _, c0, runs in page._column_alive(mw):
+        for lo, hi in runs:
+            out.update(range(c0 + lo, min(c0 + hi, page.c_max + 1)))
+    return sorted(out)

@@ -20,18 +20,14 @@ from etass.bockstein import EMPTY, runs_contain, runs_subtract, runs_union
 KINDS = ("drop-survivor", "add-dying", "drop-newly-hit")
 
 
-def dense_bidegrees(page, mw: int) -> list[int]:
-    """Every Chow degree c <= c_max at which column mw has a class."""
-    out = set()
-    for fam, c0, runs in page._column_alive(mw):
-        for lo, hi in runs:
-            out.update(range(c0 + lo, min(c0 + hi, page.c_max + 1)))
-    return sorted(out)
-
-
 def eligible_bidegrees(page) -> list[tuple[int, int]]:
     """Every bidegree of the page that carries a class, c <= c_max."""
-    return [(mw, c) for mw in sorted(page.alive) for c in dense_bidegrees(page, mw)]
+    out = set()
+    for mw in page.alive:
+        for fam, c0, runs in page._column_alive(mw):
+            for lo, hi in runs:
+                out.update((mw, c) for c in range(c0 + lo, min(c0 + hi, page.c_max + 1)))
+    return sorted(out)
 
 
 def sampled_bidegrees(page, new_alive, new_zero, seed: int, monkeypatch) -> list[tuple[int, int]]:

@@ -37,8 +37,8 @@ from etass.gf2 import SubspaceNotContained
 from brute_force import default_generators, enumerate_monomials, rho_matrix_at
 from dump_reference import image_classes
 from gf2_reference import coeff, nrows
-from homology_reference import reference_at
-from replay_mutations import check_mutations_caught, dense_bidegrees, sampled_bidegrees
+from homology_reference import dense_bidegrees, reference_at
+from replay_mutations import check_mutations_caught, sampled_bidegrees
 
 
 def mono(rho=0, p=0, **vs):
