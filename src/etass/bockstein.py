@@ -936,7 +936,7 @@ class _Replay(Homology):
                 f"{[self.name(mw, pos, c) for pos in expected]}"
             )
         # classes newly hit must span exactly the boundary space
-        spanned = {mid[i] for i in ech.units()}
+        spanned = {mid[i] for i in ech.units()} if hits else ()
         for pos in hits:
             if pos not in spanned:
                 raise EngineError(
