@@ -682,10 +682,10 @@ class Homology:
     to a column, whose bases come from one sweep over its alive runs
     (_Bases): at every Chow degree by default, or, given `picks` (the
     Chow degrees to visit, by column), at the picks and the degrees
-    their matrices reach in the neighbouring columns.  at(mw, c) keeps
-    the tables of columns mw - 1, mw and mw + 1 only, so an ascending
-    sweep builds and eliminates each matrix once; a call out of that
-    order just recomputes what it needs.  The homology is read off the
+    their matrices reach in the neighbouring columns.  Visiting column
+    mw (at, bidegrees) keeps the tables of columns mw - 1 to mw + 1 only,
+    so an ascending sweep builds and eliminates each matrix once; a call
+    out of that order just recomputes what it needs.  The homology is read off the
     rank of the outgoing matrix, the boundary echelon and the zero
     columns of the outgoing matrix, which are the cycles.
     """
