@@ -172,8 +172,8 @@ def _run_sequence(run, args) -> int:
     for page in pages:
         count = sum(hi - lo for _, lo, hi, _ in page.differentials())
         print(f"{page.label}: {count} differentials")
-    towers = [t for t in einf.towers() if not t.truncated]
-    print(f"{einf.label}: {len(towers)} torsion towers, mw <= {args.max_mw}")
+    towers = sum(not truncated for *_, truncated in einf.window_towers())
+    print(f"{einf.label}: {towers} torsion towers, mw <= {args.max_mw}")
     if args.dump_pages:
         _dump_pages(pages, einf, args.dump_pages)
     return 0

@@ -11,6 +11,7 @@ from etass.algebra import (
     MissingRule,
     Monomial,
     family_monomial,
+    family_of,
     leibniz_apply,
     torsion_bound,
 )
@@ -96,6 +97,93 @@ def test_rho_inverted(run32):
     assert rho_inverted_check(einf).ok
     towers = {t.mw: t for t in einf.towers() if t.truncated}
     assert list(towers) == [0]
+
+
+def corrupted(page, mw, runs):
+    """A copy of page whose column mw has the {Monomial: runs} of
+    `runs` (None drops the family); the page itself is left as it is."""
+    per = dict(page.alive[mw])
+    for m, r in runs.items():
+        if r is None:
+            del per[family_of(m)]
+        else:
+            per[family_of(m)] = r
+    return replace(page, alive={**page.alive, mw: per})
+
+
+def compare_items(page):
+    rep = compare_pages(page, closed_form_einfty(page.max_mw, page.columns), "einfty")
+    return [(i.instance, i.passed, i.detail) for i in rep.items]
+
+
+def test_compare_shortened_run(run32):
+    """One class cut off the v2 tower: both items fail."""
+    _, einf = run32
+    assert compare_items(corrupted(einf, 3, {mono(v2=1): ((0, 2),)})) == [
+        ("dimensions", False, "mismatched columns: [(3, {3: (0, 1)})]"),
+        ("towers", False, "tower lists differ"),
+    ]
+
+
+def test_compare_split_run(run32):
+    """The v2 tower split into two touching runs: the same classes, so
+    the dimensions agree, but the towers do not."""
+    _, einf = run32
+    assert compare_items(corrupted(einf, 3, {mono(v2=1): ((0, 1), (1, 3))})) == [
+        ("dimensions", True, ""),
+        ("towers", False, "tower lists differ"),
+    ]
+
+
+def test_compare_moved_tower(run32):
+    """The v2^6 tower moved onto P v3^2, the other family of (18, 6):
+    the alive runs differ but the tower shapes do not, and the compare
+    is on shapes."""
+    _, einf = run32
+    page = corrupted(einf, 18, {mono(v2=6): None, mono(p=1, v3=2): ((0, 3),)})
+    assert page.alive[18] != einf.alive[18]
+    assert compare_items(page) == [("dimensions", True, ""), ("towers", True, "")]
+
+
+def test_compare_rejects_different_windows(run32):
+    _, einf = run32
+    with pytest.raises(ValueError):
+        compare_pages(einf, closed_form_einfty(16), "einfty")
+
+
+def test_rho_inverted_failures(run32):
+    """A truncated tower off mw 0 is named; a bounded unit tower fails
+    the second item."""
+    _, einf = run32
+
+    def items(page):
+        return [(i.instance, i.passed, i.detail) for i in rho_inverted_check(page).items]
+
+    assert items(corrupted(einf, 3, {mono(v2=1): ((0, einf.c_max),)})) == [
+        ("unbounded towers confined to mw=0", False, "boundary towers at ['v2']"),
+        ("mw=0 tower unbounded", True, ""),
+    ]
+    assert items(corrupted(einf, 0, {mono(): ((0, 5),)})) == [
+        ("unbounded towers confined to mw=0", True, ""),
+        ("mw=0 tower unbounded", False, ""),
+    ]
+
+
+def test_einfty_checks_build_no_monomials(monkeypatch):
+    """The closed-form compare and the rho-inverted check read packed
+    runs: on a passing page they build no Monomial."""
+    _, einf = run_bockstein(64, verify="off")
+    built = []
+    post_init = Monomial.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Monomial, "__post_init__", counted)
+    assert compare_pages(einf, closed_form_einfty(64, einf.columns), "einfty").ok
+    assert rho_inverted_check(einf).ok
+    assert not built
 
 
 def test_d_squared_zero(run32):

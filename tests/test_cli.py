@@ -161,6 +161,32 @@ def test_adams_command(tmp_path, capsys):
     assert (tmp_path / "adams-Einf.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        (
+            "bockstein",
+            "bockstein-E3: 3710 differentials\n"
+            "bockstein-E7: 478 differentials\n"
+            "bockstein-E15: 113 differentials\n"
+            "bockstein-E31: 41 differentials\n"
+            "bockstein-Einf: 78 torsion towers, mw <= 32\n",
+        ),
+        (
+            "adams",
+            "adams-E2: 141 differentials\n"
+            "adams-E3: 10 differentials\n"
+            "adams-E4: 3 differentials\n"
+            "adams-Einf: 8 torsion towers, mw <= 32\n",
+        ),
+    ],
+)
+def test_sequence_stdout_is_pinned(command, expected, capsys):
+    code, out = run_cli([command, "--max-mw", "32", "--page-verify", "off"], capsys)
+    assert code == 0
+    assert out == expected
+
+
 def test_dump_deterministic():
     texts = []
     for _ in range(2):
