@@ -50,6 +50,7 @@ from .bockstein import (
     runs_make,
     runs_subset,
     runs_subtract,
+    tower_page,
     verify_transition,
 )
 from .ext import enumerate_ext_families, ext_model_page
@@ -194,27 +195,23 @@ def closed_form_e3(mw_max: int, columns: dict[int, Column] | None = None) -> Pag
     c_max = c_max_for(mw_max)
     if columns is None:
         columns = enumerate_ext_families(mw_max)
-    alive: dict[int, dict[int, Runs]] = {}
-    for mw, col in columns.items():
-        per: dict[int, Runs] = {}
-        for fam in col.fams:
-            if not fam:  # the unit
-                per[fam] = ((0, c_max + 1),)
-                continue
-            v_exps = family_v_exps(fam)
-            if len(v_exps) != 1:
-                continue
-            n, a = v_exps[0]
-            step = 2 ** (n - 1)
-            k = family_p(fam) // step
-            if a == 1:
-                per[fam] = ((step - 1, 2 ** n - 1),) if n >= 3 else ((0, 3),)
-            elif a == 2 and k % 2 == 1:
-                per[fam] = ((0, 2 ** n - 1),)
-        alive[mw] = per
-    return Page(
-        kind="adams", label="adams-E3-closed-form", r=0, max_mw=mw_max, columns=columns, alive=alive
-    )
+
+    def tower(fam: int) -> Runs:
+        if not fam:  # the unit
+            return ((0, c_max + 1),)
+        v_exps = family_v_exps(fam)
+        if len(v_exps) != 1:
+            return EMPTY
+        n, a = v_exps[0]
+        step = 2 ** (n - 1)
+        k = family_p(fam) // step
+        if a == 1:
+            return ((step - 1, 2 ** n - 1),) if n >= 3 else ((0, 3),)
+        if a == 2 and k % 2 == 1:
+            return ((0, 2 ** n - 1),)
+        return EMPTY
+
+    return tower_page("adams", "adams-E3-closed-form", 0, mw_max, columns, tower)
 
 
 def closed_form_einfty(mw_max: int, columns: dict[int, Column] | None = None) -> Page:
@@ -224,27 +221,17 @@ def closed_form_einfty(mw_max: int, columns: dict[int, Column] | None = None) ->
     c_max = c_max_for(mw_max)
     if columns is None:
         columns = enumerate_ext_families(mw_max)
-    alive: dict[int, dict[int, Runs]] = {}
-    for mw, col in columns.items():
-        per: dict[int, Runs] = {}
-        for fam in col.fams:
-            if not fam:  # the unit
-                per[fam] = ((0, c_max + 1),)
-                continue
-            v_exps = family_v_exps(fam)
-            if len(v_exps) != 1 or v_exps[0][1] != 1:
-                continue
-            n = v_exps[0][0]
-            per[fam] = ((2 ** n - n - 2, 2 ** n - 1),)
-        alive[mw] = per
-    return Page(
-        kind="adams",
-        label="adams-Einf-closed-form",
-        r=0,
-        max_mw=mw_max,
-        columns=columns,
-        alive=alive,
-    )
+
+    def tower(fam: int) -> Runs:
+        if not fam:  # the unit
+            return ((0, c_max + 1),)
+        v_exps = family_v_exps(fam)
+        if len(v_exps) != 1 or v_exps[0][1] != 1:
+            return EMPTY
+        n = v_exps[0][0]
+        return ((2 ** n - n - 2, 2 ** n - 1),)
+
+    return tower_page("adams", "adams-Einf-closed-form", 0, mw_max, columns, tower)
 
 
 def run_adams(
@@ -438,15 +425,8 @@ def dga_homology_oracle(num_gens: int, degree_bound: int) -> Report:
             for t in boundary(m):
                 bits ^= 1 << index[t]
             rows.append(bits)
-        # columns of the boundary matrix, as vectors
-        mat = F2Matrix(
-            len(basis),
-            tuple(
-                F2Vector(len(basis), sum(((rows[j] >> i) & 1) << j for j in range(len(basis))))
-                for i in range(len(basis))
-            ),
-        )
-        r = rank(mat)
+        # rows of the boundary matrix: its rank is the rank of the map
+        r = rank(F2Matrix(len(basis), tuple(F2Vector(len(basis), bits) for bits in rows)))
         dim_h = len(basis) - 2 * r  # ker - im = (n - r) - r
         if d <= faithful and dim_h != expected.get(d, 0):
             bad.append((d, dim_h, expected.get(d, 0)))
@@ -464,18 +444,24 @@ def oracle_spot_check(mw_max: int, count: int = 20, seed: int = 0, e3: Page | No
     kernel-minus-image count on the Ext model, no page machinery."""
     e2 = build_e2(mw_max)
     if e3 is None:
-        e3 = compute_e3(mw_max, e2=build_e2(mw_max))
+        e3 = compute_e3(mw_max, e2=e2)
+    # draw class indices in the order (mw, family, rho exponent) of the
+    # page-2 classes and map each to its bidegree through the run lengths
     rng = random.Random(seed)
-    candidates = []
-    for mw in range(1, mw_max + 1):
-        for fam, c0, runs in e2._column_alive(mw):
+    window = [(mw, e2._column_alive(mw)) for mw in range(1, mw_max + 1)]
+    total = sum(hi - lo for _, column in window for _, _, runs in column for lo, hi in runs)
+    wanted = sorted(rng.sample(range(total), min(count, total)), reverse=True)
+    picks = set()
+    start = 0  # the index of the run's first class
+    for mw, column in window:
+        for _, c0, runs in column:
             for lo, hi in runs:
-                for b in range(lo, hi):
-                    candidates.append((mw, c0 + b))
-    picks = sorted(set(rng.sample(candidates, min(count, len(candidates)))))
+                while wanted and wanted[-1] < start + hi - lo:
+                    picks.add((mw, c0 + lo + wanted.pop() - start))
+                start += hi - lo
     rep = Report()
     shift = e2.diff_shift()
-    for mw, c in picks:
+    for mw, c in sorted(picks):
         mid = e2.basis_at(mw, c)
         src = e2.basis_at(mw + 1, c - shift.c)
         tgt = e2.basis_at(mw - 1, c + shift.c)

@@ -45,7 +45,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .algebra import (
     MW_LIMIT,
@@ -79,6 +79,8 @@ SAMPLES_PER_COLUMN = 6
 
 
 def c_max_for(mw_max: int) -> int:
+    if mw_max < 0:
+        raise ValueError("mw_max >= 0")
     return 2 * mw_max + 8
 
 
@@ -538,6 +540,22 @@ class Page:
             for c, positions in self.column_classes(mw):
                 for pos in positions:
                     yield mw, c, (names[pos], c - column[pos][1])
+
+
+def tower_page(
+    kind: str, label: str, r: int, mw_max: int, columns: dict[int, Column], tower: Callable
+) -> Page:
+    """A page with no differential whose alive runs follow one tower
+    rule: tower(fam) gives the Runs of each family of `columns`, EMPTY
+    for a family that is not alive."""
+    alive: dict[int, dict[int, Runs]] = {}
+    for mw, col in columns.items():
+        per = alive[mw] = {}
+        for fam in col.fams:
+            runs = tower(fam)
+            if runs:
+                per[fam] = runs
+    return Page(kind=kind, label=label, r=r, max_mw=mw_max, columns=columns, alive=alive)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,27 +1027,14 @@ def verify_transition(
 # ---------------------------------------------------------------------------
 # the Bockstein run
 
-def _full_runs(columns: dict[int, Column], c_max: int) -> dict[int, dict[int, Runs]]:
-    alive: dict[int, dict[int, Runs]] = {}
-    full = [((0, c_max - c0 + 1),) for c0 in range(c_max + 1)]  # shared
-    for mw, col in columns.items():
-        per = alive[mw] = {}
-        for fam in col.fams:
-            c0 = family_c0(fam)
-            if c0 <= c_max:
-                per[fam] = full[c0]
-    return alive
-
-
 def build_e1(mw_max: int) -> Page:
     """The first page: every monomial over rho, P, v_n, no relations,
     zero differential."""
-    if mw_max < 0:
-        raise ValueError("mw_max >= 0")
+    c_max = c_max_for(mw_max)
     columns = enumerate_families(mw_max)
-    alive = _full_runs(columns, c_max_for(mw_max))
-    return Page(
-        kind="bockstein", label="bockstein-E1", r=1, max_mw=mw_max, columns=columns, alive=alive
+    full = {c0: ((0, c_max - c0 + 1),) for c0 in range(c_max + 1)}  # shared
+    return tower_page(
+        "bockstein", "bockstein-E1", 1, mw_max, columns, lambda fam: full.get(family_c0(fam), EMPTY)
     )
 
 
@@ -1080,33 +1085,20 @@ def closed_form_einfty(mw_max: int, columns: dict[int, Column] | None = None) ->
 
     Pass the columns of an already-built page to skip re-enumeration.
     """
-    if mw_max < 0:
-        raise ValueError("mw_max >= 0")
     c_max = c_max_for(mw_max)
     if columns is None:
         columns = enumerate_families(mw_max)
-    alive: dict[int, dict[int, Runs]] = {}
     towers = {n: ((0, 2 ** n - 1),) for n in range(2, V_TOP + 1)}  # shared
-    for mw, col in columns.items():
-        per: dict[int, Runs] = {}
-        for fam in col.fams:
-            n = family_min_v(fam)
-            if n is None:
-                if fam == 0:  # the unit
-                    per[fam] = ((0, c_max + 1),)
-                continue
-            if family_p(fam) % 2 ** (n - 1):
-                continue
-            per[fam] = towers[n]
-        alive[mw] = per
-    return Page(
-        kind="bockstein",
-        label="bockstein-Einf-closed-form",
-        r=0,
-        max_mw=mw_max,
-        columns=columns,
-        alive=alive,
-    )
+
+    def tower(fam: int) -> Runs:
+        n = family_min_v(fam)
+        if n is None:
+            return ((0, c_max + 1),) if fam == 0 else EMPTY  # the unit
+        if family_p(fam) % 2 ** (n - 1):
+            return EMPTY
+        return towers[n]
+
+    return tower_page("bockstein", "bockstein-Einf-closed-form", 0, mw_max, columns, tower)
 
 
 def compare_pages(computed: Page, predicted: Page, check: str) -> Report:

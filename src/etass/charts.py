@@ -39,7 +39,7 @@ def render(page: Page, fmt: str, mw_hi: int | None = None, c_hi: int | None = No
         return buf.getvalue()
     if fmt not in ("svg", "ascii"):
         raise UnsupportedFormat(f"unknown format {fmt!r}")
-    towers = _window_towers(page, mw_hi, c_hi)
+    towers = _window_towers(page, mw_hi)
     if mw_hi is None:
         mw_hi = page.max_mw
     if c_hi is None:
@@ -148,7 +148,7 @@ def write_page_dump(page: Page, out) -> None:
     out.write("}")
 
 
-def _window_towers(page: Page, mw_hi: int | None, c_hi: int | None):
+def _window_towers(page: Page, mw_hi: int | None):
     """(mw, c_start, label, length, truncated) per tower in window."""
     out = []
     for t in page.towers():

@@ -28,12 +28,14 @@ from .algebra import (
     torsion_bound,
 )
 from .bockstein import (
+    EMPTY,
     Column,
     Page,
     Runs,
     c_max_for,
     closed_form_einfty,
     families,
+    tower_page,
 )
 from .report import Report
 
@@ -51,24 +53,14 @@ def ext_model_page(mw_max: int) -> Page:
     """
     c_max = c_max_for(mw_max)
     columns = enumerate_ext_families(mw_max)
-    alive: dict[int, dict[int, Runs]] = {}
     towers = [((0, hi),) for hi in range(c_max + 2)]  # shared
-    for mw, col in columns.items():
-        per: dict[int, Runs] = {}
-        for fam in col.fams:
-            t = torsion_bound(fam)
-            hi = c_max - family_c0(fam) + 1 if t is None else t
-            if hi > 0:
-                per[fam] = towers[hi]
-        alive[mw] = per
-    return Page(
-        kind="adams",
-        label="adams-E2",
-        r=2,
-        max_mw=mw_max,
-        columns=columns,
-        alive=alive,
-    )
+
+    def tower(fam: int) -> Runs:
+        t = torsion_bound(fam)
+        hi = c_max - family_c0(fam) + 1 if t is None else t
+        return towers[hi] if hi > 0 else EMPTY
+
+    return tower_page("adams", "adams-E2", 2, mw_max, columns, tower)
 
 
 def _families_up_to(mw_max: int) -> list[int]:

@@ -24,41 +24,18 @@ def _low_bit(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
+@dataclass(frozen=True, slots=True)
 class F2Vector:
-    """A fixed-length vector over GF(2); addition is bitwise XOR.
+    """A fixed-length vector over GF(2); addition is bitwise XOR."""
 
-    Immutable: both fields are set once, in __init__.
-    """
+    length: int
+    bits: int = 0
 
-    __slots__ = ("length", "bits")
-
-    def __init__(self, length: int, bits: int = 0):
-        if length < 0:
+    def __post_init__(self):
+        if self.length < 0:
             raise ValueError("negative length")
-        if bits < 0 or bits >> length:
+        if self.bits < 0 or self.bits >> self.length:
             raise ValueError("coefficient index out of range")
-        _set_length(self, length)
-        _set_bits(self, bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"F2Vector is immutable: cannot assign {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"F2Vector is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        return F2Vector, (self.length, self.bits)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.bits == other.bits and self.length == other.length
-
-    def __hash__(self):
-        return hash((self.length, self.bits))
-
-    def __repr__(self):
-        return f"F2Vector(length={self.length!r}, bits={self.bits!r})"
 
     def support(self) -> list[int]:
         """Indices of the nonzero coordinates, ascending."""
@@ -71,11 +48,6 @@ class F2Vector:
 
     def coeffs(self) -> list[int]:
         return [(self.bits >> i) & 1 for i in range(self.length)]
-
-
-# the slot setters, which bypass F2Vector.__setattr__
-_set_length = F2Vector.length.__set__
-_set_bits = F2Vector.bits.__set__
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -183,6 +184,32 @@ def test_dga_oracle_full():
 def test_oracle_spot_check(e3_64):
     assert oracle_spot_check(64, count=20, seed=0, e3=e3_64).ok
     assert oracle_spot_check(64, count=20, seed=99, e3=e3_64).ok
+
+
+def _listed_oracle_picks(mw_max: int, count: int, seed: int) -> list[tuple[int, int]]:
+    """The spot check's picks drawn from a list of every page-2 class's
+    bidegree, window column by column, as they were drawn before the
+    picks were mapped from run lengths."""
+    e2 = build_e2(mw_max)
+    candidates = []
+    for mw in range(1, mw_max + 1):
+        for fam, c0, runs in e2._column_alive(mw):
+            for lo, hi in runs:
+                for b in range(lo, hi):
+                    candidates.append((mw, c0 + b))
+    return sorted(set(random.Random(seed).sample(candidates, min(count, len(candidates)))))
+
+
+@pytest.mark.parametrize("mw_max, count", [(64, 20), (24, 50), (6, 20), (2, 20)])
+def test_oracle_spot_check_picks_match_listed_classes(mw_max, count):
+    """Drawing class indices and mapping them through the run lengths
+    picks the same bidegrees as drawing from the list of classes."""
+    e3 = compute_e3(mw_max)
+    for seed in (0, 1, 7, 99, 2024):
+        rep = oracle_spot_check(mw_max, count=count, seed=seed, e3=e3)
+        want = _listed_oracle_picks(mw_max, count, seed)
+        assert [item.instance for item in rep.items] == [f"(mw={mw}, c={c})" for mw, c in want]
+        assert rep.ok
 
 
 def test_e2_page_status():

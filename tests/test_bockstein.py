@@ -1,9 +1,10 @@
+import hashlib
 import random
 from dataclasses import replace
 
 import pytest
 
-from etass import adams, bockstein
+from etass import adams, bockstein, ext
 from etass.adams import build_e2, d2_rule, run_adams
 from etass.algebra import (
     Bidegree,
@@ -266,6 +267,87 @@ def test_closed_form_tower_degrees():
             continue
         got = towers[(mw, 1 + 2 ** (n + 1) * k)]
         assert got == (str(mono(p=2 ** (n - 1) * k, **{f"v{n}": 1})), 2 ** n - 1)
+
+
+def _columns_of(builder):
+    """The columns a closed form takes: all families, or the normal ones."""
+    if builder is bockstein.closed_form_einfty:
+        return bockstein.enumerate_families(0)
+    return ext.enumerate_ext_families(0)
+
+
+TOWER_PAGE_BUILDERS = [
+    build_e1,
+    bockstein.closed_form_einfty,
+    ext.ext_model_page,
+    adams.closed_form_e3,
+    adams.closed_form_einfty,
+]
+
+
+@pytest.mark.parametrize("builder", TOWER_PAGE_BUILDERS, ids=lambda f: f"{f.__module__}.{f.__name__}")
+def test_tower_page_builders_reject_negative_window(builder):
+    with pytest.raises(ValueError, match="mw_max >= 0"):
+        builder(-1)
+    if builder in (bockstein.closed_form_einfty, adams.closed_form_e3, adams.closed_form_einfty):
+        with pytest.raises(ValueError, match="mw_max >= 0"):
+            builder(-1, _columns_of(builder))
+
+
+# sha256 of repr(sorted((mw, sorted(alive[mw].items())))) at mw 0, 1, 2,
+# 13, 14, 40 and 64; the stable Bockstein page and the Ext model hold the
+# same towers
+_EXT_MODEL_DIGESTS = (
+        "93a7b2f16843329bfbfd5e8ccd86895c9b2f6c74aec9ec6ddcccccf5c60aea37",
+        "1ae6fed451c2d54861fded4278c750ffc6f7a3b0f28ea86e3e19cd3b5f1da7a6",
+        "6617db57598898d6e22f8ad3c0adea63bc8c6f00d9a7937e30d1b24b54b2bcef",
+        "510983ddfcd5f784c701ba22a4d2c17912999869d30e9a3d3ab6a7d707338fbd",
+        "26adc2b8f09dd94f3a93ef805ba9707b7bbdd99a10b01a783796f4c436281a04",
+        "2d77b8036fff7595f0b081758e6ace8524008f3cf92fdbbf14081646d06bd9ef",
+        "29d4d12d39787a74bc2ea7b0ae96a1ac39b9c7bfba289d851bf5bcab2d4e0679",
+)
+BUILDER_DIGESTS = {
+    build_e1: (
+        "93a7b2f16843329bfbfd5e8ccd86895c9b2f6c74aec9ec6ddcccccf5c60aea37",
+        "1ae6fed451c2d54861fded4278c750ffc6f7a3b0f28ea86e3e19cd3b5f1da7a6",
+        "c0a08ff4b7c1ea25b014dbdafc2876dafc846642a435fa52b593b61fc04bb345",
+        "6e53d79f7a852878fbb00e2a568867b1d870d33ba27ef4829cf63927ed199959",
+        "4383dca019b439b3eab16c36fef6575ef50b87ebdb70d43c580be7b1eafad377",
+        "2f2015f7f31a42fd16dd27478ab481c66a66775175632b7565e24212068a7292",
+        "dff3885c1dfda389b2b04e65f949bf7baa9771d491a596aa062bc1b306cc2e27",
+    ),
+    bockstein.closed_form_einfty: _EXT_MODEL_DIGESTS,
+    ext.ext_model_page: _EXT_MODEL_DIGESTS,
+    adams.closed_form_e3: (
+        "93a7b2f16843329bfbfd5e8ccd86895c9b2f6c74aec9ec6ddcccccf5c60aea37",
+        "1ae6fed451c2d54861fded4278c750ffc6f7a3b0f28ea86e3e19cd3b5f1da7a6",
+        "6617db57598898d6e22f8ad3c0adea63bc8c6f00d9a7937e30d1b24b54b2bcef",
+        "e9b22ee94864a1b81d0fea0fe1108398c3be1c3d49cdf707fa44a6ea571f4a16",
+        "c44eb2c690a585899b390253281d91be35a5b37e67cc622d71f1862f4933365b",
+        "ecf6084104383e30acf15188f7a216d8b7231f2c534f1b09f9b3a8e4819bd5bc",
+        "29c2a60052476393cdd6c399784e45bff580e423d6118af532b4561f13d01bd7",
+    ),
+    adams.closed_form_einfty: (
+        "93a7b2f16843329bfbfd5e8ccd86895c9b2f6c74aec9ec6ddcccccf5c60aea37",
+        "1ae6fed451c2d54861fded4278c750ffc6f7a3b0f28ea86e3e19cd3b5f1da7a6",
+        "6617db57598898d6e22f8ad3c0adea63bc8c6f00d9a7937e30d1b24b54b2bcef",
+        "592c1ffcd6a2e5c6a604b5ced07ab419a3fa13c26dc39082778303c5ce8883d8",
+        "a48bc5e6579eba3ea7adc93b17cc874f8c520e5eb1e80b2763c53e22e6ce9486",
+        "f5007c42fa9fa6f242a6892e47d9c6055f74bc2945564b3233548a057414bf58",
+        "3a13c2a8dc5598a500c96f81021d80b51470cc95875347a30316962b725ba545",
+    ),
+}
+
+
+@pytest.mark.parametrize("builder", TOWER_PAGE_BUILDERS, ids=lambda f: f"{f.__module__}.{f.__name__}")
+def test_tower_page_builders_are_pinned(builder):
+    """compare_pages compares tower shapes, not generators: the digests
+    pin which family carries each tower of the inputs and closed forms."""
+    got = []
+    for mw in (0, 1, 2, 13, 14, 40, 64):
+        items = sorted((m, sorted(per.items())) for m, per in builder(mw).alive.items())
+        got.append(hashlib.sha256(repr(items).encode()).hexdigest())
+    assert tuple(got) == BUILDER_DIGESTS[builder]
 
 
 def test_run_is_deterministic():

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -302,6 +303,7 @@ def test_vector_is_immutable_and_hashes_by_value():
     assert v == w and hash(v) == hash(w) and len({v, w}) == 1
     assert v != F2Vector(6, 0b10110) and v != (5, 0b10110)
     assert repr(v) == "F2Vector(length=5, bits=22)"
+    assert pickle.loads(pickle.dumps(v)) == v
     with pytest.raises(ValueError):
         F2Vector(2, 0b100)
     with pytest.raises(ValueError):
