@@ -243,6 +243,27 @@ def _sweep(entries: Iterable, degrees: Sequence[int]) -> dict[int, list[int]]:
     return out
 
 
+def _column_dims(per: dict[int, Runs], c_max: int) -> dict[int, int]:
+    """The number of classes at every Chow degree c <= c_max of one
+    column's alive runs, degrees without classes left out."""
+    diff = [0] * (c_max + 2)
+    for fam, runs in per.items():
+        c0 = family_c0(fam)
+        for lo, hi in runs:
+            a = c0 + lo
+            b = min(c0 + hi, c_max + 1)
+            if a <= c_max and a < b:
+                diff[a] += 1
+                diff[b] -= 1
+    out: dict[int, int] = {}
+    acc = 0
+    for c in range(c_max + 1):
+        acc += diff[c]
+        if acc:
+            out[c] = acc
+    return out
+
+
 def _positions(index: tuple, c: int) -> list[int]:
     """The ascending column positions of the classes at Chow degree c."""
     firsts, entries, longest = index
@@ -293,6 +314,11 @@ class Page:
     reads, none per class.  differentials, column_towers and
     window_towers give packed families and rho intervals, one entry per
     run of classes, for the dump writer, the charts and the checks.
+
+    A page is read-only once built: a page transition (_advance) hands
+    the next page the very column dicts of `alive` and `zero` that no
+    edge touches, and dataclasses.replace shares the tables, so a
+    caller that wants to edit a column copies it first.
     """
 
     kind: str
@@ -363,30 +389,11 @@ class Page:
         return len(self.positions_at(mw, c))
 
     def dims_column(self, mw: int) -> dict[int, int]:
-        """dim at every Chow degree of one column, c <= c_max."""
+        """_column_dims of column mw, cached."""
         cached = self._dims_cache.get(mw)
-        if cached is not None:
-            return cached
-        if mw not in self.columns:
-            self._dims_cache[mw] = {}
-            return {}
-        diff = [0] * (self.c_max + 2)
-        for fam, runs in self.alive.get(mw, {}).items():
-            c0 = family_c0(fam)
-            for lo, hi in runs:
-                a = c0 + lo
-                b = min(c0 + hi, self.c_max + 1)
-                if a <= self.c_max and a < b:
-                    diff[a] += 1
-                    diff[b] -= 1
-        out: dict[int, int] = {}
-        acc = 0
-        for c in range(self.c_max + 1):
-            acc += diff[c]
-            if acc:
-                out[c] = acc
-        self._dims_cache[mw] = out
-        return out
+        if cached is None:
+            cached = self._dims_cache[mw] = _column_dims(self.alive.get(mw, {}), self.c_max)
+        return cached
 
     def status(self, m: Monomial) -> str:
         """'alive', 'zero', or 'absent' for a monomial on this page."""
@@ -595,6 +602,11 @@ def _advance(page: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[int
     Bockstein page-r differential must raise the rho exponent by r at
     least; derivation_image adds exactly the rule images' rho exponents,
     so that is checked once on the derivation.
+
+    Pages are read-only, so the new tables share with the page every
+    column that no edge leaves or enters: the same dict object, alive
+    and zero alike.  A column that an edge touches is built once, as a
+    new dict.
     """
     d = page.differential
     if page.kind == "bockstein" and d is not None:
@@ -624,18 +636,22 @@ def _advance(page: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[int
         edges[fam] = (tfam, delta, threshold)
         incoming[tfam] = (fam, delta, threshold)
 
+    touched = edges.keys() | incoming.keys()
     new_alive: dict[int, dict[int, Runs]] = {}
     new_zero: dict[int, dict[int, Runs]] = {}
     for mw, per_fam in page.alive.items():
-        na: dict[int, Runs] = {}
-        zero = page.zero.get(mw, {})
+        zero = new_zero[mw] = page.zero.get(mw, {})
+        if touched.isdisjoint(per_fam):
+            new_alive[mw] = per_fam
+            continue
+        na = new_alive[mw] = {}  # afresh: a dict copy keeps the dead families' slots
         nz = None  # zero, copied at the column's first hit
         for fam, runs in per_fam.items():
-            edge = edges.get(fam)
-            inc = incoming.get(fam)
-            if edge is None and inc is None:
+            if fam not in touched:
                 na[fam] = runs
                 continue
+            edge = edges.get(fam)
+            inc = incoming.get(fam)
             if edge is not None:
                 tfam, delta, min_b = edge
                 target_alive = page.alive_runs(mw + shift, tfam)
@@ -661,10 +677,9 @@ def _advance(page: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[int
             if alive:
                 na[fam] = alive
             if hit:
-                nz = dict(zero) if nz is None else nz
+                if nz is None:
+                    nz = new_zero[mw] = dict(zero)
                 nz[fam] = runs_union(nz.get(fam, EMPTY), hit)
-        new_alive[mw] = na
-        new_zero[mw] = zero if nz is None else nz
     return new_alive, new_zero
 
 
@@ -980,6 +995,39 @@ def sample_seed(seed: int, r: int, mw: int) -> int:
     return (seed * 1_000_003 + r) * 1_000_003 + mw
 
 
+def _sample_picks(page: Page, seed: int) -> dict[int, list[int]]:
+    """Up to SAMPLES_PER_COLUMN random Chow degrees per column, drawn
+    from the run endpoints and midpoints, leaving out every bidegree
+    whose three columns hold more than SAMPLE_DIM_CAP classes.  Those
+    dimensions come from a window of columns mw - 1 to mw + 1 that
+    lives for this one ascending pass, so the page keeps no dimension
+    table (Page.dims_column) for them."""
+    picks: dict[int, list[int]] = {}
+    window: dict[int, dict[int, int]] = {}
+    for mw in sorted(page.alive):
+        window = {
+            k: window[k] if k in window else _column_dims(page.alive.get(k, {}), page.c_max)
+            for k in (mw - 1, mw, mw + 1)
+        }
+        below, here, above = window.values()
+        rng = random.Random(sample_seed(seed, page.r, mw))
+        pool: set[int] = set()
+        per = page.alive[mw]
+        for fam in sorted(per)[:: max(1, len(per) // 64)]:
+            c0 = family_c0(fam)
+            for lo, hi in per[fam]:
+                top = min(c0 + hi, page.c_max)
+                pool.update((c0 + lo, min(c0 + hi - 1, page.c_max), top, (c0 + lo + top) // 2))
+        pool = {
+            c
+            for c in pool
+            if 0 < here.get(c, 0) <= SAMPLE_DIM_CAP - above.get(c, 0) - below.get(c, 0)
+        }
+        cs = rng.sample(sorted(pool), min(len(pool), SAMPLES_PER_COLUMN))
+        picks[mw] = sorted(c for c in cs if 0 <= c <= page.c_max)
+    return picks
+
+
 def verify_transition(
     page: Page,
     new_alive,
@@ -989,32 +1037,12 @@ def verify_transition(
 ) -> int:
     """Replay the transition per bidegree via gf2 on integer class
     positions (see Homology).  mode 'all' covers every bidegree with
-    classes; 'sample' draws, up front, up to SAMPLES_PER_COLUMN random
-    picks per column from the run endpoints and midpoints, skipping
-    instances larger than SAMPLE_DIM_CAP, and sweeps only what they
-    reach.  Returns the number of bidegrees checked."""
+    classes; 'sample' draws its picks up front (_sample_picks) and
+    sweeps only what they reach.  Returns the number of bidegrees
+    checked."""
     if mode == "off":
         return 0
-
-    def sampled(mw: int) -> list[int]:
-        rng = random.Random(sample_seed(seed, page.r, mw))
-        pool: set[int] = set()
-        per = page.alive.get(mw, {})
-        for fam in sorted(per)[:: max(1, len(per) // 64)]:
-            c0 = family_c0(fam)
-            for lo, hi in per[fam]:
-                top = min(c0 + hi, page.c_max)
-                pool.update((c0 + lo, min(c0 + hi - 1, page.c_max), top, (c0 + lo + top) // 2))
-        below, here, above = (page.dims_column(mw + d) for d in (-1, 0, 1))
-        pool = {
-            c
-            for c in pool
-            if 0 < here.get(c, 0) <= SAMPLE_DIM_CAP - above.get(c, 0) - below.get(c, 0)
-        }
-        cs = rng.sample(sorted(pool), min(len(pool), SAMPLES_PER_COLUMN))
-        return sorted(c for c in cs if 0 <= c <= page.c_max)
-
-    picks = None if mode == "all" else {mw: sampled(mw) for mw in sorted(page.alive)}
+    picks = None if mode == "all" else _sample_picks(page, seed)
     replay = _Replay(page, new_alive, new_zero, picks)
     count = 0
     for mw in sorted(page.alive):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from etass import bockstein
+from etass import adams, bockstein
 from etass.algebra import Monomial, family_monomial, family_of, leibniz_apply
 from etass.adams import (
     AdamsDiffRule,
@@ -32,6 +32,7 @@ from etass.bockstein import (
     runs_contain,
     verify_transition,
 )
+from etass.cli import Session, verify_oracle
 from etass.ext import ext_model_page
 from dump_reference import apply_rule_table
 from e3_reference import reference_e3_from_e2
@@ -210,6 +211,28 @@ def test_oracle_spot_check_picks_match_listed_classes(mw_max, count):
         want = _listed_oracle_picks(mw_max, count, seed)
         assert [item.instance for item in rep.items] == [f"(mw={mw}, c={c})" for mw, c in want]
         assert rep.ok
+
+
+def test_verify_oracle_reuses_the_session_page_2(monkeypatch):
+    """The oracle suite spot-checks on the Session's page 2 and builds
+    none of its own; its items are those of a spot check that does."""
+    s = Session(24, seed=7)
+    s.adams()
+    built = []
+    real = adams.build_e2
+    monkeypatch.setattr(adams, "build_e2", lambda mw_max: built.append(mw_max) or real(mw_max))
+    rep = verify_oracle(s)
+    assert built == []
+    want = oracle_spot_check(24, count=20, seed=7)
+    assert built == [24]
+    assert len(want.items) == 20 and rep.items[-20:] == want.items
+
+
+def test_oracle_spot_check_rejects_another_page_2():
+    with pytest.raises(ValueError):
+        oracle_spot_check(16, e2=build_e2(24))
+    with pytest.raises(ValueError):
+        oracle_spot_check(16, e2=compute_e3(16))
 
 
 def test_e2_page_status():

@@ -350,6 +350,161 @@ def test_tower_page_builders_are_pinned(builder):
     assert tuple(got) == BUILDER_DIGESTS[builder]
 
 
+TRANSITION_WINDOWS = (*range(41), 64, 112)
+# sha256 of every page of a run, E-infinity included, as (label, alive,
+# zero) with sorted columns and families, per window of
+# TRANSITION_WINDOWS; taken from the code before the transitions shared
+# untouched columns with the page before
+TRANSITION_DIGESTS = {
+    "bockstein": (
+        "9adb88df1849309eeddad03f18630a45e7294715a7b586295fc7517a355b8369",  # mw 0
+        "b39b033687c8845eee0d1bc18af364639f8841f81f92d2cb37afcfe63f0a26ee",  # mw 1
+        "997b65730dbf40b48dfac56fb81391efec3e617152818b29aae15002ceb1462e",  # mw 2
+        "07d99757d060331e28a3893b57b5172f033f8fef7d5bad2ac816963b8c3d2382",  # mw 3
+        "4f58f4039bdcec6c80c1569822bab6fe8558d86b616457e885e03cfbf4091831",  # mw 4
+        "a1c4c19f3301a9bd561ba79a0fbc2b254fa6cbd45c98a166b0d0456be054b67a",  # mw 5
+        "a859f0c78f9ea33c3f59ce5729d9015b7ef19aa8288ae44d400a07c9f6649f64",  # mw 6
+        "47b2adbb8bf995831912c159cd579246ca6c2b0f61155a7727447f39394a048b",  # mw 7
+        "0cf241e0db68f977c51415895bb309944c3f8ce42140f85a31bbd964c62bb371",  # mw 8
+        "86fbc9f5a1edbc321e71b510012fd7e6802511a6ba1fcb9ee95d64cd38ca22ea",  # mw 9
+        "4306ee652c26a550619df77496afcdc15dee6d1e43f987c9d9986313293db8d1",  # mw 10
+        "567772ec863ad581caf83f5cde71ef64dbd2589777d627c4cc5272cede4ef6eb",  # mw 11
+        "46a78bf4cb058ba60d9b539253edc4652231af8f79366641586bb66393c8bd49",  # mw 12
+        "5091ce326135dec574d5a77abd225b2c51f9dd5cb92b90b04bd1df0690979333",  # mw 13
+        "f2e958bb4fe8a328d85bbe7aaf61c21c16533dba8e6be695c9fc2c089c863443",  # mw 14
+        "1a1c85fa0c8fa27bb9fb90aed6102c254654f5ff35c57833f39bbf12646e0187",  # mw 15
+        "025b9127c04a035a8770171bf530d3df91f5fd107aefb9d7a6325dfe9a21a134",  # mw 16
+        "95b2c0d71de92d996a0dfc7f6083268f5715d87ebc74fa8e40049593468b58d7",  # mw 17
+        "20489eccebb7849408e57a8012ea96510fdd75527f314dd8754202184c766e40",  # mw 18
+        "40cf9bf16d5502065020c84bb8a6629de872234506aae68b863862553b9b06a7",  # mw 19
+        "563eb6abc9a1bc89ecbe60175ba26b22dc502fc3f0f99da88844f692034848d8",  # mw 20
+        "23bb3c51ffa9ff4deff1ecebee0f0b565eafe54bc73179b5cd6c4461fca58ad1",  # mw 21
+        "51330237865ed3ac1b672393468314836c45bda4cd8a0f0939de6c00bb20788f",  # mw 22
+        "aa4bdd7e391c60a62b5bdd9c34da52385891309d0e216f131ce4d90757c94775",  # mw 23
+        "11324c2e3f99ed35cf2a30f91a85b413eeed064921ab7cadad3f5c35e8d0404a",  # mw 24
+        "7b3f4ee7ad6df3c56851b4fe90183abe94bcac3f85f7d2bbcf01525e60fc4733",  # mw 25
+        "4d02345541731cc8d11e4b9bc1b87a44d5b2dee872c1866beeb7831dc0b60008",  # mw 26
+        "0ac42735e2186b62b0cc7777e2e7a2fa2dc02d7ef5cc4165eac82ac207ae3ae4",  # mw 27
+        "c1640f8d3080cd58489af89ab3fa4b66d74afda8c3a5011b4552684442bf8bef",  # mw 28
+        "0d6c4fc2ae61213e56bd212b6894c87264e1b2a6c1cd09efe9b0430f97a7064e",  # mw 29
+        "4489a2ae3b85af3a21063943db613182d2b718ec9cc8bba2e20dd7de2c455ec3",  # mw 30
+        "3da8ae648d66c26047740ec40dbcf95e8e2c90475bb3fe83ca2de630c773dc21",  # mw 31
+        "8c356a5df60f4cf213f4a5c156dab0d70fce6696cfe354eb9e6ac152e7431608",  # mw 32
+        "dcb4b82293f7a6679ee49e6aad2088aaed317d8b086b60b0c7f513d064eb48bf",  # mw 33
+        "c2b7e56f5c18089a43a06845b984cc9fa4412e4cdc65bbe54ca28fe83fa684fc",  # mw 34
+        "6a622eb85c1e63dcc8bdf52d3167f0aa548797f2534bfd579268eabb6f5ef444",  # mw 35
+        "d669d6604efd812fb549961737338d81db56bd73011b2127e6281ab4770783cb",  # mw 36
+        "740a9811fc1fa9af60800bf8257b0cdb8e935514b7574d944965e117c2f81cb3",  # mw 37
+        "dc2d4a854127d6231f9cd122600e5c631970a9ee2258b74b4e9cd340786fcbdd",  # mw 38
+        "cd48e4e0bcd2341b92e7c928029a3024d79159aa6b275e6d41631aaa403abf40",  # mw 39
+        "6403c5ea74cec96558dd5255880981131e2bd781b07f382aa5bbb0e8d33585b1",  # mw 40
+        "fe3fcee50f5e62384496a7708f3d9ce8d7013cc0be64e955a5ca229b41072bcd",  # mw 64
+        "a073960431a8b19e9914ed76b1225da6be5ef485bb942bc507facda3c39fa20d",  # mw 112
+    ),
+    "adams": (
+        "994fc47814be21ec5170a057460c07c32e0aecc7121e61aae6f6cda1c013afcb",  # mw 0
+        "bf764003bd9c52980fc50d4561020844889499b6ab8c12cb3ad0dfcc5558970b",  # mw 1
+        "6e9d145d2248acbf89481ec4747e0afcf868e9ddf849c535eb27e0c86c1286f7",  # mw 2
+        "310151786b95622d07ede77b129f9255e59c4ec8cfd9fa7e97bcf5fad621e163",  # mw 3
+        "82450191807ecd903efa0c31b546a4db2ae19004afae40c756c736b984ff75f0",  # mw 4
+        "173a5ea53fdf3ca3c5fe94b11ca8ddd86e1d0ccee54288fdb3ba90e87688dab3",  # mw 5
+        "82b5a207b46bf4bb8c1d50a6418310bd4f40af06f339ecea64549f3570d4f0da",  # mw 6
+        "9d60cea5a22842c41b861cf32b1c2844d461b99f4b281c282087cec3a5407146",  # mw 7
+        "f919b9203564f3feff8f416c537f497e732ee68a9f2cb3bb157c462073e17e03",  # mw 8
+        "5a264bb9004c802ad83d6b615b28f3c11e67476cbe4ec9f4e3632f191aa87ef3",  # mw 9
+        "4cf12bdae1be3642a0b8a38a3a575182cc36d7c683ca071e75feb749e1a2a126",  # mw 10
+        "280157baa3a047aca9a47a4a106b22203bd9dae14ca56f26001bbaa6bab43874",  # mw 11
+        "3e0878142e31b9b0bb518021412a798aa93bea62e6ce2ffae5a5a0a7286d7b79",  # mw 12
+        "0b57d47a6d9f7cb1a5b0358aef7cbdb735936b2450c72941900d560202aae917",  # mw 13
+        "a02acc8fd51c28212f7d61cd5001555c02d4f2fa84695a0104bd9e77effdee65",  # mw 14
+        "0f29caa4fb40c097fa8a29d9312b81670d0562a7e407898635296ca3943ebace",  # mw 15
+        "dac07953a2914d41c3c39e0d208bf1c2a99f602ce31bbada9c68702cd58c23b4",  # mw 16
+        "72d0f0a31f27b4f76d7262ce0f5061de90ac9c335a9da25cb046541599bd7878",  # mw 17
+        "31faa218e3d5d43801a15dc05be33ccf4f3c966345c0ff9cc8bf93387f9ffd2e",  # mw 18
+        "ea8de9662a5e89fee1c52138443d3e7fcb70c22b9fe11081f17539fa0b469041",  # mw 19
+        "0e6a22178e53145d3284fa9f805993281567515470d80cb8a36575ad151da09a",  # mw 20
+        "d9aeff04bd707e9c32ba57f3dd6f3737064601b53a03f1dc93fd108c80fe247d",  # mw 21
+        "4c6ebad52e0247d2631f66dd69b8dd320db7c341b617fa56879d37d04e3b27c6",  # mw 22
+        "e4d80b0948bb78954c5f7f0ca9acc92d0445195aa3bad3a0d0ac2ba9a6422c5a",  # mw 23
+        "3de39daa8573f7568109f2c08d4d8d7fdd43f6dc0b0d6e13e3e9a1ed476698e0",  # mw 24
+        "a627df830186d84d77cf34903a5022931d515a6d8e657cee5da252649338a9d4",  # mw 25
+        "6e818e9ed724a67d25caf793100f95330a9450893c9e613540a20d1ca5a3f0d4",  # mw 26
+        "6b3da519b8c47fa606df54fa7395a801269c2dad1e86f25ef291e2a2634e9f80",  # mw 27
+        "4fcfeb1057816bf09fe61e6a96192249806b58af6c3aac17c23237be4ba363e3",  # mw 28
+        "0b530ef2052a3d5b85a4767c88a2951ceae0014258f429892fd465db67daa8b0",  # mw 29
+        "88f603bc3b4a89365df498f900da6bf3cd6bb2ff2f588e31d12d09b60b2865ab",  # mw 30
+        "6fd39b5ecf63a4fc5603871da38a8902d594ce5bfe13b2e47f8349b4928c6bd3",  # mw 31
+        "5e8be9247ee654a693c7142f268d2ee3b0c6fa02bf911b5819324a68aa552d0d",  # mw 32
+        "943817ffb1b0cb023fea1be3ab3356afb329e90843bc49fc0148e368845d39e7",  # mw 33
+        "deeab3868ec79fdf792f716fdd67158d18cf99147ff62d16769f655877bff61c",  # mw 34
+        "1cdf0655a503416902dd6421c57a0022dbe77921cd15089dd7580352bac45d8d",  # mw 35
+        "b87c8ee7133cee5699aa424557f45dc8ee36c13dabe8146eb172cd332081d5ab",  # mw 36
+        "46f241b4f47d05c38e95190ecc22fcd7371128053bd313fb76c1023226d6ce97",  # mw 37
+        "6ccb387c2d474bec906c30cdb179e8ee4bb396056c82ea8679014e84fe6f1dc6",  # mw 38
+        "c2f7f6c0631bd6951d7b0ba063acf81113f6bba48f877336b710132e8d2d3820",  # mw 39
+        "7f34717f7b445f95284e8bdfb9e3288559ae4ebb623ca517bf1c1b59251b77f5",  # mw 40
+        "34ed9511f9a664829c77369349a67e4601b09e9f9751247bacea3b43af58303b",  # mw 64
+        "438e5c9ed89eddc325cdae8d5dba5db367cff87facf4e6f18a480b089ce240fa",  # mw 112
+    ),
+}
+
+RUNS = {"bockstein": run_bockstein, "adams": run_adams}
+
+
+def run_digest(pages: list[Page]) -> str:
+    def table(t):
+        return sorted((mw, sorted(per.items())) for mw, per in t.items())
+
+    items = [(p.label, table(p.alive), table(p.zero)) for p in pages]
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("sequence", RUNS)
+def test_transitions_are_pinned(sequence):
+    got = []
+    for mw in TRANSITION_WINDOWS:
+        pages, einf = RUNS[sequence](mw, verify="off")
+        got.append(run_digest([*pages, einf]))
+    assert tuple(got) == TRANSITION_DIGESTS[sequence]
+
+
+@pytest.mark.parametrize("sequence", RUNS)
+def test_transitions_share_untouched_columns(sequence):
+    """A column that no edge leaves or enters is the same dict on the
+    next page, alive and zero; a column an edge touches is a new dict,
+    so the page before keeps its own."""
+    pages, einf = RUNS[sequence](32, verify="off")
+    shared = copied = 0
+    for page, after in zip(pages, [*pages[1:], einf]):
+        if page.label == "adams-E2":  # the page-2 step is not a tower transition
+            continue
+        sources = [f for per in page.alive.values() for f in per if page.family_image(f)[0]]
+        touched = {*sources, *(t for f in sources for t, _ in page.family_image(f)[0])}
+        for mw, per in page.alive.items():
+            if touched.isdisjoint(per):
+                shared += 1
+                assert after.alive[mw] is per, (page.label, mw)
+                if mw in page.zero:
+                    assert after.zero[mw] is page.zero[mw], (page.label, mw)
+            else:
+                copied += 1
+                assert after.alive[mw] is not per, (page.label, mw)
+    assert shared and copied
+
+
+def test_sampled_replay_leaves_dimension_tables_alone():
+    """The sampler reads column dimensions from its own window: a page's
+    dims_column cache is as the replay found it, empty or not."""
+    pages = run_bockstein(32, verify="off")[0] + run_adams(32, verify="off")[0][1:]
+    for page in pages:
+        new_alive, new_zero = _advance(page)
+        assert verify_transition(page, new_alive, new_zero, "sample", 0)
+        assert page._dims_cache == {}, page.label
+        filled = {mw: dict(page.dims_column(mw)) for mw in (0, 3, 7)}
+        assert verify_transition(page, new_alive, new_zero, "sample", 1)
+        assert page._dims_cache == filled, page.label
+
+
 def test_run_is_deterministic():
     _, a = run_bockstein(12, verify="all")
     _, b = run_bockstein(12, verify="all")

@@ -1,11 +1,12 @@
+import hashlib
 import io
 import json
 
 import pytest
 
-from etass import bockstein
+from etass import adams, bockstein, cli
 from etass.charts import write_page_dump
-from etass.cli import build_parser, main
+from etass.cli import VERIFY_SUITES, Session, build_parser, main
 from etass.algebra import MW_LIMIT
 from etass.bockstein import enumerate_families, run_bockstein
 
@@ -248,3 +249,39 @@ def test_page_verify_reaches_chart_and_groups(argv, tmp_path, monkeypatch, capsy
     code, _ = run_cli(argv + ["--page-verify", "all"], capsys)
     assert code == 0
     assert calls
+
+
+def column_hashes(pages) -> dict[tuple[str, str, int], str]:
+    return {
+        (page.label, name, mw): hashlib.sha256(repr(sorted(per.items())).encode()).hexdigest()
+        for page in pages
+        for name, table in (("alive", page.alive), ("zero", page.zero))
+        for mw, per in table.items()
+    }
+
+
+def test_nothing_writes_into_shared_columns(tmp_path, monkeypatch, capsys):
+    """Pages share the columns a transition leaves unchanged, so a write
+    into one would reach several pages.  Every verify suite, both
+    --dump-pages commands and the three chart formats, run on one
+    Session's pages at mw 32, leave every column of both sequences as
+    it was."""
+    s = Session(32)
+    bock, adams_run = s.bockstein(), s.adams()
+    pages = [*bock[0], bock[1], *adams_run[0], adams_run[1]]
+    before = column_hashes(pages)
+    for suite in VERIFY_SUITES.values():
+        assert suite(s).ok
+    reused = []
+    monkeypatch.setattr(bockstein, "run_bockstein", lambda mw, verify: reused.append(mw) or bock)
+    monkeypatch.setattr(adams, "run_adams", lambda mw, verify: reused.append(mw) or adams_run)
+    monkeypatch.setattr(cli, "Session", lambda mw, verify: reused.append(mw) or s)
+    for command in ("bockstein", "adams"):
+        assert main([command, "--max-mw", "32", "--dump-pages", str(tmp_path / command)]) == 0
+    for page in ("e3", "einf", "bockstein-einf"):
+        for fmt in ("svg", "ascii", "json"):
+            out = str(tmp_path / f"{page}.{fmt}")
+            argv = ["chart", "--page", page, "--format", fmt, "--out", out, "--max-mw", "32"]
+            assert main(argv) == 0
+    assert reused == [32] * 11
+    assert column_hashes(pages) == before

@@ -5,6 +5,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from etass.bockstein import SAMPLE_DIM_CAP, run_bockstein
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "etass"
 # benchmark hooks that may name nothing: the page-dump dict builder gave
@@ -27,13 +29,18 @@ def test_no_assert_in_src():
     assert not found, f"assert statements in src/etass: {found}"
 
 
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_benchmark_hooks_resolve():
     """Every (module, attribute) the benchmark tracer wraps exists on
     etass, apart from the allow-list; a renamed function would otherwise
     read 0 in the per-layer metrics."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_tracer()
     assert tracer.HOOKS
     missing = {
         f"{mod}.{attr}"
@@ -41,6 +48,26 @@ def test_benchmark_hooks_resolve():
         if not hasattr(importlib.import_module(f"etass.{mod}"), attr)
     }
     assert missing <= HOOKS_ALLOWED_MISSING, sorted(missing - HOOKS_ALLOWED_MISSING)
+
+
+def test_tracer_coverage_reads_pages():
+    """The tracer's replay coverage, which only traced benchmark runs
+    reach, still reads the page: (eligible, skipped by the cap) per
+    mw-32 Bockstein transition as before the sampler kept its dimension
+    tables to itself, with the page's dims_column cache restored."""
+    tracer = load_tracer()
+    pages, _ = run_bockstein(32, verify="off")
+    got = {cap: [] for cap in (SAMPLE_DIM_CAP, 30)}
+    for page in pages:
+        page.dims_column(5)
+        cached = dict(page._dims_cache)
+        for cap, out in got.items():
+            out.append(tracer.coverage(page, "sample", cap))
+            assert page._dims_cache == cached
+    assert got == {
+        SAMPLE_DIM_CAP: [(2164, 0), (1171, 0), (646, 0), (486, 0)],
+        30: [(2164, 204), (1171, 0), (646, 0), (486, 0)],
+    }
 
 
 def _imports_etass(node: ast.AST) -> bool:
