@@ -28,7 +28,6 @@ from .algebra import (
     Bidegree,
     Derivation,
     Monomial,
-    family_c0,
     family_monomial,
     family_of,
     family_p,
@@ -47,6 +46,7 @@ from .bockstein import (
     Runs,
     TorsionTower,
     _advance,
+    _alive_column,
     c_max_for,
     runs_make,
     runs_subset,
@@ -440,23 +440,16 @@ def dga_homology_oracle(num_gens: int, degree_bound: int) -> Report:
     return rep
 
 
-def oracle_spot_check(
-    mw_max: int, count: int = 20, seed: int = 0, e3: Page | None = None, e2: Page | None = None
-) -> Report:
+def oracle_spot_check(e2: Page, count: int = 20, seed: int = 0, e3: Page | None = None) -> Report:
     """Recompute page-3 dimensions at random bidegrees with a direct
     kernel-minus-image count on the Ext model, no page machinery.
 
-    e2 is page 2 of the same window, the first page of run_adams; it is
-    built here when not given."""
-    if e2 is None:
-        e2 = build_e2(mw_max)
-    elif e2.max_mw != mw_max or e2.r != 2:
-        raise ValueError(f"e2 is {e2.label} of window {e2.max_mw}, not page 2 of {mw_max}")
+    e2 is page 2, the first page of run_adams; the window is its max_mw."""
+    mw_max = e2.max_mw
     if e3 is None:
         e3 = compute_e3(mw_max, e2=e2)
     # draw class indices in the order (mw, family, rho exponent) of the
-    # page-2 classes and map each to its bidegree through the run lengths,
-    # sorting each column in turn rather than through the page's cache
+    # page-2 classes and map each to its bidegree through the run lengths
     rng = random.Random(seed)
     window = [(mw, e2.alive.get(mw, {})) for mw in range(1, mw_max + 1)]
     total = sum(hi - lo for _, per in window for runs in per.values() for lo, hi in runs)
@@ -464,9 +457,8 @@ def oracle_spot_check(
     picks = set()
     start = 0  # the index of the run's first class
     for mw, per in window:
-        for fam in sorted(per):
-            c0 = family_c0(fam)
-            for lo, hi in per[fam]:
+        for _, c0, runs in _alive_column(per):
+            for lo, hi in runs:
                 while wanted and wanted[-1] < start + hi - lo:
                     picks.add((mw, c0 + lo + wanted.pop() - start))
                 start += hi - lo

@@ -139,9 +139,7 @@ def verify_oracle(s: Session) -> Report:
     rep = Report()
     rep.extend(adams_mod.dga_homology_oracle(6, 40))
     rep.extend(
-        adams_mod.oracle_spot_check(
-            s.mw_max, count=20, seed=s.seed, e3=s.e3(), e2=s.adams()[0][0]
-        )
+        adams_mod.oracle_spot_check(s.adams()[0][0], count=20, seed=s.seed, e3=s.e3())
     )
     return rep
 

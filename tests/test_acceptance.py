@@ -100,7 +100,7 @@ def test_criterion_4_group_orders(groups):
 def test_criterion_5_oracle(adams_run):
     pages, _ = adams_run
     ok1 = A.dga_homology_oracle(6, 40).ok
-    ok2 = A.oracle_spot_check(MW, count=20, seed=0, e3=pages[1]).ok
+    ok2 = A.oracle_spot_check(pages[0], count=20, seed=0, e3=pages[1]).ok
     verdict(5, ok1 and ok2, "generic homology oracle agrees (N=6 bound 40; 20 bidegrees)")
 
 
