@@ -37,27 +37,27 @@ from .algebra import (
     normalize,
 )
 from .bockstein import (
-    DENSE_VERIFY_LIMIT,
     EMPTY,
     Column,
     EngineError,
     Homology,
     Page,
     Runs,
-    TorsionTower,
     _advance,
     _alive_column,
     c_max_for,
+    replay_mode,
     runs_make,
     runs_subset,
     runs_subtract,
     tower_page,
     verify_transition,
 )
-from .ext import enumerate_ext_families, ext_model_page
-# kernel_basis and quotient_basis stay importable from here because
-# perfbench/tracer.py wraps them by module; the page-2 step's
-# bockstein.Homology calls them only to report a sum representative
+# enumerate_ext_families, kernel_basis and quotient_basis stay importable
+# from here because perfbench/tracer.py wraps them by module; the closed
+# forms take their columns from the computed page, and the page-2 step's
+# bockstein.Homology calls the last two only to report a sum representative
+from .ext import enumerate_ext_families, ext_model_page  # noqa: F401
 from .gf2 import F2Matrix, F2Vector, kernel_basis, quotient_basis, rank  # noqa: F401
 from .report import Report
 
@@ -181,21 +181,11 @@ def _e3_from_e2(e2: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[in
     return new_alive, new_zero
 
 
-def compute_e3(mw_max: int, e2: Page | None = None) -> Page:
-    """Degreewise homology of the page-2 differential."""
-    if e2 is None:
-        e2 = build_e2(mw_max)
-    alive, zero = _e3_from_e2(e2)
-    return replace(e2, label="adams-E3", r=3, alive=alive, zero=zero, differential=None)
-
-
-def closed_form_e3(mw_max: int, columns: dict[int, Column] | None = None) -> Page:
+def closed_form_e3(mw_max: int, columns: dict[int, Column]) -> Page:
     """Predicted page 3: towers rho^(2^(n-1)-1) P^(2^(n-1)k) v_n of
     length 2^(n-1) (full length 3 for n = 2), towers
     P^(2^(n-1)(2j+1)) v_n^2 of length 2^n - 1, and the rho tower on 1."""
     c_max = c_max_for(mw_max)
-    if columns is None:
-        columns = enumerate_ext_families(mw_max)
 
     def tower(fam: int) -> Runs:
         if not fam:  # the unit
@@ -215,13 +205,11 @@ def closed_form_e3(mw_max: int, columns: dict[int, Column] | None = None) -> Pag
     return tower_page("adams", "adams-E3-closed-form", 0, mw_max, columns, tower)
 
 
-def closed_form_einfty(mw_max: int, columns: dict[int, Column] | None = None) -> Page:
+def closed_form_einfty(mw_max: int, columns: dict[int, Column]) -> Page:
     """Predicted stable page: for n >= 2 the tower
     rho^(2^n - n - 2) P^(2^(n-1)k) v_n of length n + 1, plus the rho
     tower on 1."""
     c_max = c_max_for(mw_max)
-    if columns is None:
-        columns = enumerate_ext_families(mw_max)
 
     def tower(fam: int) -> Runs:
         if not fam:  # the unit
@@ -242,9 +230,10 @@ def run_adams(
     seed: int = 0,
 ) -> tuple[list[Page], Page]:
     """Run from the Ext model through every rule page to the stable
-    page.  Returns ([E2, E3, ..., E_rmax], Einf)."""
-    if verify == "auto":
-        verify = "all" if mw_max <= DENSE_VERIFY_LIMIT else "sample"
+    page.  Returns ([E2, E3, ..., E_rmax], Einf); below mw 14 no rule
+    page fits, and Einf is page 3.  verify is as in
+    bockstein.replay_mode."""
+    verify = replay_mode(verify, mw_max)
     page = build_e2(mw_max)
     pages = [page]
     alive, zero = _e3_from_e2(page)
@@ -260,15 +249,14 @@ def run_adams(
     return pages, einfty
 
 
-def check_e3_products(mw_max: int = 64, e3: Page | None = None) -> Report:
-    """Products of page-3 tower generators, computed in the Ext model
-    and projected back to the page.
+def check_e3_products(e3: Page) -> Report:
+    """Products of page-3 tower generators up to the page's window,
+    computed in the Ext model and projected back to the page.
 
     The even/odd P-multiple products inside one v_n family land on the
     v_n^2 towers; everything else projects to zero.
     """
-    if e3 is None:
-        e3 = compute_e3(mw_max)
+    mw_max = e3.max_mw
     rep = Report()
 
     def project(m: Monomial | None) -> Monomial | None:
@@ -281,9 +269,11 @@ def check_e3_products(mw_max: int = 64, e3: Page | None = None) -> Report:
             return None
         raise EngineError(f"product {m} unresolved on page 3")
 
-    gens = []
-    for t in e3_first_family_towers(e3):
-        gens.append(t.generator)
+    gens = [
+        t.generator
+        for t in e3.towers()
+        if len(t.generator.v_exps) == 1 and t.generator.v_exps[0][1] == 1
+    ]
     bad = []
     checked = 0
     for i, g in enumerate(gens):
@@ -303,14 +293,6 @@ def check_e3_products(mw_max: int = 64, e3: Page | None = None) -> Report:
         "" if not bad else f"mismatches: {bad[:5]}",
     )
     return rep
-
-
-def e3_first_family_towers(e3: Page) -> list[TorsionTower]:
-    out = []
-    for t in e3.towers():
-        if len(t.generator.v_exps) == 1 and t.generator.v_exps[0][1] == 1:
-            out.append(t)
-    return out
 
 
 def _predicted_e3_product(g: Monomial, h: Monomial) -> Monomial | None:
@@ -440,14 +422,13 @@ def dga_homology_oracle(num_gens: int, degree_bound: int) -> Report:
     return rep
 
 
-def oracle_spot_check(e2: Page, count: int = 20, seed: int = 0, e3: Page | None = None) -> Report:
+def oracle_spot_check(e2: Page, e3: Page, count: int = 20, seed: int = 0) -> Report:
     """Recompute page-3 dimensions at random bidegrees with a direct
     kernel-minus-image count on the Ext model, no page machinery.
 
-    e2 is page 2, the first page of run_adams; the window is its max_mw."""
+    e2 and e3 are pages 2 and 3 of run_adams; the window is e2's
+    max_mw."""
     mw_max = e2.max_mw
-    if e3 is None:
-        e3 = compute_e3(mw_max, e2=e2)
     # draw class indices in the order (mw, family, rho exponent) of the
     # page-2 classes and map each to its bidegree through the run lengths
     rng = random.Random(seed)

@@ -1066,6 +1066,17 @@ def build_e1(mw_max: int) -> Page:
     )
 
 
+def replay_mode(verify: str, mw_max: int) -> str:
+    """The verify_transition mode of a run: 'all', 'sample' or 'off' as
+    given, and 'auto' dense up to DENSE_VERIFY_LIMIT, sampled above it.
+    Any other value raises ValueError."""
+    if verify == "auto":
+        return "all" if mw_max <= DENSE_VERIFY_LIMIT else "sample"
+    if verify not in ("all", "sample", "off"):
+        raise ValueError(f"unknown replay mode {verify!r}")
+    return verify
+
+
 def bockstein_page_indices(mw_max: int) -> list[int]:
     out = []
     n = 2
@@ -1085,11 +1096,9 @@ def run_bockstein(
 
     Returns the pages that carry differentials (r = 2^n - 1) and the
     stable page after the last one; all other page indices are identity
-    steps.  verify is 'all', 'sample', 'off' or 'auto' (dense up to
-    DENSE_VERIFY_LIMIT).
+    steps.  verify is as in replay_mode.
     """
-    if verify == "auto":
-        verify = "all" if mw_max <= DENSE_VERIFY_LIMIT else "sample"
+    verify = replay_mode(verify, mw_max)
     page = build_e1(mw_max)
     alive, zero = page.alive, page.zero
     pages: list[Page] = []
@@ -1107,15 +1116,11 @@ def run_bockstein(
     return pages, einfty
 
 
-def closed_form_einfty(mw_max: int, columns: dict[int, Column] | None = None) -> Page:
-    """The predicted stable page: the rho tower on 1, and for every
-    normal monomial with minimal v index n a tower of length 2^n - 1.
-
-    Pass the columns of an already-built page to skip re-enumeration.
-    """
+def closed_form_einfty(mw_max: int, columns: dict[int, Column]) -> Page:
+    """The predicted stable page over `columns`, the families of the
+    computed page: the rho tower on 1, and for every normal monomial
+    with minimal v index n a tower of length 2^n - 1."""
     c_max = c_max_for(mw_max)
-    if columns is None:
-        columns = enumerate_families(mw_max)
     towers = {n: ((0, 2 ** n - 1),) for n in range(2, V_TOP + 1)}  # shared
 
     def tower(fam: int) -> Runs:
@@ -1133,10 +1138,10 @@ def compare_pages(computed: Page, predicted: Page, check: str) -> Report:
     """Dimension-by-bidegree and tower-by-tower equality inside the
     reporting window, which must be the same on both pages.
 
-    Towers compare by shape (mw, c, length, truncated), not generator,
-    one column of each page at a time: a column with identical alive
-    runs on both pages has equal towers, any other compares its sorted
-    shapes, read off column_towers.
+    Towers compare exactly, generator included, one column at a time: a
+    column with identical alive runs on both pages has equal towers; a
+    failure names, in the first column whose column_towers differ, the
+    first tower of each page that the other lacks.
     """
     if computed.max_mw != predicted.max_mw:
         raise ValueError(f"windows differ: max_mw {computed.max_mw} and {predicted.max_mw}")
@@ -1159,15 +1164,25 @@ def compare_pages(computed: Page, predicted: Page, check: str) -> Report:
         "" if not bad_dims else f"mismatched columns: {bad_dims[:4]}",
     )
 
-    def shapes(page: Page, mw: int) -> list[tuple[int, int, bool]]:
-        return sorted((family_c0(f) + lo, hi - lo, t) for f, lo, hi, t in page.column_towers(mw))
+    def first_only(page: Page, other: Page, mw: int) -> str:
+        """The first tower of column mw of page that other lacks."""
+        theirs = set(other.column_towers(mw))
+        for fam, lo, hi, truncated in page.column_towers(mw):
+            if (fam, lo, hi, truncated) not in theirs:
+                return f"{family_monomial(fam, lo)} of length {hi - lo}"
+        return "none"
 
-    same = all(
-        shapes(computed, mw) == shapes(predicted, mw)
-        for mw in range(computed.max_mw + 1)
-        if computed.alive.get(mw, {}) != predicted.alive.get(mw, {})
+    bad = next(
+        (
+            f"mw={mw}: computed {first_only(computed, predicted, mw)}, "
+            f"predicted {first_only(predicted, computed, mw)}"
+            for mw in range(computed.max_mw + 1)
+            if computed.alive.get(mw, {}) != predicted.alive.get(mw, {})
+            and computed.column_towers(mw) != predicted.column_towers(mw)
+        ),
+        "",
     )
-    rep.add(check, "towers", same, "" if same else "tower lists differ")
+    rep.add(check, "towers", not bad, bad)
     return rep
 
 

@@ -167,7 +167,7 @@ def leaves(e: BracketExpr) -> list[BracketExpr]:
     return [e]
 
 
-def _order_exponent(entry: BracketExpr, groups: list[HomotopyGroup] | None) -> int:
+def _order_exponent(entry: BracketExpr, groups: list[HomotopyGroup]) -> int:
     if isinstance(entry, Lambda2):
         n, k = 2, 0
     elif isinstance(entry, Bracket):
@@ -175,18 +175,12 @@ def _order_exponent(entry: BracketExpr, groups: list[HomotopyGroup] | None) -> i
     else:
         raise ValueError("2-power has no stem generator")
     mw = 2 ** (n + 1) * k + 2 ** n - 1
-    if groups is not None and mw < len(groups):
-        g = groups[mw]
-        if g.order_exponent:
-            return g.order_exponent
+    if mw < len(groups) and groups[mw].order_exponent:
+        return groups[mw].order_exponent
     return imj_order(mw)
 
 
-def verify_expr(
-    e: BracketExpr,
-    einfty: Page | None = None,
-    groups: list[HomotopyGroup] | None = None,
-) -> Report:
+def verify_expr(e: BracketExpr, einfty: Page, groups: list[HomotopyGroup]) -> Report:
     """Check a decomposition: degree additivity at every node, the
     leading 2-power annihilating the middle generator, existence of the
     detecting class, and the recorded indeterminacy shape."""
@@ -212,15 +206,14 @@ def verify_expr(
             and first.t >= _order_exponent(node.second, groups),
             "2-power must annihilate the middle generator",
         )
-        if einfty is not None:
-            det = detector(node.n, node.k)
-            stem_in_window = stem <= einfty.max_mw
-            rep.add(
-                "bracket-detector",
-                f"{node.name(unicode=False)} detected by {det}",
-                (not stem_in_window) or einfty.status(det) == "alive",
-                "" if stem_in_window else "outside window, skipped",
-            )
+        det = detector(node.n, node.k)
+        stem_in_window = stem <= einfty.max_mw
+        rep.add(
+            "bracket-detector",
+            f"{node.name(unicode=False)} detected by {det}",
+            (not stem_in_window) or einfty.status(det) == "alive",
+            "" if stem_in_window else "outside window, skipped",
+        )
         if node.lemma == "chain-lambda":
             rep.add(
                 "bracket-indeterminacy",
@@ -291,10 +284,7 @@ def _shallow_shape(e: BracketExpr) -> tuple | None:
     )
 
 
-def table5_report(
-    einfty: Page | None = None,
-    groups: list[HomotopyGroup] | None = None,
-) -> Report:
+def table5_report(einfty: Page, groups: list[HomotopyGroup]) -> Report:
     """Reproduce the generator table row by row: generator name, order
     exponent, a derivable bracket, and the stated indeterminacy.
 
@@ -306,23 +296,19 @@ def table5_report(
     rep = Report()
     for mw, nk, order, shape, indet in TABLE5_ROWS:
         if nk is None:
-            ok = groups is None or groups[0].order_exponent is None
-            rep.add("table-row", "mw=0 generator 1, no bracket", ok)
+            rep.add("table-row", "mw=0 generator 1, no bracket", groups[0].order_exponent is None)
             continue
         n, k = nk
         name = generator_name(n, k)
-        if groups is not None and mw >= len(groups):
+        if mw >= len(groups):
             continue  # row outside the computed window
-        if groups is not None:
-            g = groups[mw]
-            rep.add(
-                "table-row",
-                f"mw={mw} generator",
-                g.generator_name == name and g.order_exponent == order,
-                f"got {g.generator_name} order {g.order_exponent}, want {name} order {order}",
-            )
-        else:
-            rep.add("table-row", f"mw={mw} order formula", imj_order(mw) == order)
+        g = groups[mw]
+        rep.add(
+            "table-row",
+            f"mw={mw} generator",
+            g.generator_name == name and g.order_exponent == order,
+            f"got {g.generator_name} order {g.order_exponent}, want {name} order {order}",
+        )
         expr = decompose(n, k)
         if shape is None:
             rep.add("table-row", f"mw={mw} base generator", isinstance(expr, Lambda2))

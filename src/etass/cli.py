@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import adams as adams_mod
@@ -52,12 +53,11 @@ class Session:
         return self._adams
 
     def e3(self):
+        """Page 3 of the Adams run; below mw 14 no rule page fits, and
+        the stable page is page 3."""
         if self._e3 is None:
-            pages, _ = self.adams()
-            if len(pages) > 1 and pages[1].label == "adams-E3":
-                self._e3 = pages[1]
-            else:
-                self._e3 = adams_mod.compute_e3(self.mw_max)
+            pages, einf = self.adams()
+            self._e3 = pages[1] if len(pages) > 1 else replace(einf, label="adams-E3")
         return self._e3
 
     def groups(self):
@@ -85,7 +85,7 @@ def verify_ext(s: Session) -> Report:
     rep = Report()
     _, einf = s.bockstein()
     rep.extend(ext_mod.unique_detection_scan(s.mw_max))
-    rep.extend(ext_mod.vanishing_scan(s.mw_max, page=einf))
+    rep.extend(ext_mod.vanishing_scan(einf))
     rep.extend(ext_mod.massey_scan(s.mw_max))
     rep.extend(ext_mod.product_consistency(s.mw_max, trials=500, seed=s.seed))
     return rep
@@ -105,7 +105,7 @@ def verify_adams(s: Session) -> Report:
             einf, adams_mod.closed_form_einfty(s.mw_max, einf.columns), "adams-einfty"
         )
     )
-    rep.extend(adams_mod.check_e3_products(s.mw_max, e3=e3))
+    rep.extend(adams_mod.check_e3_products(e3))
     rep.extend(adams_mod.mod4_vanishing_scan(einf))
     rep.extend(adams_mod.exhaustive_hit_scan(e3, einf, s.mw_max))
     rep.extend(ext_mod.stem_finiteness_scan(einf))
@@ -138,9 +138,7 @@ def verify_brackets(s: Session) -> Report:
 def verify_oracle(s: Session) -> Report:
     rep = Report()
     rep.extend(adams_mod.dga_homology_oracle(6, 40))
-    rep.extend(
-        adams_mod.oracle_spot_check(s.adams()[0][0], count=20, seed=s.seed, e3=s.e3())
-    )
+    rep.extend(adams_mod.oracle_spot_check(s.adams()[0][0], s.e3(), count=20, seed=s.seed))
     return rep
 
 

@@ -33,7 +33,6 @@ from .bockstein import (
     Page,
     Runs,
     c_max_for,
-    closed_form_einfty,
     families,
     tower_page,
 )
@@ -109,10 +108,10 @@ def unique_detection_scan(mw_max: int) -> Report:
     return rep
 
 
-def vanishing_scan(mw_max: int, page: Page | None = None) -> Report:
-    """Dimension zero at every bidegree (2i, 2i), i >= 1."""
-    if page is None:
-        page = closed_form_einfty(mw_max)
+def vanishing_scan(page: Page) -> Report:
+    """Dimension zero at every bidegree (2i, 2i), 1 <= i <= max_mw / 2,
+    of a stable page."""
+    mw_max = page.max_mw
     rep = Report()
     bad = []
     for i in range(1, mw_max // 2 + 1):

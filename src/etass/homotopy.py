@@ -57,16 +57,13 @@ class HomotopyGroup:
         return f"mw={self.mw} Z/2^{self.order_exponent} gen={self.generator_name}"
 
 
-def extract_groups(einfty: Page, mw_max: int | None = None) -> list[HomotopyGroup]:
-    """One group per stem from the stable page's towers."""
-    if mw_max is None:
-        mw_max = einfty.max_mw
+def extract_groups(einfty: Page) -> list[HomotopyGroup]:
+    """One group per stem of the window from the stable page's towers."""
     by_stem: dict[int, list[TorsionTower]] = {}
     for t in einfty.towers():
-        if t.mw <= mw_max:
-            by_stem.setdefault(t.mw, []).append(t)
+        by_stem.setdefault(t.mw, []).append(t)
     groups = []
-    for mw in range(mw_max + 1):
+    for mw in range(einfty.max_mw + 1):
         towers = by_stem.get(mw, [])
         if not towers:
             groups.append(HomotopyGroup(mw, 0, ""))

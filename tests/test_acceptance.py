@@ -100,7 +100,7 @@ def test_criterion_4_group_orders(groups):
 def test_criterion_5_oracle(adams_run):
     pages, _ = adams_run
     ok1 = A.dga_homology_oracle(6, 40).ok
-    ok2 = A.oracle_spot_check(pages[0], count=20, seed=0, e3=pages[1]).ok
+    ok2 = A.oracle_spot_check(pages[0], pages[1], count=20, seed=0).ok
     verdict(5, ok1 and ok2, "generic homology oracle agrees (N=6 bound 40; 20 bidegrees)")
 
 
@@ -109,7 +109,7 @@ def test_criterion_6_structural_scans(bockstein_run, adams_run):
     _, aeinf = adams_run
     oks = [
         X.unique_detection_scan(MW).ok,
-        X.vanishing_scan(MW, page=beinf).ok,
+        X.vanishing_scan(beinf).ok,
         X.product_consistency(MW, trials=500, seed=0).ok,
         X.massey_scan(MW).ok,
         A.mod4_vanishing_scan(aeinf).ok,

@@ -14,7 +14,6 @@ from etass.adams import (
     check_e3_products,
     closed_form_e3,
     closed_form_einfty,
-    compute_e3,
     d2_rule,
     dga_homology_oracle,
     dr_rule,
@@ -54,14 +53,22 @@ def test_d2_examples():
     assert leibniz_apply(d2, mono(p=8, v4=1)) == [mono(p=8, v3=2)]
 
 
-@pytest.fixture(scope="module")
-def e3_64():
-    return compute_e3(64)
+def page_3(e2):
+    """Page 3 built straight from page 2: the page-2 step's runs, no
+    differential."""
+    alive, zero = _e3_from_e2(e2)
+    return replace(e2, label="adams-E3", r=3, alive=alive, zero=zero, differential=None)
 
 
 @pytest.fixture(scope="module")
 def adams_64():
     return run_adams(64, verify="all")
+
+
+@pytest.fixture(scope="module")
+def e3_64(adams_64):
+    pages, _ = adams_64
+    return pages[1]
 
 
 def test_e3_matches_closed_form(e3_64):
@@ -87,7 +94,7 @@ def test_e3_tower_examples(e3_64):
 
 
 def test_e3_products(e3_64):
-    assert check_e3_products(64, e3=e3_64).ok
+    assert check_e3_products(e3_64).ok
     # the stated examples, at page level
     assert e3_64.status(mono(p=2, v2=2)) == "alive"  # v2 * P^2 v2
     assert e3_64.status(mono(rho=6, p=12, v3=2)) == "alive"
@@ -184,8 +191,8 @@ def test_dga_oracle_full():
 
 def test_oracle_spot_check(e3_64):
     e2 = build_e2(64)
-    assert oracle_spot_check(e2, count=20, seed=0, e3=e3_64).ok
-    assert oracle_spot_check(e2, count=20, seed=99, e3=e3_64).ok
+    assert oracle_spot_check(e2, e3_64, count=20, seed=0).ok
+    assert oracle_spot_check(e2, e3_64, count=20, seed=99).ok
 
 
 def _listed_oracle_picks(mw_max: int, count: int, seed: int) -> list[tuple[int, int]]:
@@ -207,9 +214,9 @@ def test_oracle_spot_check_picks_match_listed_classes(mw_max, count):
     """Drawing class indices and mapping them through the run lengths
     picks the same bidegrees as drawing from the list of classes."""
     e2 = build_e2(mw_max)
-    e3 = compute_e3(mw_max, e2=e2)
+    e3 = page_3(e2)
     for seed in (0, 1, 7, 99, 2024):
-        rep = oracle_spot_check(e2, count=count, seed=seed, e3=e3)
+        rep = oracle_spot_check(e2, e3, count=count, seed=seed)
         want = _listed_oracle_picks(mw_max, count, seed)
         assert [item.instance for item in rep.items] == [f"(mw={mw}, c={c})" for mw, c in want]
         assert rep.ok
@@ -225,8 +232,26 @@ def test_verify_oracle_reuses_the_session_page_2(monkeypatch):
     monkeypatch.setattr(adams, "build_e2", lambda mw_max: built.append(mw_max) or real(mw_max))
     rep = verify_oracle(s)
     assert built == []
-    want = oracle_spot_check(build_e2(24), count=20, seed=7)
+    e2 = build_e2(24)
+    want = oracle_spot_check(e2, page_3(e2), count=20, seed=7)
     assert len(want.items) == 20 and rep.items[-20:] == want.items
+
+
+@pytest.mark.parametrize("mw_max", [8, 13])
+def test_session_page_3_below_the_rule_pages(mw_max, monkeypatch):
+    """Below mw 14 run_adams has no rule page, and its stable page is
+    page 3: the Session takes it, relabelled, and runs the page-2 step
+    once.  It equals page 3 built straight from page 2."""
+    want = page_3(build_e2(mw_max))
+    calls = []
+    real = adams._e3_from_e2
+    monkeypatch.setattr(adams, "_e3_from_e2", lambda e2: calls.append(e2.max_mw) or real(e2))
+    s = Session(mw_max)
+    pages, _ = s.adams()
+    got = s.e3()
+    assert len(pages) == 1 and calls == [mw_max]
+    fields = ("kind", "label", "r", "max_mw", "alive", "zero", "differential")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
 
 
 def test_e2_page_status():

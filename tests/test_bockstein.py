@@ -27,6 +27,8 @@ from etass.bockstein import (
     build_e1,
     closed_form_einfty,
     compare_pages,
+    enumerate_families,
+    replay_mode,
     rho_inverted_check,
     run_bockstein,
     runs_contain,
@@ -122,7 +124,7 @@ def test_compare_shortened_run(run32):
     _, einf = run32
     assert compare_items(corrupted(einf, 3, {mono(v2=1): ((0, 2),)})) == [
         ("dimensions", False, "mismatched columns: [(3, {3: (0, 1)})]"),
-        ("towers", False, "tower lists differ"),
+        ("towers", False, "mw=3: computed v2 of length 2, predicted v2 of length 3"),
     ]
 
 
@@ -132,24 +134,50 @@ def test_compare_split_run(run32):
     _, einf = run32
     assert compare_items(corrupted(einf, 3, {mono(v2=1): ((0, 1), (1, 3))})) == [
         ("dimensions", True, ""),
-        ("towers", False, "tower lists differ"),
+        ("towers", False, "mw=3: computed v2 of length 1, predicted v2 of length 3"),
     ]
 
 
 def test_compare_moved_tower(run32):
     """The v2^6 tower moved onto P v3^2, the other family of (18, 6):
-    the alive runs differ but the tower shapes do not, and the compare
-    is on shapes."""
+    the dimensions agree, but the towers compare with their generators,
+    so "towers" fails and names both."""
     _, einf = run32
     page = corrupted(einf, 18, {mono(v2=6): None, mono(p=1, v3=2): ((0, 3),)})
     assert page.alive[18] != einf.alive[18]
-    assert compare_items(page) == [("dimensions", True, ""), ("towers", True, "")]
+    assert compare_items(page) == [
+        ("dimensions", True, ""),
+        ("towers", False, "mw=18: computed P v3^2 of length 3, predicted v2^6 of length 3"),
+    ]
+
+
+def test_compare_dropped_tower(run32):
+    """A tower missing from the computed page: the detail names it on
+    the predicted side only."""
+    _, einf = run32
+    assert compare_items(corrupted(einf, 18, {mono(v2=6): None}))[1] == (
+        "towers",
+        False,
+        "mw=18: computed none, predicted v2^6 of length 3",
+    )
+
+
+def test_replay_mode():
+    """One decision for both runs: "auto" is dense up to mw 96 and
+    sampled above, and both runs reject an unknown mode."""
+    assert replay_mode("auto", 96) == "all"
+    assert replay_mode("auto", 97) == "sample"
+    for mode in ("all", "sample", "off"):
+        assert replay_mode(mode, 20) == mode
+    for run in (run_bockstein, run_adams):
+        with pytest.raises(ValueError, match="unknown replay mode 'dense'"):
+            run(20, verify="dense")
 
 
 def test_compare_rejects_different_windows(run32):
     _, einf = run32
     with pytest.raises(ValueError):
-        compare_pages(einf, closed_form_einfty(16), "einfty")
+        compare_pages(einf, closed_form_einfty(16, enumerate_families(16)), "einfty")
 
 
 def test_rho_inverted_failures(run32):
@@ -251,7 +279,7 @@ def test_tower_shortcut_rejects_bockstein_image_below_rho_r():
 
 
 def test_closed_form_tower_degrees():
-    cf = closed_form_einfty(64)
+    cf = closed_form_einfty(64, enumerate_families(64))
     towers = {
         (t.mw, t.generator.bidegree.c): (str(t.generator), t.length)
         for t in cf.towers()
@@ -269,11 +297,17 @@ def test_closed_form_tower_degrees():
         assert got == (str(mono(p=2 ** (n - 1) * k, **{f"v{n}": 1})), 2 ** n - 1)
 
 
-def _columns_of(builder):
-    """The columns a closed form takes: all families, or the normal ones."""
+CLOSED_FORMS = (bockstein.closed_form_einfty, adams.closed_form_e3, adams.closed_form_einfty)
+
+
+def _build(builder, mw):
+    """A tower page at window mw; a closed form takes the columns of the
+    page it predicts: all families, or the normal ones."""
     if builder is bockstein.closed_form_einfty:
-        return bockstein.enumerate_families(0)
-    return ext.enumerate_ext_families(0)
+        return builder(mw, bockstein.enumerate_families(max(mw, 0)))
+    if builder in CLOSED_FORMS:
+        return builder(mw, ext.enumerate_ext_families(max(mw, 0)))
+    return builder(mw)
 
 
 TOWER_PAGE_BUILDERS = [
@@ -288,10 +322,7 @@ TOWER_PAGE_BUILDERS = [
 @pytest.mark.parametrize("builder", TOWER_PAGE_BUILDERS, ids=lambda f: f"{f.__module__}.{f.__name__}")
 def test_tower_page_builders_reject_negative_window(builder):
     with pytest.raises(ValueError, match="mw_max >= 0"):
-        builder(-1)
-    if builder in (bockstein.closed_form_einfty, adams.closed_form_e3, adams.closed_form_einfty):
-        with pytest.raises(ValueError, match="mw_max >= 0"):
-            builder(-1, _columns_of(builder))
+        _build(builder, -1)
 
 
 # sha256 of repr(sorted((mw, sorted(alive[mw].items())))) at mw 0, 1, 2,
@@ -341,11 +372,11 @@ BUILDER_DIGESTS = {
 
 @pytest.mark.parametrize("builder", TOWER_PAGE_BUILDERS, ids=lambda f: f"{f.__module__}.{f.__name__}")
 def test_tower_page_builders_are_pinned(builder):
-    """compare_pages compares tower shapes, not generators: the digests
-    pin which family carries each tower of the inputs and closed forms."""
+    """The digests pin which family carries each tower of the inputs and
+    closed forms."""
     got = []
     for mw in (0, 1, 2, 13, 14, 40, 64):
-        items = sorted((m, sorted(per.items())) for m, per in builder(mw).alive.items())
+        items = sorted((m, sorted(per.items())) for m, per in _build(builder, mw).alive.items())
         got.append(hashlib.sha256(repr(items).encode()).hexdigest())
     assert tuple(got) == BUILDER_DIGESTS[builder]
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from etass.adams import compute_e3, run_adams
+from etass.adams import run_adams
 from etass.bockstein import Column, Page, build_e1, run_bockstein
 from etass.charts import UnsupportedFormat, render
 
@@ -55,14 +55,20 @@ def page_towers(page, mw_cap=64):
 
 
 @pytest.fixture(scope="module")
-def einf64():
-    _, einf = run_adams(64, verify="off")
+def adams64():
+    return run_adams(64, verify="off")
+
+
+@pytest.fixture(scope="module")
+def einf64(adams64):
+    _, einf = adams64
     return einf
 
 
 @pytest.fixture(scope="module")
-def e3_64():
-    return compute_e3(64)
+def e3_64(adams64):
+    pages, _ = adams64
+    return pages[1]
 
 
 def test_e3_matches_figure(e3_64):
@@ -93,9 +99,7 @@ def test_svg_output(einf64):
 
 
 def test_svg_differentials_drawn(e3_64):
-    pages, _ = run_adams(64, verify="off")
-    e3_with_rule = pages[1]
-    doc = render(e3_with_rule, "svg", mw_hi=16)
+    doc = render(e3_64, "svg", mw_hi=16)
     # the page-3 arrows out of the 15-column
     assert doc.count("<line") > 10
 

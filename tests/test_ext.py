@@ -8,7 +8,7 @@ from etass.algebra import (
     normalize,
     torsion_bound,
 )
-from etass.bockstein import enumerate_families, run_bockstein
+from etass.bockstein import closed_form_einfty, enumerate_families, run_bockstein
 from etass.ext import (
     enumerate_ext_families,
     ext_model_page,
@@ -54,9 +54,9 @@ def test_unique_detection_nonclaim_witness():
 
 
 def test_vanishing_scan():
-    assert vanishing_scan(64).ok
+    assert vanishing_scan(closed_form_einfty(64, enumerate_families(64))).ok
     _, einf = run_bockstein(16, verify="off")
-    assert vanishing_scan(16, page=einf).ok
+    assert vanishing_scan(einf).ok
     assert einf.dim_at(2, 2) == 0
     assert einf.dim_at(4, 4) == 0
     assert einf.dim_at(0, 0) == 1  # the unit class, excluded from the claim

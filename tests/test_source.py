@@ -100,3 +100,25 @@ def test_no_function_level_etass_imports():
                     if _imports_etass(node) and id(node) not in exempt
                 )
     assert not found, f"function-level etass imports in src/etass: {sorted(found)}"
+
+
+# parameter annotations of a page, a column table or a group list that
+# may be left unset; a check takes what it reads from its caller
+OPTIONAL_INPUTS = {"Page | None", "dict[int, Column] | None", "list[HomotopyGroup] | None"}
+
+
+def test_no_optional_page_parameters():
+    """No function in src/etass takes a page, a column table or a group
+    list that it builds itself when the caller leaves it unset."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = func.args
+                found.extend(
+                    f"{path.name}:{func.name}({arg.arg})"
+                    for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+                    if arg.annotation is not None and ast.unparse(arg.annotation) in OPTIONAL_INPUTS
+                )
+    assert not found, f"optional page inputs in src/etass: {found}"
