@@ -8,9 +8,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from etass.adams import run_adams
-from etass.bockstein import build_e1, run_bockstein
 from etass.charts import render
+from etass.cli import Session, chart_page
 
 
 def main() -> int:
@@ -24,15 +23,9 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     mw_hi = args.mw_window or args.max_mw
 
-    _, bock_einf = run_bockstein(args.max_mw)
-    adams_pages, adams_einf = run_adams(args.max_mw)
-    pages = {
-        "e1": build_e1(args.max_mw),
-        "bockstein-einf": bock_einf,
-        "e3": adams_pages[1] if len(adams_pages) > 1 else adams_pages[0],
-        "einf": adams_einf,
-    }
-    for name, page in pages.items():
+    session = Session(args.max_mw)
+    for name in ("e1", "bockstein-einf", "e3", "einf"):
+        page = chart_page(session, name)
         for fmt, suffix in (("svg", "svg"), ("ascii", "txt")):
             path = out / f"{name}.{suffix}"
             path.write_text(render(page, fmt, mw_hi=mw_hi), encoding="utf-8")

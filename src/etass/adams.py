@@ -70,7 +70,6 @@ def d2_rule(mw_max: int) -> Derivation:
         n: (Monomial.make(0, 0, {n - 1: 2}),) for n in range(3, top + 1)
     }
     return Derivation(
-        r=2,
         shift=Bidegree(-1, 1),
         v_rules=rules,
         v_cycles=frozenset({2}),
@@ -137,10 +136,6 @@ class RuleTable:
             return [], 0
         src, tgt = rule.source, rule.target
         return [(family_of(tgt), tgt.rho_exp - src.rho_exp)], src.rho_exp
-
-    def sources(self, alive: dict[int, dict[int, Runs]]) -> list[int]:
-        """The families that may have an image: the alive rule sources."""
-        return [f for f, rule in self.rules.items() if f in alive.get(rule.source.bidegree.mw, {})]
 
 
 def adams_r_max(mw_max: int) -> int:
@@ -330,10 +325,11 @@ def mod4_vanishing_scan(einfty: Page) -> Report:
     return rep
 
 
-def exhaustive_hit_scan(e3: Page, einfty: Page, mw_max: int) -> Report:
-    """Every page-3 class in a positive stem congruent to 2 mod 4 is
-    hit under the rule pages, exactly once: the accumulated hit
-    intervals tile the page-3 towers."""
+def exhaustive_hit_scan(e3: Page, einfty: Page) -> Report:
+    """Every page-3 class in a positive stem congruent to 2 mod 4 up to
+    the page's window is hit under the rule pages, exactly once: the
+    accumulated hit intervals tile the page-3 towers."""
+    mw_max = e3.max_mw
     rep = Report()
     bad = []
     for mw in range(1, mw_max + 1):

@@ -18,7 +18,7 @@ leibniz_apply is the independent reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class NormalizationFailure(Exception):
@@ -346,7 +346,6 @@ class Derivation:
     Every rule must shift bidegree by `shift`, checked on construction.
     """
 
-    r: int
     shift: Bidegree
     v_rules: Mapping[int, MonomialSum] = field(default_factory=dict)
     all_v_cycles: bool = False
@@ -384,10 +383,6 @@ class Derivation:
         of Page.family_image: derivation_image with threshold 0, since
         rho is a cycle and the P attachment ignores rho."""
         return derivation_image(self, f), 0
-
-    def sources(self, alive: Mapping[int, Mapping[int, object]]) -> Iterable[int]:
-        """The families that may have an image: all of Page.alive."""
-        return (f for per in alive.values() for f in per)
 
 
 def leibniz_apply(d: Derivation, m: Monomial) -> list[Monomial]:

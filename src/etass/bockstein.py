@@ -68,8 +68,6 @@ from .report import Report
 if TYPE_CHECKING:
     from .adams import RuleTable
 
-MW_MAX_DEFAULT = 64
-
 # full per-bidegree verification below this window size, sampling above
 DENSE_VERIFY_LIMIT = 96
 # sampled replays skip instances whose three columns exceed this; the
@@ -186,7 +184,8 @@ def families(mw_max: int, normal: bool) -> dict[int, Column]:
     2^(n-1).  Families are packed ints (algebra.family_of), built by
     integer addition of the generator steps and sorted as ints.
     """
-    if not 0 <= mw_max <= MW_LIMIT:
+    c_max_for(mw_max)  # rejects a negative window
+    if mw_max > MW_LIMIT:
         raise ValueError(f"the window must be 0..{MW_LIMIT}, got {mw_max}")
     top = mw_max + 1
     per_mw: list[list[int]] = [[] for _ in range(top + 1)]
@@ -290,8 +289,6 @@ class TorsionTower:
         return self.generator.bidegree.mw
 
 
-# a class on the read side: (rho-free family, rho exponent)
-Class = tuple[Monomial, int]
 # a run of differentials: (family, lo, hi, [(target family, rho delta)])
 DiffRun = tuple[int, int, int, list[tuple[int, int]]]
 
@@ -308,10 +305,8 @@ class Page:
     (_advance) and the gf2 replay both read it through family_image.
     On an "adams" page the Ext model's ring torsion holds as well: a
     class past its family's torsion_bound is zero.  The Chow truncation
-    c_max follows from max_mw.  The read side (basis_at, classes,
-    towers, status) speaks Monomials: it gives a class as a (rho-free
-    family, rho exponent) pair and builds one Monomial per family it
-    reads, none per class.  differentials, column_towers and
+    c_max follows from max_mw.  The read side (basis_at, towers,
+    status) speaks Monomials.  differentials, column_towers and
     window_towers give packed families and rho intervals, one entry per
     run of classes, for the dump writer, the charts and the checks.
 
@@ -539,15 +534,6 @@ class Page:
                 raise EngineError(f"basis at mw={mw}, c={c} disagrees with the alive runs")
         return out
 
-    def classes(self) -> Iterable[tuple[int, int, Class]]:
-        """(mw, c, class) over the reporting window, ordered by mw, c
-        and family position (see column_classes)."""
-        for mw, column in self.window_columns():
-            names = [family_monomial(fam) for fam, _, _ in column]
-            for c, positions in self.column_classes(mw):
-                for pos in positions:
-                    yield mw, c, (names[pos], c - column[pos][1])
-
 
 def tower_page(
     kind: str, label: str, r: int, mw_max: int, columns: dict[int, Column], tower: Callable
@@ -578,7 +564,6 @@ def bockstein_rule(n: int) -> Derivation:
     block = 2 ** (n - 2) if n > 2 else 1
     image = Monomial.make(r, 0, {n: 1})
     return Derivation(
-        r=r,
         shift=Bidegree(-1, 0),
         all_v_cycles=True,
         p_rule=(block, image),
@@ -592,16 +577,15 @@ def bockstein_rule(n: int) -> Derivation:
 def _advance(page: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[int, Runs]]]:
     """Homology of the page differential, tower by tower.
 
-    The edges are the differential's family images (Page.family_image)
-    on the sources it names: every alive family for a Derivation, the
-    alive rule sources for a RuleTable.  Each family must map to at
-    most one family and receive from at most one, else EngineError, so
-    that every bidegree's matrix is a direct sum of 1x1 blocks and the
-    surviving classes form interval complements.  The per-bidegree
-    claim is re-derived through gf2 by verify_transition afterwards.  A
-    Bockstein page-r differential must raise the rho exponent by r at
-    least; derivation_image adds exactly the rule images' rho exponents,
-    so that is checked once on the derivation.
+    The edges are the differential's family images (family_image) on
+    the alive families; a RuleTable answers ([], 0) off its rules.  Each
+    family must map to at most one family and receive from at most one,
+    else EngineError, so that every bidegree's matrix is a direct sum of
+    1x1 blocks and the surviving classes form interval complements.  The
+    per-bidegree claim is re-derived through gf2 by verify_transition
+    afterwards.  A Bockstein page-r differential must raise the rho
+    exponent by r at least, checked on every edge: an image that no
+    alive family produces cannot change the page.
 
     Pages are read-only, so the new tables share with the page every
     column that no edge leaves or enters: the same dict object, alive
@@ -609,26 +593,22 @@ def _advance(page: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[int
     new dict.
     """
     d = page.differential
-    if page.kind == "bockstein" and d is not None:
-        images = [t for terms in d.v_rules.values() for t in terms]
-        if d.p_rule is not None:
-            images.append(d.p_rule[1])
-        low = [m for m in images if m.rho_exp < d.r]
-        if low:
-            raise EngineError(f"rule image {low[0]} has rho exponent below r = {d.r}")
+    floor = page.r if page.kind == "bockstein" else None  # the least rho delta
     shift = page.diff_shift().mw
     edges: dict[int, tuple[int, int, int]] = {}  # fam -> (target, rho delta, threshold)
     incoming: dict[int, tuple[int, int, int]] = {}  # target -> (fam, rho delta, threshold)
     name = family_monomial
     # d.family_image is Page.family_image less its None check, which
     # costs as much as the image itself on most families
-    for fam in d.sources(page.alive) if d is not None else ():
+    for fam in (f for per in page.alive.values() for f in per) if d is not None else ():
         terms, threshold = d.family_image(fam)
         if not terms:
             continue
         if len(terms) != 1:
             raise EngineError(f"family image of {name(fam)} is not a single monomial")
         ((tfam, delta),) = terms
+        if floor is not None and delta < floor:
+            raise EngineError(f"rule image {name(tfam, delta)} has rho exponent below r = {floor}")
         if tfam in incoming:
             raise EngineError(
                 f"families {name(incoming[tfam][0])} and {name(fam)} share image {name(tfam)}"
@@ -755,9 +735,6 @@ class Homology:
                 images=[None] * len(alive),
             )
         return table
-
-    def basis(self, mw: int, c: int) -> list[int]:
-        return self.column(mw).bases[c]
 
     def visit(self, mw: int) -> _ColumnTable:
         """Column mw's table, dropping those of columns out of reach."""

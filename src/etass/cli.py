@@ -107,7 +107,7 @@ def verify_adams(s: Session) -> Report:
     )
     rep.extend(adams_mod.check_e3_products(e3))
     rep.extend(adams_mod.mod4_vanishing_scan(einf))
-    rep.extend(adams_mod.exhaustive_hit_scan(e3, einf, s.mw_max))
+    rep.extend(adams_mod.exhaustive_hit_scan(e3, einf))
     rep.extend(ext_mod.stem_finiteness_scan(einf))
     return rep
 
@@ -216,16 +216,21 @@ def _cmd_brackets(args) -> int:
     return 0
 
 
+def chart_page(s: Session, name: str) -> bock_mod.Page:
+    """The page a chart named `name` shows: "e1", "bockstein-einf",
+    "e3" (Session.e3) or "einf", the stable Adams page; for the chart
+    command and scripts/make_charts.py."""
+    if name == "e1":
+        return bock_mod.build_e1(s.mw_max)
+    if name == "bockstein-einf":
+        return s.bockstein()[1]
+    if name == "e3":
+        return s.e3()
+    return s.adams()[1]
+
+
 def _cmd_chart(args) -> int:
-    s = Session(args.max_mw, verify=args.page_verify)
-    if args.page == "e1":
-        page = bock_mod.build_e1(args.max_mw)
-    elif args.page == "bockstein-einf":
-        page = s.bockstein()[1]
-    elif args.page == "e3":
-        page = s.e3()
-    else:
-        page = s.adams()[1]
+    page = chart_page(Session(args.max_mw, verify=args.page_verify), args.page)
     doc = charts_mod.render(page, args.format)
     Path(args.out).write_text(doc, encoding="utf-8")
     print(f"wrote {args.out}")

@@ -15,6 +15,7 @@ hidden corrections.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from .algebra import (
     Bidegree,
@@ -27,15 +28,7 @@ from .algebra import (
     multiply,
     torsion_bound,
 )
-from .bockstein import (
-    EMPTY,
-    Column,
-    Page,
-    Runs,
-    c_max_for,
-    families,
-    tower_page,
-)
+from .bockstein import Column, Page, closed_form_einfty, families
 from .report import Report
 
 
@@ -45,21 +38,12 @@ def enumerate_ext_families(mw_max: int) -> dict[int, Column]:
 
 
 def ext_model_page(mw_max: int) -> Page:
-    """The Ext model as a page: rho towers cut by the torsion bounds.
-
-    Same class data as the stable Bockstein page, reindexed over the
-    normal families only.
-    """
-    c_max = c_max_for(mw_max)
-    columns = enumerate_ext_families(mw_max)
-    towers = [((0, hi),) for hi in range(c_max + 2)]  # shared
-
-    def tower(fam: int) -> Runs:
-        t = torsion_bound(fam)
-        hi = c_max - family_c0(fam) + 1 if t is None else t
-        return towers[hi] if hi > 0 else EMPTY
-
-    return tower_page("adams", "adams-E2", 2, mw_max, columns, tower)
+    """The Ext model as page 2 of the Adams sequence: the closed form of
+    the stable Bockstein page (bockstein.closed_form_einfty) over the
+    normal families, so the Adams input is, by construction, the page
+    the Bockstein run is checked against."""
+    page = closed_form_einfty(mw_max, enumerate_ext_families(mw_max))
+    return replace(page, kind="adams", label="adams-E2", r=2)
 
 
 def _families_up_to(mw_max: int) -> list[int]:

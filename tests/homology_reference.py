@@ -1,11 +1,11 @@
 """The earlier body of bockstein.Homology.at, kept as the reference that
 the one-elimination routine is compared against.
 
-It reads the same integer matrices (Homology.basis and map_columns) but
-computes the homology with the generic gf2 routines: the outgoing
-matrix transposed into F2Vector rows for kernel_basis, a fresh boundary
-Echelon, and quotient_basis of the boundaries in the kernel, whose
-single-class representatives are the reps.  reference_unit_representatives
+It reads the same integer matrices (Homology.column's bases and
+map_columns) but computes the homology with the generic gf2 routines:
+the outgoing matrix transposed into F2Vector rows for kernel_basis, a
+fresh boundary Echelon, and quotient_basis of the boundaries in the
+kernel, whose single-class representatives are the reps.  reference_unit_representatives
 is the earlier unit_representatives, which inserted every cycle's unit
 vector into a copy of the boundary echelon, and dense_bidegrees the
 earlier bockstein.dense_bidegrees, which gathered the Chow degrees with
@@ -21,12 +21,12 @@ from gf2_reference import reference_insert
 
 def reference_at(homology, mw: int, c: int, sums_allowed: bool = False):
     """(basis, reps, boundaries) at (mw, c), as Homology.at returns them."""
-    mid = homology.basis(mw, c)
+    mid = homology.column(mw).bases[c]
     if not mid:
         return mid, [], Echelon()
     shift = homology.shift
     n = len(mid)
-    rows_bits = [0] * len(homology.basis(mw + shift.mw, c + shift.c))
+    rows_bits = [0] * len(homology.column(mw + shift.mw).bases[c + shift.c])
     for j, bits in enumerate(homology.map_columns(mw, c)):
         while bits:
             low = bits & -bits

@@ -167,7 +167,7 @@ def test_tower_bookkeeping_mw63(adams_64):
 def test_scans(adams_64, e3_64):
     pages, einf = adams_64
     assert mod4_vanishing_scan(einf).ok
-    assert exhaustive_hit_scan(pages[1], einf, 64).ok
+    assert exhaustive_hit_scan(pages[1], einf).ok
 
 
 def test_window_independence():

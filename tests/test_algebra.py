@@ -29,7 +29,6 @@ def nmono(rho=0, p=0, **vs):
 
 
 D2 = Derivation(
-    r=2,
     shift=Bidegree(-1, 1),
     v_rules={n: (mono(**{f"v{n - 1}": 2}),) for n in range(3, 8)},
     v_cycles=frozenset({2}),
@@ -37,7 +36,6 @@ D2 = Derivation(
 )
 
 D3 = Derivation(
-    r=3,
     shift=Bidegree(-1, 0),
     all_v_cycles=True,
     p_rule=(1, mono(rho=3, v2=1)),
@@ -157,7 +155,6 @@ def test_leibniz_p_rule():
 def test_leibniz_attached_p_is_cycle():
     # on the later page the P power rides on the v2 family, a cycle
     d7 = Derivation(
-        r=7,
         shift=Bidegree(-1, 0),
         all_v_cycles=True,
         p_rule=(2, mono(rho=7, v3=1)),
@@ -170,14 +167,14 @@ def test_leibniz_attached_p_is_cycle():
 
 
 def test_leibniz_missing_rule():
-    d = Derivation(r=2, shift=Bidegree(-1, 1), v_rules={3: (mono(v2=2),)})
+    d = Derivation(shift=Bidegree(-1, 1), v_rules={3: (mono(v2=2),)})
     with pytest.raises(MissingRule):
         leibniz_apply(d, mono(v2=1))
 
 
 def test_derivation_rejects_wrong_shift():
     with pytest.raises(ValueError):
-        Derivation(r=2, shift=Bidegree(-1, 0), v_rules={3: (mono(v2=2),)})
+        Derivation(shift=Bidegree(-1, 0), v_rules={3: (mono(v2=2),)})
 
 
 def test_leibniz_product_rule_random():

@@ -1,11 +1,15 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from etass.adams import run_adams
+from etass.algebra import family_monomial
 from etass.bockstein import Column, Page, build_e1, run_bockstein
 from etass.charts import UnsupportedFormat, render
+from etass.cli import Session
 
 FIXTURE = json.loads(
     (Path(__file__).parent / "data" / "figure_dots.json").read_text()
@@ -24,7 +28,8 @@ def fixture_dots(rows, c_cap=63):
 def page_dots(page, mw_cap=64, c_cap=63):
     return {
         (mw, c)
-        for mw, c, _ in page.classes()
+        for mw, _ in page.window_columns()
+        for c, _ in page.column_classes(mw)
         if mw <= mw_cap and c <= c_cap
     }
 
@@ -84,9 +89,14 @@ def test_einf_matches_figure(einf64):
 def test_json_round_trip(einf64):
     doc = json.loads(render(einf64, "json"))
     dumped = {(cl["mw"], cl["c"], cl["label"]) for cl in doc["classes"]}
-    direct = {(mw, c, str(fam.times_rho(b))) for mw, c, (fam, b) in einf64.classes()}
-    assert dumped == direct
-    assert len(doc["classes"]) == sum(1 for _ in einf64.classes())
+    direct = [
+        (mw, c, str(family_monomial(column[pos][0], c - column[pos][1])))
+        for mw, column in einf64.window_columns()
+        for c, positions in einf64.column_classes(mw)
+        for pos in positions
+    ]
+    assert dumped == set(direct)
+    assert len(doc["classes"]) == len(direct)
 
 
 def test_svg_output(einf64):
@@ -143,3 +153,18 @@ def test_bockstein_einf_chart():
     doc = json.loads(render(einf, "json"))
     assert doc["kind"] == "bockstein"
     assert {t["generator_label"] for t in doc["towers"]} >= {"1", "v2", "v3"}
+
+
+def test_make_charts_script_renders_page_3(tmp_path, monkeypatch):
+    """scripts/make_charts.py charts the session's page 3 as e3, also
+    below mw 14, where run_adams has no rule page and page 2 is its
+    first page."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "make_charts.py"
+    spec = importlib.util.spec_from_file_location("make_charts", path)
+    script = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", [*sys.path])  # the script prepends src/
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["make_charts.py", "--max-mw", "8", "--out", str(tmp_path)])
+    assert script.main() == 0
+    got = (tmp_path / "e3.txt").read_text(encoding="utf-8")
+    assert got == render(Session(8).e3(), "ascii", mw_hi=8)

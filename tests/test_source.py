@@ -70,6 +70,30 @@ def test_tracer_coverage_reads_pages():
     }
 
 
+def test_no_unused_imports():
+    """Every name a module of src/etass imports is read in that module,
+    apart from imports on a line marked `# noqa: F401` (names kept
+    importable for the benchmark tracer).  No linter ships with the
+    package, so this is the check."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text, str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            ):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                marked = {lines[node.lineno - 1], lines[alias.lineno - 1]}
+                if name not in read and not any("# noqa: F401" in line for line in marked):
+                    found.append(f"{path.name}:{alias.lineno} {name}")
+    assert not found, f"unused imports in src/etass: {found}"
+
+
 def _imports_etass(node: ast.AST) -> bool:
     if isinstance(node, ast.ImportFrom):
         return node.level > 0 or (node.module or "").split(".")[0] == "etass"
