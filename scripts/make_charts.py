@@ -9,19 +9,19 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from etass.charts import render
-from etass.cli import Session, chart_page
+from etass.cli import Session, chart_page, window
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-mw", type=int, default=64)
+    ap.add_argument("--max-mw", type=window, default=64)
     ap.add_argument("--out", default="charts")
-    ap.add_argument("--mw-window", type=int, default=None, help="clip the horizontal axis")
+    ap.add_argument("--mw-window", type=window, default=None, help="clip the horizontal axis")
     args = ap.parse_args()
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    mw_hi = args.mw_window or args.max_mw
+    mw_hi = args.max_mw if args.mw_window is None else args.mw_window
 
     session = Session(args.max_mw)
     for name in ("e1", "bockstein-einf", "e3", "einf"):

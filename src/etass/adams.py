@@ -265,9 +265,9 @@ def check_e3_products(e3: Page) -> Report:
         raise EngineError(f"product {m} unresolved on page 3")
 
     gens = [
-        t.generator
-        for t in e3.towers()
-        if len(t.generator.v_exps) == 1 and t.generator.v_exps[0][1] == 1
+        family_monomial(fam, lo)
+        for _, fam, lo, _, _ in e3.window_towers()
+        if len(v := family_v_exps(fam)) == 1 and v[0][1] == 1
     ]
     bad = []
     checked = 0
@@ -312,15 +312,15 @@ def mod4_vanishing_scan(einfty: Page) -> Report:
     mod 4."""
     rep = Report()
     bad = [
-        t
-        for t in einfty.towers()
-        if t.mw > 0 and t.mw % 4 in (1, 2)
+        str(family_monomial(fam, lo))
+        for mw, fam, lo, _, _ in einfty.window_towers()
+        if mw > 0 and mw % 4 in (1, 2)
     ]
     rep.add(
         "einfty-mod4-vanishing",
         f"stems 1..{einfty.max_mw}",
         not bad,
-        "" if not bad else f"classes at {[str(t.generator) for t in bad[:5]]}",
+        "" if not bad else f"classes at {bad[:5]}",
     )
     return rep
 

@@ -274,21 +274,6 @@ def _positions(index: tuple, c: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # towers and pages
 
-@dataclass(frozen=True)
-class TorsionTower:
-    """One maximal rho-run: generator, number of alive classes, and
-    whether the run was cut off by the Chow truncation rather than by
-    torsion."""
-
-    generator: Monomial
-    length: int
-    truncated: bool
-
-    @property
-    def mw(self) -> int:
-        return self.generator.bidegree.mw
-
-
 # a run of differentials: (family, lo, hi, [(target family, rho delta)])
 DiffRun = tuple[int, int, int, list[tuple[int, int]]]
 
@@ -305,10 +290,10 @@ class Page:
     (_advance) and the gf2 replay both read it through family_image.
     On an "adams" page the Ext model's ring torsion holds as well: a
     class past its family's torsion_bound is zero.  The Chow truncation
-    c_max follows from max_mw.  The read side (basis_at, towers,
-    status) speaks Monomials.  differentials, column_towers and
-    window_towers give packed families and rho intervals, one entry per
-    run of classes, for the dump writer, the charts and the checks.
+    c_max follows from max_mw.  basis_at and status speak Monomials;
+    differentials, column_towers and window_towers give packed families
+    and rho intervals, one entry per run of classes, to every reader
+    that walks a page, which names a class with family_monomial.
 
     A page is read-only once built: a page transition (_advance) hands
     the next page the very column dicts of `alive` and `zero` that no
@@ -508,15 +493,6 @@ class Page:
         for mw, _ in self.window_columns():
             for tower in self.column_towers(mw):
                 yield (mw, *tower)
-
-    def towers(self) -> list[TorsionTower]:
-        """The towers of the reporting window, in column order, each
-        with a Monomial generator: for charts, homotopy and the Adams
-        scans, which name the generators."""
-        return [
-            TorsionTower(family_monomial(fam, lo), hi - lo, truncated)
-            for _, fam, lo, hi, truncated in self.window_towers()
-        ]
 
     def column_classes(self, mw: int) -> list[tuple[int, list[int]]]:
         """(c, positions) per Chow degree c <= c_max of column mw that

@@ -31,7 +31,7 @@ class UnsupportedFormat(Exception):
     pass
 
 
-def render(page: Page, fmt: str, mw_hi: int | None = None, c_hi: int | None = None) -> str:
+def render(page: Page, fmt: str, mw_hi: int | None = None) -> str:
     """Render a page as 'svg', 'ascii' or 'json' (the dump schema)."""
     if fmt == "json":
         buf = io.StringIO()
@@ -42,11 +42,10 @@ def render(page: Page, fmt: str, mw_hi: int | None = None, c_hi: int | None = No
     towers = _window_towers(page, mw_hi)
     if mw_hi is None:
         mw_hi = page.max_mw
-    if c_hi is None:
-        # bounded towers set the window; unbounded ones get arrowed off
-        tops = [c + ln - 1 for _, c, _, ln, trunc in towers if not trunc]
-        tops += [c for _, c, _, ln, trunc in towers if trunc]
-        c_hi = min(page.c_max, max(tops, default=4) + 2)
+    # bounded towers set the window; unbounded ones get arrowed off
+    tops = [c + ln - 1 for _, c, _, ln, trunc in towers if not trunc]
+    tops += [c for _, c, _, ln, trunc in towers if trunc]
+    c_hi = min(page.c_max, max(tops, default=4) + 2)
     if fmt == "svg":
         return _render_svg(page, towers, mw_hi, c_hi)
     return _render_ascii(page, towers, mw_hi, c_hi)
@@ -150,13 +149,11 @@ def write_page_dump(page: Page, out) -> None:
 
 def _window_towers(page: Page, mw_hi: int | None):
     """(mw, c_start, label, length, truncated) per tower in window."""
-    out = []
-    for t in page.towers():
-        deg = t.generator.bidegree
-        if mw_hi is not None and deg.mw > mw_hi:
-            continue
-        out.append((deg.mw, deg.c, str(t.generator), t.length, t.truncated))
-    return out
+    return [
+        (mw, family_c0(fam) + lo, str(family_monomial(fam, lo)), hi - lo, truncated)
+        for mw, fam, lo, hi, truncated in page.window_towers()
+        if mw_hi is None or mw <= mw_hi
+    ]
 
 
 def _differential_segments(page: Page, mw_hi: int, c_hi: int):

@@ -84,10 +84,11 @@ def verify_bockstein(s: Session) -> Report:
 def verify_ext(s: Session) -> Report:
     rep = Report()
     _, einf = s.bockstein()
-    rep.extend(ext_mod.unique_detection_scan(s.mw_max))
+    columns = ext_mod.enumerate_ext_families(s.mw_max)
+    rep.extend(ext_mod.unique_detection_scan(s.mw_max, columns))
     rep.extend(ext_mod.vanishing_scan(einf))
     rep.extend(ext_mod.massey_scan(s.mw_max))
-    rep.extend(ext_mod.product_consistency(s.mw_max, trials=500, seed=s.seed))
+    rep.extend(ext_mod.product_consistency(s.mw_max, columns, trials=500, seed=s.seed))
     return rep
 
 
@@ -257,13 +258,16 @@ def _cmd_verify(args) -> int:
     return 0 if full.ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    def window(text: str) -> int:
-        mw = int(text)
-        if not 0 <= mw <= MW_LIMIT:
-            raise argparse.ArgumentTypeError(f"the window must be 0..{MW_LIMIT}, got {mw}")
-        return mw
+def window(text: str) -> int:
+    """argparse type of a Milnor-Witt window: 0..MW_LIMIT, else exit 2;
+    for the CLI and scripts/make_charts.py."""
+    mw = int(text)
+    if not 0 <= mw <= MW_LIMIT:
+        raise argparse.ArgumentTypeError(f"the window must be 0..{MW_LIMIT}, got {mw}")
+    return mw
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="etass",
         description=(

@@ -46,14 +46,6 @@ def ext_model_page(mw_max: int) -> Page:
     return replace(page, kind="adams", label="adams-E2", r=2)
 
 
-def _families_up_to(mw_max: int) -> list[int]:
-    out = []
-    for mw, col in enumerate_ext_families(mw_max).items():
-        if mw <= mw_max:
-            out.extend(col.fams)
-    return out
-
-
 def _collisions_at(mw: int, fam: int, columns: dict[int, Column]) -> list[Monomial]:
     """rho-divisible normal monomials sharing the bidegree of the
     family fam of column mw."""
@@ -67,11 +59,11 @@ def _collisions_at(mw: int, fam: int, columns: dict[int, Column]) -> list[Monomi
     return out
 
 
-def unique_detection_scan(mw_max: int) -> Report:
+def unique_detection_scan(mw_max: int, columns: dict[int, Column]) -> Report:
     """No rho-divisible basis element shares a bidegree with any
-    P^(2^(n-1)k) v_n or P^(2^(n-1)k) v_n^2 basis element."""
+    P^(2^(n-1)k) v_n or P^(2^(n-1)k) v_n^2 basis element; columns are
+    the normal families (enumerate_ext_families(mw_max))."""
     rep = Report()
-    columns = enumerate_ext_families(mw_max)
     bad = []
     count = 0
     for mw in range(mw_max + 1):
@@ -187,12 +179,16 @@ def massey_scan(mw_max: int) -> Report:
     return rep
 
 
-def product_consistency(mw_max: int, trials: int = 500, seed: int = 0) -> Report:
-    """Random products: associativity, commutativity, and the shift
-    relation P^(2^(n-1)k) v_n * P^(2^(m-1)j) v_m =
+def product_consistency(
+    mw_max: int, columns: dict[int, Column], trials: int = 500, seed: int = 0
+) -> Report:
+    """Random products of classes of the normal families (columns, as
+    enumerate_ext_families(mw_max)): associativity, commutativity, and
+    the shift relation P^(2^(n-1)k) v_n * P^(2^(m-1)j) v_m =
     P^(2^(n-1)(k + 2^(m-n) j)) v_n v_m."""
     rng = random.Random(seed)
-    fams = [f for f in _families_up_to(mw_max) if f]  # all but the unit
+    # all but the unit, in column order
+    fams = [f for mw, col in columns.items() if mw <= mw_max for f in col.fams if f]
     rep = Report()
     bad_assoc = bad_comm = 0
     # windows below mw 3 hold no family to pick from
@@ -249,12 +245,9 @@ def stem_finiteness_scan(einfty: Page) -> Report:
     classes, all of Chow degree at most the stem."""
     rep = Report()
     bad = []
-    for t in einfty.towers():
-        if t.mw == 0:
-            continue
-        top = t.generator.bidegree.c + t.length - 1
-        if t.truncated or top > t.mw:
-            bad.append(str(t.generator))
+    for mw, fam, lo, hi, truncated in einfty.window_towers():
+        if mw > 0 and (truncated or family_c0(fam) + hi - 1 > mw):
+            bad.append(str(family_monomial(fam, lo)))
     rep.add(
         "stem-finiteness",
         f"stems 1..{einfty.max_mw}",

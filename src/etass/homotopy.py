@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bockstein import Page, TorsionTower
+from .algebra import family_monomial, family_p, family_v_exps
+from .bockstein import Page
 from .report import Report
 
 
@@ -43,7 +44,6 @@ class HomotopyGroup:
     mw: int
     order_exponent: int | None
     generator_name: str
-    detector: TorsionTower | None = None
 
     @property
     def is_trivial(self) -> bool:
@@ -59,9 +59,9 @@ class HomotopyGroup:
 
 def extract_groups(einfty: Page) -> list[HomotopyGroup]:
     """One group per stem of the window from the stable page's towers."""
-    by_stem: dict[int, list[TorsionTower]] = {}
-    for t in einfty.towers():
-        by_stem.setdefault(t.mw, []).append(t)
+    by_stem: dict[int, list[tuple[int, int, int, bool]]] = {}
+    for mw, *tower in einfty.window_towers():
+        by_stem.setdefault(mw, []).append(tower)
     groups = []
     for mw in range(einfty.max_mw + 1):
         towers = by_stem.get(mw, [])
@@ -70,20 +70,19 @@ def extract_groups(einfty: Page) -> list[HomotopyGroup]:
             continue
         if len(towers) > 1:
             raise MultipleTowers(
-                f"stem {mw} has towers {[str(t.generator) for t in towers]}"
+                f"stem {mw} has towers {[str(family_monomial(f, lo)) for f, lo, *_ in towers]}"
             )
-        (tower,) = towers
+        ((fam, lo, hi, truncated),) = towers
         if mw == 0:
-            groups.append(HomotopyGroup(0, None, "1", tower))
+            groups.append(HomotopyGroup(0, None, "1"))
             continue
-        gen = tower.generator
-        if len(gen.v_exps) != 1 or gen.v_exps[0][1] != 1 or tower.truncated:
+        v_exps = family_v_exps(fam)
+        if len(v_exps) != 1 or v_exps[0][1] != 1 or truncated:
+            gen = family_monomial(fam, lo)
             raise MultipleTowers(f"stem {mw} detector {gen} is not a tower family")
-        n = gen.v_exps[0][0]
-        k = gen.p_exp // 2 ** (n - 1)
-        groups.append(
-            HomotopyGroup(mw, tower.length, generator_name(n, k), tower)
-        )
+        n = v_exps[0][0]
+        k = family_p(fam) // 2 ** (n - 1)
+        groups.append(HomotopyGroup(mw, hi - lo, generator_name(n, k)))
     return groups
 
 

@@ -2,9 +2,9 @@
 
 This is the reference the streamed writer (etass.charts.write_page_dump)
 is compared against: `json.dumps(reference_page_dump(page), indent=2)`
-is the dump's exact text.  Classes come from Page.basis_at, images from
-image_classes below and towers from Page.towers, so none of it shares
-the writer's integer read path.
+is the dump's exact text.  Classes come from Page.basis_at and images
+from image_classes below, so neither shares the writer's integer read
+path; towers are Page.window_towers' runs, labelled here.
 """
 
 from __future__ import annotations
@@ -100,12 +100,12 @@ def reference_page_dump(page) -> dict:
         for src, targets in reference_differentials(page)
     ]
     towers = []
-    for t in page.towers():
-        entry: dict = {"generator_label": str(t.generator)}
-        if t.truncated:
+    for _, fam, lo, hi, truncated in page.window_towers():
+        entry: dict = {"generator_label": str(family_monomial(fam, lo))}
+        if truncated:
             entry["infinite"] = True
         else:
-            entry["length"] = t.length
+            entry["length"] = hi - lo
         towers.append(entry)
     return {
         "page": page.r,

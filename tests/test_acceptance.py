@@ -12,6 +12,7 @@ from etass import bockstein as B
 from etass import brackets as BR
 from etass import ext as X
 from etass import homotopy as H
+from etass.algebra import family_c0, family_monomial
 from etass.cli import main as cli_main
 
 MW = 64
@@ -61,8 +62,8 @@ def test_criterion_2_adams_e3(adams_run):
     e3 = pages[1]
     rep = B.compare_pages(e3, A.closed_form_e3(MW, e3.columns), "c2")
     towers = {
-        (t.mw, t.generator.bidegree.c): (str(t.generator), t.length)
-        for t in e3.towers()
+        (mw, family_c0(fam) + lo): (str(family_monomial(fam, lo)), hi - lo)
+        for mw, fam, lo, hi, _ in e3.window_towers()
     }
     spots = (
         towers.get((7, 4)) == ("rho^3 v3", 4)
@@ -77,9 +78,9 @@ def test_criterion_3_adams_einfty(adams_run):
     _, einf = adams_run
     rep = B.compare_pages(einf, A.closed_form_einfty(MW, einf.columns), "c3")
     towers = {
-        t.mw: (t.generator.bidegree.c, t.length)
-        for t in einf.towers()
-        if t.mw in (15, 31, 63)
+        mw: (family_c0(fam) + lo, hi - lo)
+        for mw, fam, lo, hi, _ in einf.window_towers()
+        if mw in (15, 31, 63)
     }
     spots = (
         towers.get(15) == (11, 5)
@@ -108,9 +109,9 @@ def test_criterion_6_structural_scans(bockstein_run, adams_run):
     _, beinf, _ = bockstein_run
     _, aeinf = adams_run
     oks = [
-        X.unique_detection_scan(MW).ok,
+        X.unique_detection_scan(MW, X.enumerate_ext_families(MW)).ok,
         X.vanishing_scan(beinf).ok,
-        X.product_consistency(MW, trials=500, seed=0).ok,
+        X.product_consistency(MW, X.enumerate_ext_families(MW), trials=500, seed=0).ok,
         X.massey_scan(MW).ok,
         A.mod4_vanishing_scan(aeinf).ok,
     ]
@@ -131,12 +132,12 @@ def test_criterion_8_chart_round_trip(adams_run):
 
     def towers_of(page):
         out = set()
-        for t in page.towers():
-            if t.mw > MW:
+        for mw, fam, lo, hi, truncated in page.window_towers():
+            if mw > MW:
                 continue
-            deg = t.generator.bidegree
-            hi = None if t.truncated else deg.c + t.length - 1
-            out.add((deg.mw, deg.c, hi, str(t.generator)))
+            c0 = family_c0(fam)
+            top = None if truncated else c0 + hi - 1
+            out.add((mw, c0 + lo, top, str(family_monomial(fam, lo))))
         return out
 
     def fixture_towers(rows):

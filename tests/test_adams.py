@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from etass import adams, bockstein
-from etass.algebra import Monomial, family_monomial, family_of, leibniz_apply
+from etass.algebra import Monomial, family_c0, family_monomial, family_of, leibniz_apply
 from etass.adams import (
     AdamsDiffRule,
     RuleTable,
@@ -78,8 +78,8 @@ def test_e3_matches_closed_form(e3_64):
 
 def test_e3_tower_examples(e3_64):
     towers = {
-        (t.mw, t.generator.bidegree.c): (str(t.generator), t.length)
-        for t in e3_64.towers()
+        (mw, family_c0(fam) + lo): (str(family_monomial(fam, lo)), hi - lo)
+        for mw, fam, lo, hi, _ in e3_64.window_towers()
     }
     # rho^3 P^(4k) v3 at (7,4) + k(16,16), torsion 4
     assert towers[(7, 4)] == ("rho^3 v3", 4)
@@ -144,9 +144,9 @@ def test_einfty_matches_closed_form(adams_64):
 def test_einfty_spot_towers(adams_64):
     _, einf = adams_64
     towers = {
-        t.mw: (t.generator.bidegree.c, str(t.generator), t.length)
-        for t in einf.towers()
-        if t.mw in (15, 31, 63)
+        mw: (family_c0(fam) + lo, str(family_monomial(fam, lo)), hi - lo)
+        for mw, fam, lo, hi, _ in einf.window_towers()
+        if mw in (15, 31, 63)
     }
     assert towers[15] == (11, "rho^10 v4", 5)
     assert towers[31] == (26, "rho^25 v5", 6)
@@ -193,6 +193,24 @@ def test_oracle_spot_check(e3_64):
     e2 = build_e2(64)
     assert oracle_spot_check(e2, e3_64, count=20, seed=0).ok
     assert oracle_spot_check(e2, e3_64, count=20, seed=99).ok
+
+
+@pytest.mark.parametrize("mw_max, bidegrees", [(64, 1280), (96, 3138)])
+def test_oracle_checks_every_bidegree(mw_max, bidegrees):
+    """With count set to the page-2 class total over mw 1..mw_max the
+    spot check draws every class, so the oracle re-derives page 3 at
+    every bidegree of the window that holds a page-2 class."""
+    pages, _ = run_adams(mw_max, verify="off")
+    e2 = pages[0]
+    total = sum(
+        hi - lo
+        for mw in range(1, mw_max + 1)
+        for runs in e2.alive.get(mw, {}).values()
+        for lo, hi in runs
+    )
+    rep = oracle_spot_check(e2, pages[1], count=total)
+    assert len(rep.items) == bidegrees
+    assert rep.ok, [item.instance for item in rep.failures()[:5]]
 
 
 def _listed_oracle_picks(mw_max: int, count: int, seed: int) -> list[tuple[int, int]]:

@@ -11,8 +11,10 @@ from etass.algebra import (
     Derivation,
     MissingRule,
     Monomial,
+    family_c0,
     family_monomial,
     family_of,
+    family_v_exps,
     leibniz_apply,
     torsion_bound,
 )
@@ -96,7 +98,7 @@ def test_v2_tower(run32):
 def test_rho_inverted(run32):
     _, einf = run32
     assert rho_inverted_check(einf).ok
-    towers = {t.mw: t for t in einf.towers() if t.truncated}
+    towers = {mw: fam for mw, fam, _, _, truncated in einf.window_towers() if truncated}
     assert list(towers) == [0]
 
 
@@ -277,9 +279,9 @@ def test_tower_shortcut_rejects_bockstein_image_below_rho_r():
 def test_closed_form_tower_degrees():
     cf = closed_form_einfty(64, enumerate_families(64))
     towers = {
-        (t.mw, t.generator.bidegree.c): (str(t.generator), t.length)
-        for t in cf.towers()
-        if len(t.generator.v_exps) == 1 and t.generator.v_exps[0][1] == 1
+        (mw, family_c0(fam) + lo): (str(family_monomial(fam, lo)), hi - lo)
+        for mw, fam, lo, hi, _ in cf.window_towers()
+        if len(v := family_v_exps(fam)) == 1 and v[0][1] == 1
     }
     # P^(2k) v2 at (3,1) + k(8,8), torsion 3
     for k in range(4):
@@ -536,7 +538,11 @@ def test_run_is_deterministic():
     _, a = run_bockstein(12, verify="all")
     _, b = run_bockstein(12, verify="all")
     assert a.alive == b.alive
-    assert [str(t.generator) for t in a.towers()] == [str(t.generator) for t in b.towers()]
+
+    def generators(page):
+        return [str(family_monomial(fam, lo)) for _, fam, lo, _, _ in page.window_towers()]
+
+    assert generators(a) == generators(b)
 
 
 def test_verify_modes_agree():

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import sys
@@ -6,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from etass.adams import run_adams
-from etass.algebra import family_monomial
+from etass.algebra import MW_LIMIT, family_c0, family_monomial
 from etass.bockstein import Column, Page, build_e1, run_bockstein
 from etass.charts import UnsupportedFormat, render
-from etass.cli import Session
+from etass.cli import Session, chart_page
 
 FIXTURE = json.loads(
     (Path(__file__).parent / "data" / "figure_dots.json").read_text()
@@ -43,17 +44,17 @@ def fixture_towers(rows):
 
 def page_towers(page, mw_cap=64):
     out = []
-    for t in page.towers():
-        if t.mw > mw_cap:
+    for mw, fam, lo, hi, truncated in page.window_towers():
+        if mw > mw_cap:
             continue
-        deg = t.generator.bidegree
+        c0 = family_c0(fam)
         out.append(
             (
-                deg.mw,
-                deg.c,
-                None if t.truncated else deg.c + t.length - 1,
-                t.truncated,
-                str(t.generator),
+                mw,
+                c0 + lo,
+                None if truncated else c0 + hi - 1,
+                truncated,
+                str(family_monomial(fam, lo)),
             )
         )
     return sorted(out)
@@ -144,7 +145,7 @@ def test_unsupported_format(einf64):
 
 def test_e1_chart_truncated_towers_marked():
     e1 = build_e1(8)
-    doc = render(e1, "ascii", mw_hi=8, c_hi=12)
+    doc = render(e1, "ascii", mw_hi=8)
     assert "(boundary)" in doc
 
 
@@ -155,16 +156,76 @@ def test_bockstein_einf_chart():
     assert {t["generator_label"] for t in doc["towers"]} >= {"1", "v2", "v3"}
 
 
-def test_make_charts_script_renders_page_3(tmp_path, monkeypatch):
-    """scripts/make_charts.py charts the session's page 3 as e3, also
-    below mw 14, where run_adams has no rule page and page 2 is its
-    first page."""
+def make_charts_script(monkeypatch):
     path = Path(__file__).resolve().parent.parent / "scripts" / "make_charts.py"
     spec = importlib.util.spec_from_file_location("make_charts", path)
     script = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "path", [*sys.path])  # the script prepends src/
     spec.loader.exec_module(script)
+    return script
+
+
+def test_make_charts_script_renders_page_3(tmp_path, monkeypatch):
+    """scripts/make_charts.py charts the session's page 3 as e3, also
+    below mw 14, where run_adams has no rule page and page 2 is its
+    first page."""
+    script = make_charts_script(monkeypatch)
     monkeypatch.setattr(sys, "argv", ["make_charts.py", "--max-mw", "8", "--out", str(tmp_path)])
     assert script.main() == 0
     got = (tmp_path / "e3.txt").read_text(encoding="utf-8")
     assert got == render(Session(8).e3(), "ascii", mw_hi=8)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--max-mw", "-1"], ["--max-mw", str(MW_LIMIT + 1)], ["--mw-window", "-1"]],
+)
+def test_make_charts_script_rejects_bad_windows(tmp_path, monkeypatch, capsys, argv):
+    """A window outside 0..MW_LIMIT exits 2 before anything is written."""
+    script = make_charts_script(monkeypatch)
+    out = tmp_path / "charts"
+    monkeypatch.setattr(sys, "argv", ["make_charts.py", *argv, "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        script.main()
+    assert exc.value.code == 2
+    assert "the window must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_make_charts_script_mw_window_zero(tmp_path, monkeypatch):
+    """--mw-window 0 clips the charts to column 0; it is not taken as
+    unset."""
+    script = make_charts_script(monkeypatch)
+    argv = ["make_charts.py", "--max-mw", "8", "--mw-window", "0", "--out", str(tmp_path)]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert script.main() == 0
+    got = (tmp_path / "einf.txt").read_text(encoding="utf-8")
+    assert got == render(Session(8).adams()[1], "ascii", mw_hi=0)
+
+
+# sha256 of render(chart_page(Session(32), page), fmt), so that a change
+# of one byte in any chart or dump at mw 32 fails here
+CHART_DIGESTS_32 = {
+    ("e1", "svg"): "5c4d4ef9af6f05ae94143e482ac68da265bc6c454ae23fd407d3017dbc92c24b",
+    ("e1", "ascii"): "9831ed48b5b5649c543700c1e3bbbe67753e255cf8ac1cbbba9d39ce6b3f10a5",
+    ("e1", "json"): "6f284b511f1365014cdc04b983af009fb1d978602cdec34f64779e8dc86600da",
+    ("bockstein-einf", "svg"): "aff908a245946b9b9bbf9a66793cfeab8fd259ee7cf73272a0a57ec1f47c33a3",
+    ("bockstein-einf", "ascii"): "089c5187a019c50f0c1fde1c114f564a598bf3942c05d8f52686473c9be9b5d2",
+    ("bockstein-einf", "json"): "05158b94aa00a6f881ce531c18d241447664fd244d274ded8df124f679ba214b",
+    ("e3", "svg"): "8b1d7457082bf83b22471e69d93a1422a6e36d8f059eca0c8da6f726da433523",
+    ("e3", "ascii"): "87629ae50ddc2908095f6b7fcc53e6ac4be392ad4680bf705e4bfc62bf02c521",
+    ("e3", "json"): "b8f540ddd17b39477a43087e6eb27773eceff83686a6627883dcec2ecf6faaed",
+    ("einf", "svg"): "06dd83b052fe68c9449ecc0361e53666828da08aae2b8ec65f12847c13815d63",
+    ("einf", "ascii"): "15f6270d1096420830e9633b9621ebf0c73a7fcab7fc1fb1742dec7204f72ace",
+    ("einf", "json"): "2896857e26043a9be3fd3de3724c943bf3521b9e60f0fbb738bc6aab53f7b550",
+}
+
+
+def test_chart_bytes_are_pinned():
+    session = Session(32)
+    got = {}
+    for name in ("e1", "bockstein-einf", "e3", "einf"):
+        page = chart_page(session, name)
+        for fmt in ("svg", "ascii", "json"):
+            got[name, fmt] = hashlib.sha256(render(page, fmt).encode("utf-8")).hexdigest()
+    assert got == CHART_DIGESTS_32

@@ -41,7 +41,7 @@ def test_torsion_bounds():
 
 
 def test_unique_detection_scan_passes():
-    assert unique_detection_scan(64).ok
+    assert unique_detection_scan(64, enumerate_ext_families(64)).ok
 
 
 def test_unique_detection_nonclaim_witness():
@@ -97,7 +97,7 @@ def test_massey_instances_cover_window():
 
 
 def test_product_consistency():
-    assert product_consistency(64, trials=500, seed=0).ok
+    assert product_consistency(64, enumerate_ext_families(64), trials=500, seed=0).ok
 
 
 def test_stem_finiteness():

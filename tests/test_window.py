@@ -5,6 +5,7 @@ from functools import lru_cache
 import pytest
 
 from etass.adams import run_adams
+from etass.algebra import family_monomial
 from etass.bockstein import run_bockstein
 from etass.homotopy import extract_groups
 
@@ -18,8 +19,8 @@ def stable_summary(mw: int):
     _, adams = run_adams(mw, verify="off")
     towers = tuple(
         tuple(
-            (t.mw, str(t.generator), None if t.truncated else t.length)
-            for t in einf.towers()
+            (stem, str(family_monomial(fam, lo)), None if truncated else hi - lo)
+            for stem, fam, lo, hi, truncated in einf.window_towers()
         )
         for einf in (bockstein, adams)
     )
