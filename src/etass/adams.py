@@ -44,7 +44,6 @@ from .bockstein import (
     Page,
     Runs,
     _advance,
-    _alive_column,
     c_max_for,
     replay_mode,
     runs_make,
@@ -433,8 +432,8 @@ def oracle_spot_check(e2: Page, e3: Page, count: int = 20, seed: int = 0) -> Rep
     wanted = sorted(rng.sample(range(total), min(count, total)), reverse=True)
     picks = set()
     start = 0  # the index of the run's first class
-    for mw, per in window:
-        for _, c0, runs in _alive_column(per):
+    for mw, _ in window:
+        for _, c0, runs in e2._column_alive(mw):
             for lo, hi in runs:
                 while wanted and wanted[-1] < start + hi - lo:
                     picks.add((mw, c0 + lo + wanted.pop() - start))

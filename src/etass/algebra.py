@@ -135,9 +135,6 @@ class Monomial:
             tail.extend(-exps.get(n, 0) for n in range(2, top + 1))
         return (self.total_exponent, tuple(tail))
 
-    def times_rho(self, k: int = 1) -> "Monomial":
-        return Monomial(self.rho_exp + k, self.p_exp, self.v_exps)
-
     def raw_product(self, other: "Monomial") -> "Monomial":
         """Exponentwise sum, no normalization."""
         if not other.v_exps:

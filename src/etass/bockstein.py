@@ -43,7 +43,7 @@ against the closed-form answer by the caller.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -214,23 +214,6 @@ def enumerate_families(mw_max: int) -> dict[int, Column]:
     return families(mw_max, normal=False)
 
 
-def _alive_column(per: dict[int, Runs]) -> list[tuple[int, int, Runs]]:
-    """(family, c0, runs) for the alive families of one column in column
-    order, which is ascending family order."""
-    return [(fam, family_c0(fam), per[fam]) for fam in sorted(per)]
-
-
-def _chow_index(column: list[tuple[int, int, Runs]]) -> tuple:
-    """A column's alive runs for Chow lookups: the (first, end, position)
-    Chow intervals of every run sorted by first Chow degree, their first
-    degrees, and the longest run."""
-    entries = sorted(
-        (c0 + lo, c0 + hi, pos) for pos, (_, c0, runs) in enumerate(column) for lo, hi in runs
-    )
-    longest = max((end - first for first, end, _ in entries), default=0)
-    return [e[0] for e in entries], entries, longest
-
-
 def _sweep(entries: Iterable, degrees: Sequence[int]) -> dict[int, list[int]]:
     """Per Chow degree of `degrees` (ascending), the positions of the
     (position, c0, runs) entries with a class there, in one pass."""
@@ -263,14 +246,6 @@ def _column_dims(per: dict[int, Runs], c_max: int) -> dict[int, int]:
     return out
 
 
-def _positions(index: tuple, c: int) -> list[int]:
-    """The ascending column positions of the classes at Chow degree c."""
-    firsts, entries, longest = index
-    hi = bisect_right(firsts, c)
-    lo = bisect_left(firsts, c - longest + 1)
-    return sorted(pos for _, end, pos in entries[lo:hi] if c < end)
-
-
 # ---------------------------------------------------------------------------
 # towers and pages
 
@@ -298,7 +273,9 @@ class Page:
     A page is read-only once built: a page transition (_advance) hands
     the next page the very column dicts of `alive` and `zero` that no
     edge touches, and dataclasses.replace shares the tables, so a
-    caller that wants to edit a column copies it first.
+    caller that wants to edit a column copies it first.  It caches only
+    differentials() and the tracer's dims_column; the column and class
+    listings are rebuilt from the runs on every call.
     """
 
     kind: str
@@ -311,10 +288,6 @@ class Page:
     differential: Derivation | RuleTable | None = None
     c_max: int = field(init=False)
     # caches; init=False so that dataclasses.replace starts them afresh
-    _alive_sorted: dict[int, list[tuple[int, int, Runs]]] = field(
-        default_factory=dict, init=False, repr=False
-    )
-    _c0_index: dict[int, tuple] = field(default_factory=dict, init=False, repr=False)
     _dims_cache: dict[int, dict[int, int]] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -342,31 +315,20 @@ class Page:
                 yield mw, self._column_alive(mw)
 
     def _column_alive(self, mw: int) -> list[tuple[int, int, Runs]]:
-        """_alive_column of column mw, cached."""
-        cached = self._alive_sorted.get(mw)
-        if cached is None:
-            cached = self._alive_sorted[mw] = _alive_column(self.alive.get(mw, {}))
-        return cached
-
-    def positions_at(self, mw: int, c: int) -> list[int]:
-        """The classes at one bidegree as ascending positions of their
-        families in _column_alive(mw); class order is position order."""
-        index = self._c0_index.get(mw)
-        if index is None:
-            index = self._c0_index[mw] = _chow_index(self._column_alive(mw))
-        return _positions(index, c)
+        """(family, c0, runs) for the alive families of column mw in
+        column order, which is ascending family order; built afresh on
+        every call."""
+        per = self.alive.get(mw, {})
+        return [(fam, family_c0(fam), per[fam]) for fam in sorted(per)]
 
     def basis_at(self, mw: int, c: int) -> list[Monomial]:
-        """Ordered class representatives at one bidegree."""
+        """Ordered class representatives at one bidegree, in column
+        order: a scan of the column's runs that builds no table."""
         column = self._column_alive(mw)
-        out = []
-        for pos in self.positions_at(mw, c):
-            fam, c0, _ = column[pos]
-            out.append(family_monomial(fam, c - c0))
-        return out
+        return [family_monomial(f, c - c0) for f, c0, runs in column if runs_contain(runs, c - c0)]
 
     def dim_at(self, mw: int, c: int) -> int:
-        return len(self.positions_at(mw, c))
+        return sum(runs_contain(runs, c - c0) for _, c0, runs in self._column_alive(mw))
 
     def dims_column(self, mw: int) -> dict[int, int]:
         """_column_dims of column mw, cached."""
@@ -497,18 +459,16 @@ class Page:
     def column_classes(self, mw: int) -> list[tuple[int, list[int]]]:
         """(c, positions) per Chow degree c <= c_max of column mw that
         has classes, ascending in c; positions index _column_alive(mw).
-        They are gathered from the alive runs and must agree with
-        positions_at, else EngineError."""
-        per_c: dict[int, list[int]] = {}
-        for pos, (_, c0, runs) in enumerate(self._column_alive(mw)):
-            for lo, hi in runs:
-                for c in range(c0 + lo, min(c0 + hi, self.c_max + 1)):
-                    per_c.setdefault(c, []).append(pos)
-        out = sorted(per_c.items())
-        for c, positions in out:
-            if positions != self.positions_at(mw, c):
+        They come from one _sweep over the column's runs, and each
+        degree's count must equal the independent difference-array count
+        of _column_dims, else EngineError."""
+        entries = [(pos, c0, runs) for pos, (_, c0, runs) in enumerate(self._column_alive(mw))]
+        swept = _sweep(entries, range(self.c_max + 1))
+        dims = _column_dims(self.alive.get(mw, {}), self.c_max)
+        for c, positions in swept.items():
+            if len(positions) != dims.get(c, 0):
                 raise EngineError(f"basis at mw={mw}, c={c} disagrees with the alive runs")
-        return out
+        return [(c, positions) for c, positions in swept.items() if positions]
 
 
 def tower_page(
@@ -659,8 +619,9 @@ class _Bases(dict):
 @dataclass
 class _ColumnTable:
     """One column of a page by family position: the alive families
-    (_alive_column) with their Chow degrees, their positions, bases and
-    image entries (Homology.image), and each Chow degree's image bits
+    (Page._column_alive) with their Chow degrees, their positions, their
+    bases (one _sweep, the page's only class listing) and image entries
+    (Homology.image), and each Chow degree's image bits
     (Homology.map_columns) and echelon (Homology.echelon)."""
 
     alive: list[tuple[int, int, Runs]]
@@ -698,7 +659,7 @@ class Homology:
     def column(self, mw: int) -> _ColumnTable:
         table = self._columns.get(mw)
         if table is None:
-            alive = _alive_column(self.page.alive.get(mw, {}))
+            alive = self.page._column_alive(mw)
             degrees = None
             if self.picks is not None:  # the picks and the degrees their matrices reach
                 s, get = self.shift, self.picks.get

@@ -231,15 +231,18 @@ def chart_page(s: Session, name: str) -> bock_mod.Page:
 
 
 def _cmd_chart(args) -> int:
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     page = chart_page(Session(args.max_mw, verify=args.page_verify), args.page)
-    doc = charts_mod.render(page, args.format)
-    Path(args.out).write_text(doc, encoding="utf-8")
+    out.write_text(charts_mod.render(page, args.format), encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_verify(args) -> int:
     t0 = time.time()
+    if args.json:
+        Path(args.json).parent.mkdir(parents=True, exist_ok=True)
     s = Session(args.max_mw, verify=args.page_verify)
     which = (
         list(VERIFY_SUITES) if args.suite == "all" else [args.suite]

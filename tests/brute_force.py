@@ -8,8 +8,8 @@ Nothing here is used by etass itself:
 - the rho-free families enumerated as `Monomial`s and sorted by the
   column key of `column_key`, the reference for the packed-int
   enumerator `etass.bockstein.families`;
-- multiplication by rho between two bidegrees of a page
-  (`rho_matrix_at`).
+- multiplication by rho: of one monomial (`times_rho`), and between two
+  bidegrees of a page (`rho_matrix_at`).
 """
 
 from __future__ import annotations
@@ -164,6 +164,11 @@ def monomial_families(mw_max: int, normal: bool) -> dict[int, list[Monomial]]:
     return out
 
 
+def times_rho(m: Monomial, k: int = 1) -> Monomial:
+    """m times rho^k."""
+    return Monomial(m.rho_exp + k, m.p_exp, m.v_exps)
+
+
 def rho_matrix_at(page, mw: int, c: int) -> F2Matrix:
     """Multiplication by rho from (mw, c) to (mw, c+1) in the page
     bases."""
@@ -172,7 +177,7 @@ def rho_matrix_at(page, mw: int, c: int) -> F2Matrix:
     index = {m: i for i, m in enumerate(tgt)}
     rows_bits = [0] * len(tgt)
     for j, m in enumerate(src):
-        up = m.times_rho()
+        up = times_rho(m)
         st = page.status(up)
         if st == "alive":
             rows_bits[index[up]] |= 1 << j

@@ -9,6 +9,7 @@ path; towers are Page.window_towers' runs, labelled here.
 
 from __future__ import annotations
 
+from brute_force import times_rho
 from etass.adams import RuleTable
 from etass.algebra import Derivation, family_monomial, family_of, leibniz_apply
 from etass.bockstein import EngineError
@@ -22,7 +23,7 @@ def apply_rule_table(table, m):
     if rule is None or m.rho_exp < rule.source.rho_exp:
         return []
     a = m.rho_exp - rule.source.rho_exp
-    return [rule.target.times_rho(a) if a else rule.target]
+    return [times_rho(rule.target, a) if a else rule.target]
 
 
 def apply_rule(page, m):

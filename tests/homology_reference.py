@@ -10,11 +10,13 @@ is the earlier unit_representatives, which inserted every cycle's unit
 vector into a copy of the boundary echelon, and dense_bidegrees the
 earlier bockstein.dense_bidegrees, which gathered the Chow degrees with
 classes from the page's alive runs instead of the homology's sweep.
+reference_positions lists the classes at one bidegree by a scan of each
+family's runs, the reference for the sweep that fills every class list.
 """
 
 from __future__ import annotations
 
-from etass.bockstein import RepresentativeNotMonomial
+from etass.bockstein import RepresentativeNotMonomial, runs_contain
 from etass.gf2 import Echelon, F2Matrix, F2Vector, kernel_basis, quotient_basis
 from gf2_reference import reference_insert
 
@@ -61,6 +63,13 @@ def reference_unit_representatives(out: list[int], boundaries: dict[int, int], w
                 if len(reps) == want:
                     break
     return reps
+
+
+def reference_positions(page, mw: int, c: int) -> list[int]:
+    """The ascending positions in page._column_alive(mw) of the classes
+    at (mw, c): the families whose runs contain the rho exponent c - c0."""
+    column = page._column_alive(mw)
+    return [pos for pos, (_, c0, runs) in enumerate(column) if runs_contain(runs, c - c0)]
 
 
 def dense_bidegrees(page, mw: int) -> list[int]:

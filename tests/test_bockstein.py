@@ -43,7 +43,7 @@ from etass.gf2 import SubspaceNotContained
 from brute_force import default_generators, enumerate_monomials, rho_matrix_at
 from dump_reference import image_classes
 from gf2_reference import coeff, nrows
-from homology_reference import dense_bidegrees, reference_at
+from homology_reference import dense_bidegrees, reference_at, reference_positions
 from replay_mutations import check_mutations_caught, sampled_bidegrees
 
 
@@ -650,28 +650,39 @@ def test_homology_matches_reference(label):
     assert raised if label == "adams-E2" else not raised
 
 
-@pytest.mark.parametrize("label", ["bockstein", "adams-E2"])
-def test_sweep_tables_match_positions_at(label):
-    """A column table's bases, filled by one sweep over the alive runs,
-    are Page.positions_at at every Chow degree of every column: for a
-    dense Homology, and for a sampled one at the picks, at the degrees
-    their matrices reach in the neighbouring columns, and at any other
-    degree asked for later."""
-    pages = run_bockstein(32, verify="off")[0] if label == "bockstein" else [build_e2(32)]
-    for page in pages:
+@pytest.mark.parametrize("run", [run_bockstein, run_adams], ids=["bockstein", "adams"])
+def test_sweep_tables_match_reference_positions(run):
+    """Every class listing of every page of a sequence at mw 32, E∞
+    included, is the run scan of reference_positions at every Chow
+    degree of every column: a column table's bases, filled by one sweep
+    over the alive runs, for a dense Homology, and for a sampled one at
+    the picks, at the degrees their matrices reach in the neighbouring
+    columns, and at any other degree asked for later; column_classes at
+    its degrees 0..c_max with classes; basis_at and dim_at."""
+    pages, einf = run(32, verify="off")
+    for page in [*pages, einf]:
         shift = page.diff_shift()
         picks = {mw: dense_bidegrees(page, mw)[mw % 3 :: 3] for mw in page.alive}
         dense, sampled = Homology(page), Homology(page, picks)
         for mw in sorted(page.alive):
+            column = page._column_alive(mw)
+            want = {c: reference_positions(page, mw, c) for c in range(-2, page.c_max + 4)}
             reach = {c + shift.c for c in picks.get(mw - shift.mw, ())}
             reach |= {c - shift.c for c in picks.get(mw + shift.mw, ())}
             swept = dict(sampled.column(mw).bases)
             assert sorted(swept) == sorted(reach | set(picks[mw]))
             for c, positions in swept.items():
-                assert positions == page.positions_at(mw, c), (page.label, mw, c)
-            for c in range(-2, page.c_max + 4):
-                assert dense.column(mw).bases[c] == page.positions_at(mw, c), (page.label, mw, c)
-                assert sampled.column(mw).bases[c] == page.positions_at(mw, c), (page.label, mw, c)
+                assert positions == reference_positions(page, mw, c), (page.label, mw, c)
+            assert page.column_classes(mw) == [
+                (c, want[c]) for c in range(page.c_max + 1) if want[c]
+            ], (page.label, mw)
+            for c, positions in want.items():
+                assert dense.column(mw).bases[c] == positions, (page.label, mw, c)
+                assert sampled.column(mw).bases[c] == positions, (page.label, mw, c)
+                assert page.basis_at(mw, c) == [
+                    family_monomial(column[pos][0], c - column[pos][1]) for pos in positions
+                ], (page.label, mw, c)
+                assert page.dim_at(mw, c) == len(positions), (page.label, mw, c)
 
 
 def test_replay_counts_are_pinned(monkeypatch):

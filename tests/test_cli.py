@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from etass import adams, bockstein, cli
+from etass import adams, bockstein, charts, cli
 from etass.charts import write_page_dump
 from etass.cli import VERIFY_SUITES, Session, build_parser, main
 from etass.algebra import MW_LIMIT
@@ -124,6 +124,21 @@ def test_chart_command(tmp_path, capsys):
     )
     assert code == 0
     assert out_file.read_text().startswith("<?xml")
+
+
+def test_verify_json_and_chart_create_missing_directories(tmp_path, capsys):
+    """verify --json and chart --out create a missing parent directory,
+    as --dump-pages does, instead of failing after the run."""
+    report = tmp_path / "missing" / "nested" / "r.json"
+    code, _ = run_cli(["verify", "groups", "--max-mw", "8", "--json", str(report)], capsys)
+    assert code == 0
+    assert json.loads(report.read_text(encoding="utf-8"))
+    chart = tmp_path / "absent" / "nested" / "c.svg"
+    argv = ["chart", "--page", "e1", "--format", "svg", "--max-mw", "8", "--out", str(chart)]
+    code, _ = run_cli(argv, capsys)
+    assert code == 0
+    page = cli.chart_page(Session(8), "e1")
+    assert chart.read_text(encoding="utf-8") == charts.render(page, "svg")
 
 
 def test_bockstein_command_with_dump(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 from etass.bockstein import SAMPLE_DIM_CAP, run_bockstein
@@ -146,3 +147,51 @@ def test_no_optional_page_parameters():
                     if arg.annotation is not None and ast.unparse(arg.annotation) in OPTIONAL_INPUTS
                 )
     assert not found, f"optional page inputs in src/etass: {found}"
+
+
+def _definitions(tree: ast.Module):
+    """The top-level functions and classes of a module, and the methods
+    of its classes that are not dunders."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*funcs, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                method
+                for method in node.body
+                if isinstance(method, funcs)
+                and not (method.name.startswith("__") and method.name.endswith("__"))
+            )
+
+
+def _names(node: ast.AST) -> Counter:
+    """How often each name occurs under node: as a Name, an Attribute's
+    attribute, or a string constant (the tracer's hook strings)."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found[sub.value] += 1
+    return found
+
+
+def test_no_dead_definitions():
+    """Every top-level function and class, and every method that is not
+    a dunder, of src/etass is named somewhere in src/etass, scripts/ or
+    perfbench/ outside its own definition.  Code only the tests call
+    belongs with the tests."""
+    paths = [*SRC.glob("*.py"), *(ROOT / "scripts").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in paths}
+    named = sum((_names(tree) for tree in trees.values()), Counter())
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        if path.parent == SRC
+        for node in _definitions(tree)
+        if named[node.name] <= _names(node)[node.name]
+    ]
+    assert not found, f"definitions in src/etass that nothing names: {found}"
