@@ -21,10 +21,13 @@ applies the Ext model's ring torsion (algebra.torsion_bound).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .algebra import (
+    V_TOP,
     Bidegree,
     Derivation,
     Monomial,
@@ -35,6 +38,7 @@ from .algebra import (
     leibniz_apply,
     max_v_index,
     normalize,
+    two_adic_valuation,
 )
 from .bockstein import (
     EMPTY,
@@ -52,12 +56,12 @@ from .bockstein import (
     tower_page,
     verify_transition,
 )
-# enumerate_ext_families, kernel_basis and quotient_basis stay importable
-# from here because perfbench/tracer.py wraps them by module; the closed
-# forms take their columns from the computed page, and the page-2 step's
-# bockstein.Homology calls the last two only to report a sum representative
-from .ext import enumerate_ext_families, ext_model_page  # noqa: F401
-from .gf2 import F2Matrix, F2Vector, kernel_basis, quotient_basis, rank  # noqa: F401
+from .ext import ext_model_page
+from .gf2 import F2Matrix, F2Vector, rank
+# read nowhere here: perfbench/tracer.py wraps these names on this module
+# (bockstein.Homology calls bockstein's kernel_basis and quotient_basis)
+from .ext import enumerate_ext_families  # noqa: F401
+from .gf2 import kernel_basis, quotient_basis  # noqa: F401
 from .report import Report
 
 
@@ -175,11 +179,19 @@ def _e3_from_e2(e2: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[in
     return new_alive, new_zero
 
 
-def closed_form_e3(mw_max: int, columns: dict[int, Column]) -> Page:
-    """Predicted page 3: towers rho^(2^(n-1)-1) P^(2^(n-1)k) v_n of
-    length 2^(n-1) (full length 3 for n = 2), towers
-    P^(2^(n-1)(2j+1)) v_n^2 of length 2^n - 1, and the rho tower on 1."""
-    c_max = c_max_for(mw_max)
+def adams_tower(r: float, c_max: int) -> Callable[[int], Runs]:
+    """The tower rule, for tower_page, of page r >= 3 over the normal
+    families (r = math.inf: the stable page): the unit keeps its full
+    tower; P^(2^(n-1)k) v_n keeps (2^n - 1 - L, 2^n - 1), L = n + 1 if
+    r >= n, else 2^(n-r+2) + r - 3; P^(2^(n-1)k) v_n^2, k odd, keeps
+    (0, 2^n - 1) while r <= 3 + nu2((k + 1)/2); the rest are dead.  d2
+    leaves the top 2^(n-1) classes of v_n, n >= 3, and the v_n^2 it does
+    not hit (k odd); d_r (dr_rule) maps the bottom 2^(n-r+1) - 1 classes
+    of v_n, n > r, onto the v_(n-r+1)^2 tower with nu2((k + 1)/2) = r - 3,
+    which dies.  Run tuples are shared, by n."""
+    lengths = {n: n + 1 if r >= n else 2 ** (n - r + 2) + r - 3 for n in range(2, V_TOP + 1)}
+    singles = {n: ((2 ** n - 1 - length, 2 ** n - 1),) for n, length in lengths.items()}
+    squares = {n: ((0, 2 ** n - 1),) for n in lengths}
 
     def tower(fam: int) -> Runs:
         if not fam:  # the unit
@@ -188,32 +200,25 @@ def closed_form_e3(mw_max: int, columns: dict[int, Column]) -> Page:
         if len(v_exps) != 1:
             return EMPTY
         n, a = v_exps[0]
-        step = 2 ** (n - 1)
-        k = family_p(fam) // step
         if a == 1:
-            return ((step - 1, 2 ** n - 1),) if n >= 3 else ((0, 3),)
-        if a == 2 and k % 2 == 1:
-            return ((0, 2 ** n - 1),)
+            return singles[n]
+        k = family_p(fam) // 2 ** (n - 1)
+        if a == 2 and k % 2 and r <= 3 + two_adic_valuation((k + 1) // 2):
+            return squares[n]
         return EMPTY
 
+    return tower
+
+
+def closed_form_e3(mw_max: int, columns: dict[int, Column]) -> Page:
+    """Predicted page 3: adams_tower at r = 3."""
+    tower = adams_tower(3, c_max_for(mw_max))
     return tower_page("adams", "adams-E3-closed-form", 0, mw_max, columns, tower)
 
 
 def closed_form_einfty(mw_max: int, columns: dict[int, Column]) -> Page:
-    """Predicted stable page: for n >= 2 the tower
-    rho^(2^n - n - 2) P^(2^(n-1)k) v_n of length n + 1, plus the rho
-    tower on 1."""
-    c_max = c_max_for(mw_max)
-
-    def tower(fam: int) -> Runs:
-        if not fam:  # the unit
-            return ((0, c_max + 1),)
-        v_exps = family_v_exps(fam)
-        if len(v_exps) != 1 or v_exps[0][1] != 1:
-            return EMPTY
-        n = v_exps[0][0]
-        return ((2 ** n - n - 2, 2 ** n - 1),)
-
+    """Predicted stable page: adams_tower at r = infinity."""
+    tower = adams_tower(math.inf, c_max_for(mw_max))
     return tower_page("adams", "adams-Einf-closed-form", 0, mw_max, columns, tower)
 
 

@@ -54,6 +54,12 @@ def max_v_index(mw_max: int) -> int:
     return n
 
 
+def two_adic_valuation(x: int) -> int:
+    if x <= 0:
+        raise ValueError("positive integers only")
+    return (x & -x).bit_length() - 1
+
+
 @dataclass(frozen=True, eq=False)
 class Monomial:
     """rho^b P^e v_{n1}^{a1} ... as exponent data.

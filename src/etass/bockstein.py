@@ -35,9 +35,9 @@ elimination), and keeps three columns' tables at a time.  The replay
 reads the survivors and new hits the transition claims from the same
 kind of sweep over the new runs.
 
-Only pages r = 2^n - 1 carry differentials; the page list returned by
-run_bockstein walks exactly those, and the E-infinity page is compared
-against the closed-form answer by the caller.
+Only pages r = 2^n - 1 carry differentials, and run_bockstein walks
+exactly those.  Inside the window each page is one tower rule at that
+page (bockstein_tower), which builds E1 and predicts the stable page.
 """
 
 from __future__ import annotations
@@ -507,6 +507,31 @@ def bockstein_rule(n: int) -> Derivation:
     )
 
 
+def bockstein_tower(n: int, c_max: int) -> Callable[[int], Runs]:
+    """The tower rule, for tower_page, of the page that holds the result
+    of d_(2^n - 1): n = 1 is E1, n = V_TOP the stable page of any window.
+    A family with least v index m <= n and P exponent p keeps (0, 2^m - 1)
+    if 2^(m-1) divides p; any other keeps its full truncated tower
+    (0, c_max - c0 + 1) if 2^(n-1) divides p; the rest are dead.  On full
+    towers d(P^(2^(m-2))) = rho^(2^m - 1) v_m (bockstein_rule, m <= n)
+    maps each source tower onto the whole of its target's tower above
+    rho^(2^m - 1): the source dies, the target keeps length 2^m - 1.  Run
+    tuples are shared, by c0 for full towers and by m for short ones."""
+    full = {c0: ((0, c_max - c0 + 1),) for c0 in range(c_max + 1)}
+    short = {m: ((0, 2 ** m - 1),) for m in range(2, n + 1)}
+
+    def tower(fam: int) -> Runs:
+        if n > 1:  # at n = 1 no family has m <= n, and 2^0 divides every p
+            m = family_min_v(fam)
+            if m is not None and m <= n:
+                return EMPTY if family_p(fam) % 2 ** (m - 1) else short[m]
+            if family_p(fam) % 2 ** (n - 1):
+                return EMPTY
+        return full.get(family_c0(fam), EMPTY)
+
+    return tower
+
+
 # ---------------------------------------------------------------------------
 # page transitions
 
@@ -971,13 +996,9 @@ def verify_transition(
 
 def build_e1(mw_max: int) -> Page:
     """The first page: every monomial over rho, P, v_n, no relations,
-    zero differential."""
-    c_max = c_max_for(mw_max)
-    columns = enumerate_families(mw_max)
-    full = {c0: ((0, c_max - c0 + 1),) for c0 in range(c_max + 1)}  # shared
-    return tower_page(
-        "bockstein", "bockstein-E1", 1, mw_max, columns, lambda fam: full.get(family_c0(fam), EMPTY)
-    )
+    zero differential; bockstein_tower at n = 1."""
+    tower = bockstein_tower(1, c_max_for(mw_max))
+    return tower_page("bockstein", "bockstein-E1", 1, mw_max, enumerate_families(mw_max), tower)
 
 
 def replay_mode(verify: str, mw_max: int) -> str:
@@ -1031,52 +1052,21 @@ def run_bockstein(
 
 
 def closed_form_einfty(mw_max: int, columns: dict[int, Column]) -> Page:
-    """The predicted stable page over `columns`, the families of the
-    computed page: the rho tower on 1, and for every normal monomial
-    with minimal v index n a tower of length 2^n - 1."""
-    c_max = c_max_for(mw_max)
-    towers = {n: ((0, 2 ** n - 1),) for n in range(2, V_TOP + 1)}  # shared
-
-    def tower(fam: int) -> Runs:
-        n = family_min_v(fam)
-        if n is None:
-            return ((0, c_max + 1),) if fam == 0 else EMPTY  # the unit
-        if family_p(fam) % 2 ** (n - 1):
-            return EMPTY
-        return towers[n]
-
+    """The predicted stable page over `columns`: bockstein_tower at V_TOP."""
+    tower = bockstein_tower(V_TOP, c_max_for(mw_max))
     return tower_page("bockstein", "bockstein-Einf-closed-form", 0, mw_max, columns, tower)
 
 
 def compare_pages(computed: Page, predicted: Page, check: str) -> Report:
     """Dimension-by-bidegree and tower-by-tower equality inside the
-    reporting window, which must be the same on both pages.
-
-    Towers compare exactly, generator included, one column at a time: a
-    column with identical alive runs on both pages has equal towers; a
-    failure names, in the first column whose column_towers differ, the
-    first tower of each page that the other lacks.
-    """
+    reporting window, which must be the same on both pages, in one pass
+    over the columns: identical alive runs have equal dimensions and
+    towers; any other column counts dimensions afresh (_column_dims, no
+    page cache) and compares column_towers.  A "towers" failure names, in
+    the first column whose towers differ, the first tower of each page
+    that the other lacks."""
     if computed.max_mw != predicted.max_mw:
         raise ValueError(f"windows differ: max_mw {computed.max_mw} and {predicted.max_mw}")
-    rep = Report()
-    bad_dims = []
-    for mw in range(computed.max_mw + 1):
-        got = computed.dims_column(mw)
-        want = predicted.dims_column(mw)
-        if got != want:
-            diffs = {
-                c: (got.get(c, 0), want.get(c, 0))
-                for c in sorted(set(got) | set(want))
-                if got.get(c, 0) != want.get(c, 0)
-            }
-            bad_dims.append((mw, diffs))
-    rep.add(
-        check,
-        "dimensions",
-        not bad_dims,
-        "" if not bad_dims else f"mismatched columns: {bad_dims[:4]}",
-    )
 
     def first_only(page: Page, other: Page, mw: int) -> str:
         """The first tower of column mw of page that other lacks."""
@@ -1086,16 +1076,21 @@ def compare_pages(computed: Page, predicted: Page, check: str) -> Report:
                 return f"{family_monomial(fam, lo)} of length {hi - lo}"
         return "none"
 
-    bad = next(
-        (
-            f"mw={mw}: computed {first_only(computed, predicted, mw)}, "
-            f"predicted {first_only(predicted, computed, mw)}"
-            for mw in range(computed.max_mw + 1)
-            if computed.alive.get(mw, {}) != predicted.alive.get(mw, {})
-            and computed.column_towers(mw) != predicted.column_towers(mw)
-        ),
-        "",
-    )
+    bad_dims, bad = [], ""
+    for mw in range(computed.max_mw + 1):
+        alive = computed.alive.get(mw, {}), predicted.alive.get(mw, {})
+        if alive[0] == alive[1]:
+            continue
+        if not bad and computed.column_towers(mw) != predicted.column_towers(mw):
+            only = first_only(computed, predicted, mw), first_only(predicted, computed, mw)
+            bad = f"mw={mw}: computed {only[0]}, predicted {only[1]}"
+        got, want = (_column_dims(per, computed.c_max) for per in alive)
+        if got != want:
+            cs = sorted(c for c in got.keys() | want.keys() if got.get(c) != want.get(c))
+            bad_dims.append((mw, {c: (got.get(c, 0), want.get(c, 0)) for c in cs}))
+    rep = Report()
+    detail = f"mismatched columns: {bad_dims[:4]}" if bad_dims else ""
+    rep.add(check, "dimensions", not bad_dims, detail)
     rep.add(check, "towers", not bad, bad)
     return rep
 

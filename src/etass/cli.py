@@ -19,8 +19,7 @@ from . import brackets as bracket_mod
 from . import charts as charts_mod
 from . import ext as ext_mod
 from . import homotopy as homotopy_mod
-from .algebra import MW_LIMIT
-from .homotopy import two_adic_valuation
+from .algebra import MW_LIMIT, two_adic_valuation
 from .report import Report
 
 DEFAULT_MW = 64

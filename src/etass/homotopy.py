@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import family_monomial, family_p, family_v_exps
+from .algebra import family_monomial, family_p, family_v_exps, two_adic_valuation
 from .bockstein import Page
 from .report import Report
 
@@ -22,12 +22,6 @@ class MultipleTowers(Exception):
 
 class WrongStem(Exception):
     """The order formula applies only in stems 3 mod 4."""
-
-
-def two_adic_valuation(x: int) -> int:
-    if x <= 0:
-        raise ValueError("positive integers only")
-    return (x & -x).bit_length() - 1
 
 
 def generator_name(n: int, k: int) -> str:

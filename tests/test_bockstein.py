@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 from etass import adams, bockstein, ext
 from etass.adams import build_e2, d2_rule, run_adams
 from etass.algebra import (
+    V_TOP,
     Bidegree,
     Derivation,
     MissingRule,
@@ -114,8 +116,12 @@ def corrupted(page, mw, runs):
     return replace(page, alive={**page.alive, mw: per})
 
 
-def compare_items(page):
-    rep = compare_pages(page, closed_form_einfty(page.max_mw, page.columns), "einfty")
+def compare_items(page, predicted=None):
+    """The (instance, passed, detail) items of comparing page with
+    `predicted`, by default the closed-form stable Bockstein page."""
+    if predicted is None:
+        predicted = closed_form_einfty(page.max_mw, page.columns)
+    rep = compare_pages(page, predicted, "einfty")
     return [(i.instance, i.passed, i.detail) for i in rep.items]
 
 
@@ -152,14 +158,36 @@ def test_compare_moved_tower(run32):
 
 
 def test_compare_dropped_tower(run32):
-    """A tower missing from the computed page: the detail names it on
-    the predicted side only."""
+    """A tower missing from the computed page, the stable Bockstein page
+    or an intermediate page of either sequence compared with its tower
+    rule: the detail names it on the predicted side only."""
+    pages, einf = run32
+    e4 = run_adams(32, verify="off")[0][2]
+    e7 = pages[1]
+    assert (e7.label, e4.label) == ("bockstein-E7", "adams-E4")
+    cases = [
+        (einf, None, 18, mono(v2=6), "mw=18: computed none, predicted v2^6 of length 3"),
+        (e7, rule_page(e7), 8, mono(p=2), "mw=8: computed none, predicted P^2 of length 65"),
+        (e4, rule_page(e4), 31, mono(v5=1), "mw=31: computed none, predicted rho^22 v5 of length 9"),
+    ]
+    for page, predicted, mw, family, detail in cases:
+        assert compare_items(corrupted(page, mw, {family: None}), predicted)[1] == (
+            "towers",
+            False,
+            detail,
+        )
+
+
+def test_compare_fills_no_page_cache(run32):
+    """compare_pages counts the dimensions of a differing column afresh:
+    after a passing and a failing compare, neither page holds a
+    dims_column table."""
     _, einf = run32
-    assert compare_items(corrupted(einf, 18, {mono(v2=6): None}))[1] == (
-        "towers",
-        False,
-        "mw=18: computed none, predicted v2^6 of length 3",
-    )
+    computed, predicted = replace(einf), closed_form_einfty(32, einf.columns)
+    broken = corrupted(computed, 3, {mono(v2=1): ((0, 2),)})
+    assert compare_pages(computed, predicted, "einfty").ok
+    assert not compare_pages(broken, predicted, "einfty").ok
+    assert computed._dims_cache == broken._dims_cache == predicted._dims_cache == {}
 
 
 def test_replay_mode():
@@ -488,12 +516,32 @@ def run_digest(pages: list[Page]) -> str:
     return hashlib.sha256(repr(items).encode()).hexdigest()
 
 
+def rule_page(page: Page) -> Page:
+    """The page of the same window and families that the tower rule of
+    page's sequence gives: bockstein-E(2^n - 1) is bockstein_tower at
+    n - 1 and bockstein-Einf at V_TOP; adams-E2 is the Ext model, adams-Er
+    is adams_tower at r and adams-Einf at infinity."""
+    if page.label == "adams-E2":
+        return ext.ext_model_page(page.max_mw)
+    stable = page.label.endswith("-Einf")
+    if page.kind == "bockstein":
+        rule = bockstein.bockstein_tower(V_TOP if stable else page.r.bit_length() - 1, page.c_max)
+    else:
+        rule = adams.adams_tower(math.inf if stable else page.r, page.c_max)
+    return bockstein.tower_page(page.kind, page.label, page.r, page.max_mw, page.columns, rule)
+
+
 @pytest.mark.parametrize("sequence", RUNS)
 def test_transitions_are_pinned(sequence):
+    """Every page of the run, E-infinity included, has the pinned
+    digest and equals its tower rule (rule_page) inside the window."""
     got = []
     for mw in TRANSITION_WINDOWS:
         pages, einf = RUNS[sequence](mw, verify="off")
         got.append(run_digest([*pages, einf]))
+        for page in [*pages, einf]:
+            rep = compare_pages(page, rule_page(page), page.label)
+            assert rep.ok, (mw, rep.to_json())
     assert tuple(got) == TRANSITION_DIGESTS[sequence]
 
 
