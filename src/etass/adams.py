@@ -1,38 +1,41 @@
 """The h1-inverted Adams spectral sequence on top of the Ext model.
 
-The second page is the Ext model; its differential is the derivation
-v_n -> v_{n-1}^2 (n >= 3) extended by Leibniz with torsion
-renormalization, applied to packed families by exponent arithmetic
-(algebra.derivation_image).  It is rho-linear too: each family's image
-is computed once, on the rho-free family, and shifted by the rho
+The second page is the Ext model; its differential (d2_rule) is
+v_n -> v_{n-1}^2 (n >= 3) extended by Leibniz, applied to packed
+families by exponent arithmetic.  It is rho-linear too: each family's
+image is computed once, on the rho-free family, and shifted by the rho
 exponent, and a shifted term that torsion kills is zero in the model.
 That transition has genuinely multi-term images, so the third page is
 computed per bidegree with full gf2 matrices on integer class
 positions, through the same homology routine that replays the tower
 transitions (bockstein.Homology), no shortcuts.  From the third page
-on, the differentials are explicit rho-linear rule lists on single
-tower classes, tabled by packed source family (RuleTable), and the
-transitions run on the shared tower engine, replayed through gf2 like
-the Bockstein ones.  A page-r differential shifts (mw, c) by (-1, r-1).
-Each page holds its differential (Page.differential: the d2 Derivation
-on page 2, a RuleTable from page 3 on), and every page of kind "adams"
-applies the Ext model's ring torsion (algebra.torsion_bound).
+on, the differential of page r (adams_rule) maps single towers onto
+single towers from a fixed rho exponent on, and the transitions run on
+the shared tower engine, replayed through gf2 like the Bockstein ones.
+A page-r differential shifts (mw, c) by (-1, r-1).  Each page holds its
+differential (Page.differential, a bockstein.Differential) and each
+page from 3 on is one tower rule (adams_tower); every page of kind
+"adams" applies the Ext model's ring torsion (algebra.torsion_bound).
+The runtime oracle (oracle_spot_check) applies its own page-2
+Derivation (d2_derivation) to Monomials, not the engine's rule.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable
 
 from .algebra import (
+    P_STEP,
+    V_STEP,
     V_TOP,
     Bidegree,
     Derivation,
+    MissingRule,
     Monomial,
     family_monomial,
-    family_of,
     family_p,
     family_v_exps,
     leibniz_apply,
@@ -43,6 +46,7 @@ from .algebra import (
 from .bockstein import (
     EMPTY,
     Column,
+    Differential,
     EngineError,
     Homology,
     Page,
@@ -65,9 +69,10 @@ from .gf2 import kernel_basis, quotient_basis  # noqa: F401
 from .report import Report
 
 
-def d2_rule(mw_max: int) -> Derivation:
-    """v_n -> v_{n-1}^2 for n >= 3; rho, P and v2 are cycles.  Terms are
-    renormalized, so torsion may kill them."""
+def d2_derivation(mw_max: int) -> Derivation:
+    """The page-2 differential as a Derivation on Monomials, the
+    reference of d2_rule: v_n -> v_{n-1}^2 for n >= 3; rho, P and v2 are
+    cycles.  Terms are renormalized, so torsion may kill them."""
     top = max_v_index(mw_max)
     rules = {
         n: (Monomial.make(0, 0, {n - 1: 2}),) for n in range(3, top + 1)
@@ -80,65 +85,58 @@ def d2_rule(mw_max: int) -> Derivation:
     )
 
 
+def d2_rule(mw_max: int) -> Differential:
+    """Page 2: d(v_n) = v_{n-1}^2 for n >= 3, extended by Leibniz; rho,
+    P and v2 are cycles.  On P^p v_2^a_2 ... each v_n, n >= 3, with odd
+    a_n gives the term fam - V_STEP[n] + 2 V_STEP[n-1] (even a_n cancel),
+    sorted by family; distinct n give distinct terms.  They lie at rho^0,
+    where torsion kills none, and rho is a cycle: the threshold is 0.  A
+    normal family has normal terms (the least v index drops by one at
+    most).  A v index above max_v_index(mw_max) raises MissingRule."""
+    top = max_v_index(mw_max)
+
+    def family_image(fam: int) -> tuple[list[tuple[int, int]], int]:
+        terms = []
+        for n, a in family_v_exps(fam):
+            if n > top:
+                raise MissingRule(f"no rule or cycle declaration for v{n}")
+            if n > 2 and a % 2:
+                terms.append((fam - V_STEP[n] + 2 * V_STEP[n - 1], 0))
+        return sorted(terms), 0
+
+    return Differential(Bidegree(-1, 1), family_image)
+
+
 def build_e2(mw_max: int) -> Page:
     """The Ext model armed with the page-2 differential."""
     return replace(ext_model_page(mw_max), differential=d2_rule(mw_max))
 
 
-@dataclass(frozen=True)
-class AdamsDiffRule:
-    """One rho-linear differential instance: every rho multiple of
-    `source` maps to the matching rho multiple of `target`."""
-
-    r: int
-    source: Monomial
-    target: Monomial
-
-    def __post_init__(self):
-        want = Bidegree(-1, self.r - 1)
-        if self.target.bidegree - self.source.bidegree != want:
-            raise ValueError(f"rule degree shift is not {want}")
-
-
-def dr_rule(r: int, mw_max: int) -> list[AdamsDiffRule]:
-    """Page-r rules (r >= 3): the tower of P^(2^(n-1)k) v_n in rho
-    exponents >= 2^n - 2^(n-r+2) - r + 2 maps onto the tower of
-    P^(2^(n-1)k + 2^(n-2) - 2^(n-r)) v_{n-r+1}^2, for n >= r + 1."""
+def adams_rule(r: int) -> Differential:
+    """Page r >= 3, the explicit d_r: for n > r and 2^(n-1) | p, the
+    tower of P^p v_n maps from rho^base on, base = 2^n - 2^(n-r+2) - r + 2,
+    onto the tower of P^p' v_(n-r+1)^2, p' = p + 2^(n-2) - 2^(n-r): rho
+    delta -base, threshold base.  Every other family gives ([], 0).  The
+    source rho^base P^p v_n lies at (4p + 2^n - 1, 4p + 1 + base), the
+    target at (4p' + 2^(n-r+2) - 2, 4p' + 2): the shift is (-1, r - 1).
+    A family is P^p v_n exactly when fam - P_STEP p is V_STEP[n]."""
     if r < 3:
         raise ValueError("r >= 3")
-    out = []
-    n = r + 1
-    while 2 ** n - 1 <= mw_max + 1:
+    rules = {}
+    for n in range(r + 1, V_TOP + 1):
         base = 2 ** n - 2 ** (n - r + 2) - r + 2
-        k = 0
-        while 2 ** n - 1 + 2 ** (n + 1) * k <= mw_max + 1:
-            e = 2 ** (n - 1) * k
-            src = Monomial.make(base, e, {n: 1})
-            tgt = Monomial.make(0, e + 2 ** (n - 2) - 2 ** (n - r), {n - r + 1: 2})
-            out.append(AdamsDiffRule(r, src, tgt))
-            k += 1
-        n += 1
-    return out
+        move = 2 * V_STEP[n - r + 1] - V_STEP[n] + P_STEP * (2 ** (n - 2) - 2 ** (n - r))
+        rules[V_STEP[n]] = (2 ** (n - 1), move, base)
 
-
-class RuleTable:
-    """Page r's differential (Page.differential) for r >= 3: the
-    AdamsDiffRule of each source family, by packed family, applied to
-    whole towers (family_image), shifting (mw, c) by (-1, r - 1)."""
-
-    def __init__(self, r: int, rules: list[AdamsDiffRule]):
-        self.shift = Bidegree(-1, r - 1)
-        self.rules = {family_of(rule.source): rule for rule in rules}
-
-    def family_image(self, fam: int) -> tuple[list[tuple[int, int]], int]:
-        """(terms, threshold) in the form of Page.family_image: from
-        rho exponent source.rho_exp on, the tower maps onto the target's
-        tower shifted by target.rho_exp - source.rho_exp."""
-        rule = self.rules.get(fam)
-        if rule is None:
+    def family_image(fam: int) -> tuple[list[tuple[int, int]], int]:
+        p = family_p(fam)
+        rule = rules.get(fam - P_STEP * p)
+        if rule is None or p % rule[0]:
             return [], 0
-        src, tgt = rule.source, rule.target
-        return [(family_of(tgt), tgt.rho_exp - src.rho_exp)], src.rho_exp
+        _, move, base = rule
+        return [(fam + move, -base)], base
+
+    return Differential(Bidegree(-1, r - 1), family_image)
 
 
 def adams_r_max(mw_max: int) -> int:
@@ -186,7 +184,7 @@ def adams_tower(r: float, c_max: int) -> Callable[[int], Runs]:
     r >= n, else 2^(n-r+2) + r - 3; P^(2^(n-1)k) v_n^2, k odd, keeps
     (0, 2^n - 1) while r <= 3 + nu2((k + 1)/2); the rest are dead.  d2
     leaves the top 2^(n-1) classes of v_n, n >= 3, and the v_n^2 it does
-    not hit (k odd); d_r (dr_rule) maps the bottom 2^(n-r+1) - 1 classes
+    not hit (k odd); d_r (adams_rule) maps the bottom 2^(n-r+1) - 1 classes
     of v_n, n > r, onto the v_(n-r+1)^2 tower with nu2((k + 1)/2) = r - 3,
     which dies.  Run tuples are shared, by n."""
     lengths = {n: n + 1 if r >= n else 2 ** (n - r + 2) + r - 3 for n in range(2, V_TOP + 1)}
@@ -237,8 +235,8 @@ def run_adams(
     pages = [page]
     alive, zero = _e3_from_e2(page)
     for r in range(3, adams_r_max(mw_max) + 1):
-        table = RuleTable(r, dr_rule(r, mw_max))
-        page = replace(page, label=f"adams-E{r}", r=r, alive=alive, zero=zero, differential=table)
+        rule = adams_rule(r)
+        page = replace(page, label=f"adams-E{r}", r=r, alive=alive, zero=zero, differential=rule)
         alive, zero = _advance(page)
         verify_transition(page, alive, zero, verify, seed)
         pages.append(page)
@@ -444,19 +442,17 @@ def oracle_spot_check(e2: Page, e3: Page, count: int = 20, seed: int = 0) -> Rep
                     picks.add((mw, c0 + lo + wanted.pop() - start))
                 start += hi - lo
     rep = Report()
-    shift = e2.diff_shift()
+    d2 = d2_derivation(mw_max)
     for mw, c in sorted(picks):
         mid = e2.basis_at(mw, c)
-        src = e2.basis_at(mw + 1, c - shift.c)
-        tgt = e2.basis_at(mw - 1, c + shift.c)
+        src = e2.basis_at(mw + 1, c - d2.shift.c)
+        tgt = e2.basis_at(mw - 1, c + d2.shift.c)
 
         def matrix(sources, targets) -> F2Matrix:
             index = {m: i for i, m in enumerate(targets)}
             rows_bits = [0] * len(targets)
             for j, m in enumerate(sources):
-                for term in leibniz_apply(e2.differential, m):
-                    if normalize(term) is None:  # torsion kills it
-                        continue
+                for term in leibniz_apply(d2, m):  # renormalized: no torsion-killed term
                     rows_bits[index[term]] ^= 1 << j
             return F2Matrix(len(sources), tuple(F2Vector(len(sources), b) for b in rows_bits))
 

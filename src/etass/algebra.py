@@ -10,9 +10,11 @@ generators; the normal form attaches all P powers to the v generator of
 minimal index (divisibility p_exp = 0 mod 2^(n-1)) and enforces the
 torsion bound rho_exp <= 2^n - 2 when requested.  Values are immutable
 and operations pure.  The page engine keys everything by rho-free
-family packed into one int (family_of) and applies derivations to the
-packed exponents (derivation_image); Monomials are its read side, and
-leibniz_apply is the independent reference.
+family packed into one int (family_of), and its differentials
+(bockstein.Differential) move packed families by integer addition;
+Monomials are its read side.  A Derivation presents a differential by
+rules on generators, and leibniz_apply applies it to one Monomial: the
+monomial reference for the engine's rules.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class NormalizationFailure(Exception):
 
 
 class MissingRule(Exception):
-    """A derivation met a factor with no rule and no cycle declaration."""
+    """A differential met a factor with no rule and no cycle declaration."""
 
 
 @dataclass(frozen=True, order=True)
@@ -367,25 +369,6 @@ class Derivation:
             q, img = self.p_rule
             if img.bidegree != Bidegree(4 * q, 4 * q) + self.shift:
                 raise ValueError(f"rule for P^{q} does not shift degree by {self.shift}")
-        # the rules as (family move, rho exponent) for derivation_image
-        packed = {
-            n: tuple(
-                (family_of(t) - family_of(Monomial(0, 0, ((n, 1),))), t.rho_exp)
-                for t in terms
-            )
-            for n, terms in self.v_rules.items()
-        }
-        object.__setattr__(self, "_packed_v", packed)
-        if self.p_rule is not None:
-            q, img = self.p_rule
-            move = (family_of(img) - P_STEP * q, img.rho_exp)
-            object.__setattr__(self, "_packed_p", move)
-
-    def family_image(self, f: int) -> tuple[list[tuple[int, int]], int]:
-        """The differential on the tower of a packed family, in the form
-        of Page.family_image: derivation_image with threshold 0, since
-        rho is a cycle and the P attachment ignores rho."""
-        return derivation_image(self, f), 0
 
 
 def leibniz_apply(d: Derivation, m: Monomial) -> list[Monomial]:
@@ -429,57 +412,3 @@ def leibniz_apply(d: Derivation, m: Monomial) -> list[Monomial]:
         return kept
     return out
 
-
-def derivation_image(d: Derivation, f: int) -> list[tuple[int, int]]:
-    """leibniz_apply(d, family_monomial(f)) on packed families.
-
-    Returns the (family, rho exponent) terms sorted by family, which is
-    the order of leibniz_apply's terms: they share one bidegree, where
-    the monomial order and the column order agree.  Every check and
-    exception of leibniz_apply is kept; rho is a cycle, so the image of
-    rho^b times the family is each term times rho^b (before the torsion
-    of normalize_terms, which is applied here to the rho-free family).
-    """
-    terms: list[tuple[int, int]] = []
-    v_exps = ()
-    if d.v_rules or not d.all_v_cycles:
-        v_exps = family_v_exps(f)
-        for n, a in v_exps:
-            rule = d._packed_v.get(n)
-            if rule is not None:
-                if a % 2:
-                    terms.extend((f + move, rho) for move, rho in rule)
-            elif not (d.all_v_cycles or n in d.v_cycles):
-                raise MissingRule(f"no rule or cycle declaration for v{n}")
-    p = family_p(f)
-    if p and d.p_rule is not None:
-        n = v_exps[0][0] if v_exps else family_min_v(f)
-        if d.p_attach_min is None or n is None or n >= d.p_attach_min:
-            q = d.p_rule[0]
-            if p % q:
-                raise MissingRule(f"P^{p} is not a power of the block generator P^{q}")
-            if (p // q) % 2:
-                move, rho = d._packed_p
-                terms.append((f + move, rho))
-    if len(terms) > 1:
-        odd: dict[tuple[int, int], int] = {}
-        for t in terms:
-            odd[t] = odd.get(t, 0) ^ 1
-        terms = sorted(t for t, k in odd.items() if k)
-    if d.normalize_terms:
-        kept = []
-        for tf, rho in terms:
-            t = torsion_bound(tf)
-            if t is not None and rho >= t:
-                continue  # torsion kills it
-            n = family_min_v(tf)
-            tp = family_p(tf)
-            if n is None and tp:
-                raise NormalizationFailure(f"pure P power P^{tp} is not normal")
-            if n is not None and tp % 2 ** (n - 1):
-                raise NormalizationFailure(
-                    f"p_exp {tp} not a multiple of 2^{n - 1} for minimal v_{n}"
-                )
-            kept.append((tf, rho))
-        return kept
-    return terms

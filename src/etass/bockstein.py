@@ -5,12 +5,12 @@ alive: each rho-free monomial (a "family", packed into one int by
 algebra.family_of and enumerated by families()) spans the tower of its
 rho multiples, and the page keeps the interval of rho exponents alive
 plus the interval already hit by earlier differentials.  A page carries
-one differential (Page.differential): a Leibniz Derivation or an Adams
-rule table (adams.RuleTable), both giving the image of a whole tower
-(family_image).  Differentials on these pages send single monomials to
-single monomials, so each page transition (_advance) decomposes into
-tower-to-tower blocks, derived from family_image, whose homology is
-interval arithmetic.
+one Differential (Page.differential), which gives the image of a whole
+tower (family_image): bockstein_rule, adams.d2_rule or adams.adams_rule.
+Differentials on these pages send single monomials to single monomials,
+so each page transition (_advance) decomposes into tower-to-tower
+blocks, derived from family_image, whose homology is interval
+arithmetic.
 
 Every such transition is then replayed per bidegree through gf2
 elimination of the page differential's matrices (at every bidegree up
@@ -37,7 +37,8 @@ kind of sweep over the new runs.
 
 Only pages r = 2^n - 1 carry differentials, and run_bockstein walks
 exactly those.  Inside the window each page is one tower rule at that
-page (bockstein_tower), which builds E1 and predicts the stable page.
+page (bockstein_tower), which builds E1 and predicts the stable page;
+its differential is bockstein_rule.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import (
     MW_LIMIT,
@@ -53,7 +54,7 @@ from .algebra import (
     V_STEP,
     V_TOP,
     Bidegree,
-    Derivation,
+    MissingRule,
     Monomial,
     family_c0,
     family_min_v,
@@ -64,9 +65,6 @@ from .algebra import (
 )
 from .gf2 import Echelon, F2Matrix, F2Vector, SubspaceNotContained, kernel_basis, quotient_basis
 from .report import Report
-
-if TYPE_CHECKING:
-    from .adams import RuleTable
 
 # full per-bidegree verification below this window size, sampling above
 DENSE_VERIFY_LIMIT = 96
@@ -260,9 +258,9 @@ class Page:
     `alive` holds the surviving rho-intervals per packed family (see
     algebra.family_of), `zero` the intervals already hit (known-zero
     classes).  `differential` acts on this page (None once the sequence
-    has collapsed): a Leibniz Derivation or an Adams RuleTable, both
-    answering `shift` and `family_image`; the tower transition
-    (_advance) and the gf2 replay both read it through family_image.
+    has collapsed): a Differential, from bockstein_rule, adams.d2_rule
+    or adams.adams_rule; the tower transition (_advance) and the gf2
+    replay both read it through family_image.
     On an "adams" page the Ext model's ring torsion holds as well: a
     class past its family's torsion_bound is zero.  The Chow truncation
     c_max follows from max_mw.  basis_at and status speak Monomials;
@@ -285,7 +283,7 @@ class Page:
     columns: dict[int, Column]
     alive: dict[int, dict[int, Runs]]
     zero: dict[int, dict[int, Runs]] = field(default_factory=dict)
-    differential: Derivation | RuleTable | None = None
+    differential: Differential | None = None
     c_max: int = field(init=False)
     # caches; init=False so that dataclasses.replace starts them afresh
     _dims_cache: dict[int, dict[int, int]] = field(
@@ -359,16 +357,13 @@ class Page:
 
         Returns (terms, threshold): for b >= threshold the class
         fam * rho^b maps to the sum of tfam * rho^(b + delta) over the
-        (tfam, delta) terms, and below threshold it maps to zero.  A
-        Leibniz derivation gives threshold 0, since rho is a cycle and
-        its P attachment ignores rho; its terms come from the exponent
-        arithmetic of algebra.derivation_image.  A rule table reads the
-        entry off its rule.  A derivation that renormalizes its terms
-        (page 2 of the Adams side) is applied to the rho-free family,
-        where the torsion bound drops nothing; a shifted term that
-        torsion kills is one the Ext model makes zero (class_status on
-        an "adams" page), so callers must check every term outside the
-        target basis against class_status.
+        (tfam, delta) terms, sorted by family, and below threshold it
+        maps to zero; ([], 0) without differential.  Only the Adams rule
+        pages from 3 on have a threshold above 0.  The d2 image is that
+        of the rho-free family, where torsion kills no term; a shifted
+        term that torsion kills is one the Ext model makes zero
+        (class_status on an "adams" page), so callers must check every
+        term outside the target basis against class_status.
         """
         return ([], 0) if self.differential is None else self.differential.family_image(fam)
 
@@ -476,7 +471,8 @@ def tower_page(
 ) -> Page:
     """A page with no differential whose alive runs follow one tower
     rule: tower(fam) gives the Runs of each family of `columns`, EMPTY
-    for a family that is not alive."""
+    for a family that is not alive.  A run without 0 <= lo < hi raises
+    EngineError."""
     alive: dict[int, dict[int, Runs]] = {}
     for mw, col in columns.items():
         per = alive[mw] = {}
@@ -484,27 +480,51 @@ def tower_page(
             runs = tower(fam)
             if runs:
                 per[fam] = runs
+    for runs in set().union(*(per.values() for per in alive.values())):  # rules share their Runs
+        for lo, hi in runs:
+            if not 0 <= lo < hi:
+                fam = next(f for per in alive.values() for f, frs in per.items() if frs == runs)
+                raise EngineError(f"{label}: {family_monomial(fam)} has run ({lo}, {hi})")
     return Page(kind=kind, label=label, r=r, max_mw=mw_max, columns=columns, alive=alive)
 
 
 # ---------------------------------------------------------------------------
 # differential rules
 
-def bockstein_rule(n: int) -> Derivation:
-    """Page 2^n - 1 differential: the block generator P^(2^(n-2)) maps
-    to rho^(2^n - 1) v_n; every other page generator is a cycle, and P
-    powers attached to a v family of index below n ride along."""
+@dataclass(frozen=True)
+class Differential:
+    """A page differential: it shifts (mw, c) by `shift`, and
+    family_image(fam) is its image on a whole tower (Page.family_image)."""
+
+    shift: Bidegree
+    family_image: Callable[[int], tuple[list[tuple[int, int]], int]]
+
+
+def bockstein_rule(n: int) -> Differential:
+    """Page 2^n - 1: d(P^q) = rho^(2^n - 1) v_n, q = 2^(n-2), extended by
+    Leibniz; rho and every v_k are cycles.  With m the family's least v
+    index, P^p ... has no image when p = 0 or m < n (P^p rides on the
+    v_m torsion family, a cycle); else P^p = (P^q)^(p/q) needs q | p (or
+    MissingRule), and Leibniz gives (p/q) d(P^q) P^(p-q): for p/q odd
+    the one term fam + V_STEP[n] - P_STEP q at rho^(2^n - 1), else none.
+    rho is a cycle, so the threshold is 0."""
     if n < 2:
         raise ValueError("n >= 2")
-    r = 2 ** n - 1
-    block = 2 ** (n - 2) if n > 2 else 1
-    image = Monomial.make(r, 0, {n: 1})
-    return Derivation(
-        shift=Bidegree(-1, 0),
-        all_v_cycles=True,
-        p_rule=(block, image),
-        p_attach_min=n,
-    )
+    q, r = 2 ** (n - 2), 2 ** n - 1
+    move = V_STEP[n] - P_STEP * q
+
+    def family_image(fam: int) -> tuple[list[tuple[int, int]], int]:
+        p = family_p(fam)
+        if not p:
+            return [], 0
+        m = family_min_v(fam)
+        if m is not None and m < n:
+            return [], 0
+        if p % q:
+            raise MissingRule(f"P^{p} is not a power of the block generator P^{q}")
+        return ([(fam + move, r)] if (p // q) % 2 else []), 0
+
+    return Differential(Bidegree(-1, 0), family_image)
 
 
 def bockstein_tower(n: int, c_max: int) -> Callable[[int], Runs]:
@@ -539,7 +559,7 @@ def _advance(page: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[int
     """Homology of the page differential, tower by tower.
 
     The edges are the differential's family images (family_image) on
-    the alive families; a RuleTable answers ([], 0) off its rules.  Each
+    the alive families; a family off the rule answers ([], 0).  Each
     family must map to at most one family and receive from at most one,
     else EngineError, so that every bidegree's matrix is a direct sum of
     1x1 blocks and the surviving classes form interval complements.  The

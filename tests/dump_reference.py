@@ -9,32 +9,21 @@ path; towers are Page.window_towers' runs, labelled here.
 
 from __future__ import annotations
 
-from brute_force import times_rho
-from etass.adams import RuleTable
-from etass.algebra import Derivation, family_monomial, family_of, leibniz_apply
+from etass.algebra import Derivation, family_monomial, leibniz_apply
 from etass.bockstein import EngineError
-
-
-def apply_rule_table(table, m):
-    """A rule table (adams.RuleTable) on one class: its rule's target,
-    shifted by the class's rho exponent above the rule's source, or
-    nothing below the source or without a rule."""
-    rule = table.rules.get(family_of(m))
-    if rule is None or m.rho_exp < rule.source.rho_exp:
-        return []
-    a = m.rho_exp - rule.source.rho_exp
-    return [times_rho(rule.target, a) if a else rule.target]
+from rule_reference import apply_dr_table, page_reference
 
 
 def apply_rule(page, m):
-    """The page differential on one class, as the derivation or rule
-    table gives it, without the family-level shortcut."""
-    d = page.differential
-    if isinstance(d, RuleTable):
-        return apply_rule_table(d, m)
-    if isinstance(d, Derivation):
-        return leibniz_apply(d, m)
-    return []
+    """The page differential on one class, as its monomial reference
+    (rule_reference.page_reference) gives it, without the family-level
+    shortcut: leibniz_apply of a Derivation, or the page's dr_table."""
+    if page.differential is None:
+        return []
+    ref = page_reference(page.kind, page.r, page.max_mw)
+    if isinstance(ref, Derivation):
+        return leibniz_apply(ref, m)
+    return apply_dr_table(ref, m)
 
 
 def image_classes(page, m):

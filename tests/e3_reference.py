@@ -2,8 +2,9 @@
 
 This is the reference that etass.adams._e3_from_e2 is compared against.
 Bases come from Page.basis_at and every class's image from the page-2
-derivation applied to it (dump_reference.apply_rule), so none of it
-shares the step's integer family images or its homology routine.
+Derivation (adams.d2_derivation) applied to it by leibniz_apply, through
+dump_reference.apply_rule, so none of it shares the step's integer
+family images (adams.d2_rule) or its homology routine.
 """
 
 from __future__ import annotations

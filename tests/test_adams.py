@@ -6,23 +6,23 @@ import pytest
 from etass import adams, bockstein
 from etass.algebra import Monomial, family_c0, family_monomial, family_of, leibniz_apply
 from etass.adams import (
-    AdamsDiffRule,
-    RuleTable,
     _e3_from_e2,
     adams_r_max,
+    adams_rule,
     build_e2,
     check_e3_products,
     closed_form_e3,
     closed_form_einfty,
+    d2_derivation,
     d2_rule,
     dga_homology_oracle,
-    dr_rule,
     exhaustive_hit_scan,
     mod4_vanishing_scan,
     oracle_spot_check,
     run_adams,
 )
 from etass.bockstein import (
+    Differential,
     EngineError,
     Homology,
     RepresentativeNotMonomial,
@@ -33,9 +33,9 @@ from etass.bockstein import (
 )
 from etass.cli import Session, verify_oracle
 from etass.ext import ext_model_page
-from dump_reference import apply_rule_table
 from e3_reference import reference_e3_from_e2
 from replay_mutations import check_mutations_caught
+from rule_reference import AdamsDiffRule, apply_dr_table, dr_rule, dr_table
 
 
 def mono(rho=0, p=0, **vs):
@@ -43,7 +43,7 @@ def mono(rho=0, p=0, **vs):
 
 
 def test_d2_examples():
-    d2 = d2_rule(64)
+    d2 = d2_derivation(64)
     assert leibniz_apply(d2, mono(v3=1)) == [mono(v2=2)]
     assert leibniz_apply(d2, mono(rho=4, p=4, v3=1)) == []  # torsion kills the image
     assert leibniz_apply(d2, mono(v3=1, v4=1)) == sorted(
@@ -51,6 +51,12 @@ def test_d2_examples():
     )
     # the family form: P^(2^(n-1)k) v_n -> P^(2^(n-1)k) v_{n-1}^2
     assert leibniz_apply(d2, mono(p=8, v4=1)) == [mono(p=8, v3=2)]
+    # the engine rule on the same families: terms sorted by family, at rho^0
+    rule = d2_rule(64)
+    assert rule.family_image(family_of(mono(v3=1))) == ([(family_of(mono(v2=2)), 0)], 0)
+    terms = sorted([(family_of(mono(v2=2, v4=1)), 0), (family_of(mono(v3=3)), 0)])
+    assert rule.family_image(family_of(mono(v3=1, v4=1))) == (terms, 0)
+    assert rule.family_image(family_of(mono(p=8, v4=1))) == ([(family_of(mono(p=8, v3=2)), 0)], 0)
 
 
 def page_3(e2):
@@ -115,6 +121,12 @@ def test_dr_rule_examples():
     rule = d4[(((5, 1),), 0)]
     assert rule.source == mono(rho=22, v5=1)
     assert rule.target == mono(p=6, v2=2)
+    # the engine rules: from the source's rho exponent on, onto the target
+    image = adams_rule(3).family_image(family_of(mono(v4=1)))
+    assert image == ([(family_of(mono(p=2, v2=2)), -7)], 7)
+    image = adams_rule(4).family_image(family_of(mono(v5=1)))
+    assert image == ([(family_of(mono(p=6, v2=2)), -22)], 22)
+    assert adams_rule(4).family_image(family_of(mono(v4=1))) == ([], 0)
 
 
 def test_dr_general_form_specializes_to_page3():
@@ -281,7 +293,7 @@ def test_e2_page_status():
 
 def test_replay_catches_corrupted_transitions(monkeypatch):
     pages, _ = run_adams(24, verify="off")
-    assert pages[1].label == "adams-E3" and isinstance(pages[1].differential, RuleTable)
+    assert pages[1].label == "adams-E3" and isinstance(pages[1].differential, Differential)
     check_mutations_caught(pages[1], monkeypatch)
 
 
@@ -291,15 +303,15 @@ def test_rule_table_family_image_is_rho_linear():
     threshold."""
     e2 = build_e2(32)
     for r in range(3, adams_r_max(32) + 1):
-        table = RuleTable(r, dr_rule(r, 32))
-        page = replace(e2, differential=table)
+        table = dr_table(dr_rule(r, 32))
+        page = replace(e2, differential=adams_rule(r))
         below = moved = 0
         for mw in page.alive:
             for fam, _, runs in page._column_alive(mw):
                 terms, threshold = page.family_image(fam)
                 for lo, hi in runs:
                     for b in range(lo, hi):
-                        got = apply_rule_table(table, family_monomial(fam, b))
+                        got = apply_dr_table(table, family_monomial(fam, b))
                         if b < threshold:
                             assert got == []
                             below += bool(terms)
@@ -314,7 +326,7 @@ def test_replay_keeps_classes_below_rule_threshold():
     rule's threshold rho^7: those classes are cycles, and the replay
     must not map them onto the target tower."""
     rules = dr_rule(3, 24)
-    page = replace(build_e2(24), r=3, differential=RuleTable(3, rules))
+    page = replace(build_e2(24), r=3, differential=adams_rule(3))
     v4 = family_of(mono(v4=1))
     assert [rule.source for rule in rules] == [mono(rho=7, v4=1)]
     assert page.alive[15][v4][0][0] == 0
@@ -331,7 +343,14 @@ def test_tower_shortcut_rejects_shared_rule_image():
     rules = dr_rule(3, 24)
     assert [rule.target for rule in rules] == [mono(p=2, v2=2)]
     extra = AdamsDiffRule(3, mono(rho=3, v2=5), mono(p=2, v2=2))
-    page = replace(build_e2(24), r=3, differential=RuleTable(3, [*rules, extra]))
+    rule = adams_rule(3)
+
+    def family_image(fam):
+        if fam == family_of(extra.source):
+            return [(family_of(extra.target), -extra.source.rho_exp)], extra.source.rho_exp
+        return rule.family_image(fam)
+
+    page = replace(build_e2(24), r=3, differential=Differential(rule.shift, family_image))
     with pytest.raises(EngineError, match="share image"):
         _advance(page)
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from etass import adams, bockstein, ext
-from etass.adams import build_e2, d2_rule, run_adams
+from etass.adams import adams_r_max, adams_rule, build_e2, d2_derivation, d2_rule, run_adams
 from etass.algebra import (
     V_TOP,
     Bidegree,
@@ -32,12 +32,14 @@ from etass.bockstein import (
     closed_form_einfty,
     compare_pages,
     enumerate_families,
+    families,
     replay_mode,
     rho_inverted_check,
     run_bockstein,
     runs_contain,
     runs_union,
     sample_seed,
+    tower_page,
     verify_transition,
     _advance,
 )
@@ -47,6 +49,7 @@ from dump_reference import image_classes
 from gf2_reference import coeff, nrows
 from homology_reference import dense_bidegrees, reference_at, reference_positions
 from replay_mutations import check_mutations_caught, sampled_bidegrees
+from rule_reference import as_differential, bockstein_derivation, dr_rule, dr_table
 
 
 def mono(rho=0, p=0, **vs):
@@ -72,7 +75,9 @@ def test_rule_on_block_generators():
         (3, 2, mono(rho=7, v3=1)),
         (4, 4, mono(rho=15, v4=1)),
     ]:
-        assert leibniz_apply(bockstein_rule(n), mono(p=p_exp)) == [image]
+        assert leibniz_apply(bockstein_derivation(n), mono(p=p_exp)) == [image]
+        want = [(family_of(image), image.rho_exp)]
+        assert bockstein_rule(n).family_image(family_of(mono(p=p_exp))) == (want, 0)
 
 
 def test_page_indices():
@@ -287,14 +292,15 @@ def test_tower_shortcut_rejects_multi_term_image():
     so no two families share an image first."""
     d = shortcut_derivation(p_attach_min=3)
     with pytest.raises(EngineError, match="not a single monomial"):
-        _advance(replace(build_e1(10), differential=d))
+        _advance(replace(build_e1(10), differential=as_differential(d)))
 
 
 def test_tower_shortcut_rejects_shared_image():
     """Two families with one image family would make a 2x1 block: P v2
     and v3 both map to the v2^2 tower."""
+    d = as_differential(shortcut_derivation())
     with pytest.raises(EngineError, match="share image"):
-        _advance(replace(build_e1(8), differential=shortcut_derivation()))
+        _advance(replace(build_e1(8), differential=d))
 
 
 def test_tower_shortcut_rejects_bockstein_image_below_rho_r():
@@ -302,6 +308,15 @@ def test_tower_shortcut_rejects_bockstein_image_below_rho_r():
     P -> rho^3 v2 falls short on page 7."""
     with pytest.raises(EngineError, match="rule image rho\\^3 v2 has rho exponent below r = 7"):
         _advance(replace(build_e1(8), r=7, differential=bockstein_rule(2)))
+
+
+@pytest.mark.parametrize("run", [(-1, 2), (2, 2), (3, 1)])
+def test_tower_page_rejects_run_outside_rho_range(run):
+    """A tower rule whose run does not have 0 <= lo < hi fails in
+    tower_page, naming the page and the family, instead of making a page
+    whose readers fail elsewhere."""
+    with pytest.raises(EngineError, match=rf"^bad-page: 1 has run \({run[0]}, {run[1]}\)$"):
+        tower_page("bockstein", "bad-page", 0, 4, enumerate_families(4), lambda fam: (run,))
 
 
 def test_closed_form_tower_degrees():
@@ -860,11 +875,13 @@ def model_zero(fam, b):
 
 def test_family_image_is_rho_linear():
     """The replay shifts each family's image by the rho exponent; that
-    must agree with the derivation applied to every class of the tower."""
+    must agree with the reference derivation applied to every class of
+    the tower."""
     pages, _ = run_bockstein(32, verify="off")
     assert [p.r for p in pages] == bockstein_page_indices(32)
     for page in pages:
-        assert page.differential == bockstein_rule(page.r.bit_length())
+        reference = bockstein_derivation(page.r.bit_length())
+        assert page.differential.shift == reference.shift
         moved = 0
         for mw in page.alive:
             for fam, _, runs in page._column_alive(mw):
@@ -874,14 +891,14 @@ def test_family_image_is_rho_linear():
                 for lo, hi in runs:
                     for b in range(lo, hi):
                         want = [family_monomial(tfam, b + d) for tfam, d in terms]
-                        assert leibniz_apply(page.differential, family_monomial(fam, b)) == want
+                        assert leibniz_apply(reference, family_monomial(fam, b)) == want
         assert moved, f"{page.label} moves no family"
 
     # the Adams page 2: d2 renormalizes, so the shifted family image
     # equals it once the terms torsion kills (model zero) are dropped
-    d2 = d2_rule(32)
+    d2 = d2_derivation(32)
     e2 = build_e2(32)
-    assert e2.differential == d2
+    assert e2.differential.shift == d2.shift
     moved = killed = 0
     for mw in e2.alive:
         for fam, _, runs in e2._column_alive(mw):
@@ -899,17 +916,21 @@ def test_family_image_is_rho_linear():
 
 
 def test_derivation_image_matches_leibniz_at_64():
-    """The packed-exponent image of every family of every Bockstein page
-    and of adams-E2 at mw 64 is leibniz_apply on the family's Monomial,
-    exceptions included."""
+    """Every engine rule at mw 64 gives, on every family of its page's
+    columns, the image of its monomial reference, exceptions included:
+    each Bockstein page and adams-E2 leibniz_apply of the reference
+    derivation on the family's Monomial at threshold 0, each Adams rule
+    page its dr_rule entry."""
     pages, _ = run_bockstein(64, verify="off")
-    e2 = build_e2(64)
-    raised = 0
-    for page in [*pages, e2]:
+    adams_pages, _ = run_adams(64, verify="off")
+    assert [p.r for p in adams_pages] == [2, *range(3, adams_r_max(64) + 1)]
+    raised = rules = 0
+    references = [bockstein_derivation(page.r.bit_length()) for page in pages]
+    for page, reference in zip([*pages, adams_pages[0]], [*references, d2_derivation(64)]):
         for col in page.columns.values():
             for fam in col.fams:
                 try:
-                    want = leibniz_apply(page.differential, family_monomial(fam))
+                    want = leibniz_apply(reference, family_monomial(fam))
                 except MissingRule:
                     with pytest.raises(MissingRule):
                         page.family_image(fam)
@@ -918,4 +939,45 @@ def test_derivation_image_matches_leibniz_at_64():
                 got, threshold = page.family_image(fam)
                 assert threshold == 0
                 assert [family_monomial(tfam, rho) for tfam, rho in got] == want, page.label
+    for page in adams_pages[1:]:
+        table = dr_table(dr_rule(page.r, 64))
+        for col in page.columns.values():
+            for fam in col.fams:
+                rule = table.get(fam)
+                want = ([], 0)
+                if rule is not None:
+                    src, tgt = rule.source, rule.target
+                    want = ([(family_of(tgt), tgt.rho_exp - src.rho_exp)], src.rho_exp)
+                    rules += 1
+                assert page.family_image(fam) == want, (page.label, str(family_monomial(fam)))
     assert raised, "no family reached the block-generator check"
+    assert rules == sum(len(dr_rule(r, 64)) for r in range(3, adams_r_max(64) + 1))
+
+
+def test_rules_shift_degree_at_128():
+    """Every image term of every engine rule at mw 128 (each Bockstein
+    page over all families, the Adams page 2 and each Adams rule page
+    over the normal ones) lies at its source's bidegree plus the rule's
+    shift, from the threshold on, and the threshold is not negative.
+    Families that raise MissingRule have no image to check."""
+    every, normal = enumerate_families(128), families(128, normal=True)
+    indices = bockstein_page_indices(128)
+    rules = [(f"bockstein-E{r}", bockstein_rule(r.bit_length()), every) for r in indices]
+    rules.append(("adams-E2", d2_rule(128), normal))
+    rules += [(f"adams-E{r}", adams_rule(r), normal) for r in range(3, adams_r_max(128) + 1)]
+    for name, rule, columns in rules:
+        terms_seen = 0
+        for mw, col in columns.items():
+            for fam in col.fams:
+                try:
+                    terms, threshold = rule.family_image(fam)
+                except MissingRule:
+                    continue
+                assert threshold >= 0, (name, str(family_monomial(fam)))
+                source = family_monomial(fam, threshold).bidegree
+                assert source.mw == mw
+                for tfam, delta in terms:
+                    target = family_monomial(tfam, threshold + delta).bidegree
+                    assert target == source + rule.shift, (name, str(family_monomial(fam)))
+                    terms_seen += 1
+        assert terms_seen, f"{name} moves no family"

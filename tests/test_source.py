@@ -112,25 +112,19 @@ def _imports_etass(node: ast.AST) -> bool:
 def test_no_function_level_etass_imports():
     """The package's modules import each other at module level only, so
     that the import graph is what the module headers say; an import
-    inside a function body hides a dependency or a cycle.  Imports under
-    `if TYPE_CHECKING:` are exempt."""
+    inside a function body hides a dependency or a cycle, and so does
+    one under `if TYPE_CHECKING:`, which no module needs."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        exempt = {
-            id(node)
-            for block in ast.walk(tree)
-            if isinstance(block, ast.If) and ast.unparse(block.test).endswith("TYPE_CHECKING")
-            for node in ast.walk(block)
-        }
-        for func in ast.walk(tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for block in ast.walk(tree):
+            if isinstance(block, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                isinstance(block, ast.If) and ast.unparse(block.test).endswith("TYPE_CHECKING")
+            ):
                 found.update(
-                    f"{path.name}:{node.lineno}"
-                    for node in ast.walk(func)
-                    if _imports_etass(node) and id(node) not in exempt
+                    f"{path.name}:{node.lineno}" for node in ast.walk(block) if _imports_etass(node)
                 )
-    assert not found, f"function-level etass imports in src/etass: {sorted(found)}"
+    assert not found, f"etass imports in functions or TYPE_CHECKING blocks: {sorted(found)}"
 
 
 # parameter annotations of a page, a column table or a group list that
