@@ -44,19 +44,14 @@ from .algebra import (
     two_adic_valuation,
 )
 from .bockstein import (
-    EMPTY,
     Column,
     Differential,
     EngineError,
     Homology,
     Page,
-    Runs,
     _advance,
     c_max_for,
     replay_mode,
-    runs_make,
-    runs_subset,
-    runs_subtract,
     tower_page,
     verify_transition,
 )
@@ -144,7 +139,7 @@ def adams_r_max(mw_max: int) -> int:
     return max(2, max_v_index(mw_max) - 1)
 
 
-def _e3_from_e2(e2: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[int, Runs]]]:
+def _e3_from_e2(e2: Page) -> tuple[dict[int, dict[int, tuple[int, int]]], ...]:
     """Homology of the page-2 differential, bidegree by bidegree.
 
     Images here are genuine sums, so no tower shortcut applies: every
@@ -155,55 +150,62 @@ def _e3_from_e2(e2: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[in
     multi-term boundaries (sums of non-cycles) kill no single class.
     Only the unreported margin column may carry sum classes (their
     would-be killers start outside the window); they can neither source
-    nor receive any later rule, so they are dropped there.
+    nor receive any later rule, so they are dropped there.  The degrees
+    ascend, so each family's classes arrive in rho order; in one column
+    its page-3 classes, and its zero classes, must each be one interval,
+    else EngineError naming the page, the column and the family.
     """
     homology = Homology(e2)
-    new_alive: dict[int, dict[int, Runs]] = {}
-    new_zero: dict[int, dict[int, Runs]] = {}
+    new_alive: dict[int, dict[int, tuple[int, int]]] = {}
+    new_zero: dict[int, dict[int, tuple[int, int]]] = {}
     for mw in sorted(e2.alive):
-        alive_col: dict[int, list[tuple[int, int]]] = {}
-        zero_col: dict[int, list[tuple[int, int]]] = {}
+        alive_col = new_alive[mw] = {}
+        zero_col = new_zero[mw] = {}
         for c in homology.bidegrees(mw):
             mid, reps, boundaries = homology.at(mw, c, sums_allowed=mw > e2.max_mw)
             column = homology.column(mw).alive
-            for i in reps:
-                fam, c0, _ = column[mid[i]]
-                alive_col.setdefault(fam, []).append((c - c0, c - c0 + 1))
-            for i in boundaries.units():
-                fam, c0, _ = column[mid[i]]
-                zero_col.setdefault(fam, []).append((c - c0, c - c0 + 1))
-        new_alive[mw] = {fam: runs_make(pairs) for fam, pairs in alive_col.items()}
-        new_zero[mw] = {fam: runs_make(pairs) for fam, pairs in zero_col.items()}
+            units = boundaries.units()
+            for col, what, found in ((alive_col, "alive", reps), (zero_col, "zero", units)):
+                for i in found:
+                    fam, c0, _ = column[mid[i]]
+                    lo, hi = col.get(fam, (c - c0, c - c0))
+                    if hi != c - c0:
+                        raise EngineError(
+                            f"{e2.label}: the page-3 {what} classes of {family_monomial(fam)} "
+                            f"at mw={mw} are not one rho-interval: {(lo, hi)} and rho^{c - c0}"
+                        )
+                    col[fam] = (lo, hi + 1)
     return new_alive, new_zero
 
 
-def adams_tower(r: float, c_max: int) -> Callable[[int], Runs]:
+def adams_tower(r: float, c_max: int) -> Callable[[int], tuple[int, int] | None]:
     """The tower rule, for tower_page, of page r >= 3 over the normal
     families (r = math.inf: the stable page): the unit keeps its full
     tower; P^(2^(n-1)k) v_n keeps (2^n - 1 - L, 2^n - 1), L = n + 1 if
     r >= n, else 2^(n-r+2) + r - 3; P^(2^(n-1)k) v_n^2, k odd, keeps
-    (0, 2^n - 1) while r <= 3 + nu2((k + 1)/2); the rest are dead.  d2
-    leaves the top 2^(n-1) classes of v_n, n >= 3, and the v_n^2 it does
-    not hit (k odd); d_r (adams_rule) maps the bottom 2^(n-r+1) - 1 classes
-    of v_n, n > r, onto the v_(n-r+1)^2 tower with nu2((k + 1)/2) = r - 3,
-    which dies.  Run tuples are shared, by n."""
+    (0, 2^n - 1) while r <= 3 + nu2((k + 1)/2); the rest are dead
+    (None).  d2 leaves the top 2^(n-1) classes of v_n, n >= 3, and the
+    v_n^2 it does not hit (k odd); d_r (adams_rule) maps the bottom
+    2^(n-r+1) - 1 classes of v_n, n > r, onto the v_(n-r+1)^2 tower with
+    nu2((k + 1)/2) = r - 3, which dies.  Interval tuples are shared, by
+    n."""
     lengths = {n: n + 1 if r >= n else 2 ** (n - r + 2) + r - 3 for n in range(2, V_TOP + 1)}
-    singles = {n: ((2 ** n - 1 - length, 2 ** n - 1),) for n, length in lengths.items()}
-    squares = {n: ((0, 2 ** n - 1),) for n in lengths}
+    singles = {n: (2 ** n - 1 - length, 2 ** n - 1) for n, length in lengths.items()}
+    squares = {n: (0, 2 ** n - 1) for n in lengths}
 
-    def tower(fam: int) -> Runs:
+    def tower(fam: int) -> tuple[int, int] | None:
         if not fam:  # the unit
-            return ((0, c_max + 1),)
+            return (0, c_max + 1)
         v_exps = family_v_exps(fam)
         if len(v_exps) != 1:
-            return EMPTY
+            return None
         n, a = v_exps[0]
         if a == 1:
             return singles[n]
         k = family_p(fam) // 2 ** (n - 1)
         if a == 2 and k % 2 and r <= 3 + two_adic_valuation((k + 1) // 2):
             return squares[n]
-        return EMPTY
+        return None
 
     return tower
 
@@ -279,7 +281,7 @@ def check_e3_products(e3: Page) -> Report:
             if prod.bidegree.mw > mw_max:
                 continue
             checked += 1
-            got = project(normalize(prod, torsion=True))
+            got = project(normalize(prod))
             want = _predicted_e3_product(g, h)
             if got != want:
                 bad.append((str(g), str(h), str(got), str(want)))
@@ -337,13 +339,10 @@ def exhaustive_hit_scan(e3: Page, einfty: Page) -> Report:
     for mw in range(1, mw_max + 1):
         if mw % 4 != 2:
             continue
-        for fam, _, runs in e3._column_alive(mw):
-            hit = einfty.zero.get(mw, {}).get(fam, EMPTY)
-            hit_before = e3.zero.get(mw, {}).get(fam, EMPTY)
-            new_hits = runs_subtract(hit, hit_before)
-            if runs_subtract(runs, new_hits) != EMPTY or not runs_subset(
-                new_hits, runs
-            ):
+        hit, hit_before = einfty.zero.get(mw, {}), e3.zero.get(mw, {})
+        for fam, _, (lo, hi) in e3._column_alive(mw):
+            new_hits = set(range(*hit.get(fam, (0, 0)))) - set(range(*hit_before.get(fam, (0, 0))))
+            if new_hits != set(range(lo, hi)):
                 bad.append((mw, str(family_monomial(fam))))
     rep.add(
         "exhaustive-differentials",
@@ -428,19 +427,18 @@ def oracle_spot_check(e2: Page, e3: Page, count: int = 20, seed: int = 0) -> Rep
     max_mw."""
     mw_max = e2.max_mw
     # draw class indices in the order (mw, family, rho exponent) of the
-    # page-2 classes and map each to its bidegree through the run lengths
+    # page-2 classes and map each to its bidegree through the tower lengths
     rng = random.Random(seed)
     window = [(mw, e2.alive.get(mw, {})) for mw in range(1, mw_max + 1)]
-    total = sum(hi - lo for _, per in window for runs in per.values() for lo, hi in runs)
+    total = sum(hi - lo for _, per in window for lo, hi in per.values())
     wanted = sorted(rng.sample(range(total), min(count, total)), reverse=True)
     picks = set()
-    start = 0  # the index of the run's first class
+    start = 0  # the index of the tower's first class
     for mw, _ in window:
-        for _, c0, runs in e2._column_alive(mw):
-            for lo, hi in runs:
-                while wanted and wanted[-1] < start + hi - lo:
-                    picks.add((mw, c0 + lo + wanted.pop() - start))
-                start += hi - lo
+        for _, c0, (lo, hi) in e2._column_alive(mw):
+            while wanted and wanted[-1] < start + hi - lo:
+                picks.add((mw, c0 + lo + wanted.pop() - start))
+            start += hi - lo
     rep = Report()
     d2 = d2_derivation(mw_max)
     for mw, c in sorted(picks):

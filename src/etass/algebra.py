@@ -8,7 +8,7 @@ The unit h1 is normalized away throughout, so bidegrees live in the
 plane where it vanishes.  Monomials are exponent data over these
 generators; the normal form attaches all P powers to the v generator of
 minimal index (divisibility p_exp = 0 mod 2^(n-1)) and enforces the
-torsion bound rho_exp <= 2^n - 2 when requested.  Values are immutable
+torsion bound rho_exp <= 2^n - 2 (normalize).  Values are immutable
 and operations pure.  The page engine keys everything by rho-free
 family packed into one int (family_of), and its differentials
 (bockstein.Differential) move packed families by integer addition;
@@ -287,8 +287,7 @@ class NormalMonomial(Monomial):
 
     Construction checks the certificate: with minimal v index n, p_exp
     is a multiple of 2^(n-1); with no v factors, p_exp is zero.  The
-    torsion bound is checked by normalize(), not here, so that both
-    torsion modes can share the type.
+    torsion bound is checked by normalize(), not here.
     """
 
     def __post_init__(self):
@@ -303,7 +302,7 @@ class NormalMonomial(Monomial):
             )
 
 
-def normalize(m: Monomial, torsion: bool = True) -> NormalMonomial | None:
+def normalize(m: Monomial) -> NormalMonomial | None:
     """Shifted normal form of m, or None when torsion annihilates it.
 
     Raises NormalizationFailure on malformed input (p_exp not divisible
@@ -311,15 +310,15 @@ def normalize(m: Monomial, torsion: bool = True) -> NormalMonomial | None:
     products of normal monomials.
     """
     n = m.min_v
-    if torsion and n is not None and m.rho_exp >= 2 ** n - 1:
+    if n is not None and m.rho_exp >= 2 ** n - 1:
         return None
     return NormalMonomial(m.rho_exp, m.p_exp, m.v_exps)
 
 
 def multiply(a: NormalMonomial, b: NormalMonomial) -> NormalMonomial | None:
     """Product in the truncated ring: exponent sum, then normal form
-    with the torsion rule enabled."""
-    return normalize(a.raw_product(b), torsion=True)
+    (normalize, which applies the torsion rule)."""
+    return normalize(a.raw_product(b))
 
 
 MonomialSum = tuple[Monomial, ...]
@@ -406,7 +405,7 @@ def leibniz_apply(d: Derivation, m: Monomial) -> list[Monomial]:
     if d.normalize_terms:
         kept = []
         for t in out:
-            nt = normalize(t, torsion=True)
+            nt = normalize(t)
             if nt is not None:
                 kept.append(nt)
         return kept

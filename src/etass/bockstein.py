@@ -3,14 +3,16 @@
 A page stores, for every Milnor-Witt column, the rho-towers that are
 alive: each rho-free monomial (a "family", packed into one int by
 algebra.family_of and enumerated by families()) spans the tower of its
-rho multiples, and the page keeps the interval of rho exponents alive
-plus the interval already hit by earlier differentials.  A page carries
+rho multiples, and the page keeps one interval (lo, hi) of rho exponents
+alive per family plus one interval already hit by earlier
+differentials; a family without such classes is absent.  A page carries
 one Differential (Page.differential), which gives the image of a whole
 tower (family_image): bockstein_rule, adams.d2_rule or adams.adams_rule.
 Differentials on these pages send single monomials to single monomials,
 so each page transition (_advance) decomposes into tower-to-tower
 blocks, derived from family_image, whose homology is interval
-arithmetic.
+arithmetic; a transition that would leave a family two intervals
+raises EngineError instead.
 
 Every such transition is then replayed per bidegree through gf2
 elimination of the page differential's matrices (at every bidegree up
@@ -27,13 +29,13 @@ the read side and for error messages.  One homology routine (Homology)
 serves the dense and the sampled replay and the Adams page-2 to page-3
 step, whose images are genuine sums.  It sweeps the columns in
 ascending mw and fills each column's bases in one pass over its alive
-runs; it eliminates each bidegree's differential matrix once (the
+intervals; it eliminates each bidegree's differential matrix once (the
 echelon gives the outgoing rank at its source and is the boundary span
 at its target), takes the coset representatives from the zero columns
 of the outgoing matrix (a cycle outside the boundary support needs no
 elimination), and keeps three columns' tables at a time.  The replay
 reads the survivors and new hits the transition claims from the same
-kind of sweep over the new runs.
+kind of sweep over the new intervals.
 
 Only pages r = 2^n - 1 carry differentials, and run_bockstein walks
 exactly those.  Inside the window each page is one tower rule at that
@@ -89,84 +91,6 @@ class RepresentativeNotMonomial(EngineError):
 
 
 # ---------------------------------------------------------------------------
-# interval arithmetic on disjoint sorted half-open runs
-
-Runs = tuple[tuple[int, int], ...]
-
-EMPTY: Runs = ()
-
-
-def runs_make(pairs: Iterable[tuple[int, int]]) -> Runs:
-    pairs = sorted((lo, hi) for lo, hi in pairs if lo < hi)
-    out: list[tuple[int, int]] = []
-    for lo, hi in pairs:
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return tuple(out)
-
-
-def runs_intersect(a: Runs, b: Runs) -> Runs:
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if lo < hi:
-            out.append((lo, hi))
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return tuple(out)
-
-
-def runs_subtract(a: Runs, b: Runs) -> Runs:
-    if not a or not b:
-        return a
-    out = []
-    j = 0
-    for lo, hi in a:
-        cur = lo
-        while j < len(b) and b[j][1] <= cur:
-            j += 1
-        k = j
-        while k < len(b) and b[k][0] < hi:
-            blo, bhi = b[k]
-            if cur < blo:
-                out.append((cur, min(blo, hi)))
-            cur = max(cur, bhi)
-            if cur >= hi:
-                break
-            k += 1
-        if cur < hi:
-            out.append((cur, hi))
-    return tuple(out)
-
-
-def runs_union(a: Runs, b: Runs) -> Runs:
-    return runs_make(list(a) + list(b))
-
-
-def runs_shift(a: Runs, k: int) -> Runs:
-    return tuple((lo + k, hi + k) for lo, hi in a)
-
-
-def runs_contain(a: Runs, x: int) -> bool:
-    for lo, hi in a:
-        if lo <= x < hi:
-            return True
-        if x < lo:
-            return False
-    return False
-
-
-def runs_subset(a: Runs, b: Runs) -> bool:
-    return runs_subtract(a, b) == EMPTY
-
-
-# ---------------------------------------------------------------------------
 # columns of rho-free families
 
 @dataclass
@@ -214,27 +138,25 @@ def enumerate_families(mw_max: int) -> dict[int, Column]:
 
 def _sweep(entries: Iterable, degrees: Sequence[int]) -> dict[int, list[int]]:
     """Per Chow degree of `degrees` (ascending), the positions of the
-    (position, c0, runs) entries with a class there, in one pass."""
+    (position, c0, (lo, hi)) entries with a class there, in one pass."""
     out: dict[int, list[int]] = {c: [] for c in degrees}
-    for pos, c0, runs in entries:
-        for lo, hi in runs:
-            for c in degrees[bisect_left(degrees, c0 + lo) : bisect_left(degrees, c0 + hi)]:
-                out[c].append(pos)
+    for pos, c0, (lo, hi) in entries:
+        for c in degrees[bisect_left(degrees, c0 + lo) : bisect_left(degrees, c0 + hi)]:
+            out[c].append(pos)
     return out
 
 
-def _column_dims(per: dict[int, Runs], c_max: int) -> dict[int, int]:
+def _column_dims(per: dict[int, tuple[int, int]], c_max: int) -> dict[int, int]:
     """The number of classes at every Chow degree c <= c_max of one
-    column's alive runs, degrees without classes left out."""
+    column's alive intervals, degrees without classes left out."""
     diff = [0] * (c_max + 2)
-    for fam, runs in per.items():
+    for fam, (lo, hi) in per.items():
         c0 = family_c0(fam)
-        for lo, hi in runs:
-            a = c0 + lo
-            b = min(c0 + hi, c_max + 1)
-            if a <= c_max and a < b:
-                diff[a] += 1
-                diff[b] -= 1
+        a = c0 + lo
+        b = min(c0 + hi, c_max + 1)
+        if a <= c_max and a < b:
+            diff[a] += 1
+            diff[b] -= 1
     out: dict[int, int] = {}
     acc = 0
     for c in range(c_max + 1):
@@ -255,25 +177,27 @@ DiffRun = tuple[int, int, int, list[tuple[int, int]]]
 class Page:
     """One spectral-sequence page over the truncated window.
 
-    `alive` holds the surviving rho-intervals per packed family (see
-    algebra.family_of), `zero` the intervals already hit (known-zero
-    classes).  `differential` acts on this page (None once the sequence
-    has collapsed): a Differential, from bockstein_rule, adams.d2_rule
-    or adams.adams_rule; the tower transition (_advance) and the gf2
-    replay both read it through family_image.
+    `alive` holds, per column and packed family (see algebra.family_of),
+    the one rho-interval (lo, hi) of the family's surviving classes
+    fam * rho^b, lo <= b < hi; `zero` holds the one interval of its
+    classes already hit (known-zero classes).  A family without such
+    classes is absent.  `differential` acts on this page (None once the
+    sequence has collapsed): a Differential, from bockstein_rule,
+    adams.d2_rule or adams.adams_rule; the tower transition (_advance)
+    and the gf2 replay both read it through family_image.
     On an "adams" page the Ext model's ring torsion holds as well: a
     class past its family's torsion_bound is zero.  The Chow truncation
     c_max follows from max_mw.  basis_at and status speak Monomials;
     differentials, column_towers and window_towers give packed families
-    and rho intervals, one entry per run of classes, to every reader
-    that walks a page, which names a class with family_monomial.
+    and rho intervals to every reader that walks a page, which names a
+    class with family_monomial.
 
     A page is read-only once built: a page transition (_advance) hands
     the next page the very column dicts of `alive` and `zero` that no
     edge touches, and dataclasses.replace shares the tables, so a
     caller that wants to edit a column copies it first.  It caches only
     differentials() and the tracer's dims_column; the column and class
-    listings are rebuilt from the runs on every call.
+    listings are rebuilt from the intervals on every call.
     """
 
     kind: str
@@ -281,8 +205,8 @@ class Page:
     r: int
     max_mw: int
     columns: dict[int, Column]
-    alive: dict[int, dict[int, Runs]]
-    zero: dict[int, dict[int, Runs]] = field(default_factory=dict)
+    alive: dict[int, dict[int, tuple[int, int]]]
+    zero: dict[int, dict[int, tuple[int, int]]] = field(default_factory=dict)
     differential: Differential | None = None
     c_max: int = field(init=False)
     # caches; init=False so that dataclasses.replace starts them afresh
@@ -302,18 +226,15 @@ class Page:
         return self.c_max
 
     # -- basis ----------------------------------------------------------
-    def alive_runs(self, mw: int, fam: int) -> Runs:
-        return self.alive.get(mw, {}).get(fam, EMPTY)
-
-    def window_columns(self) -> Iterable[tuple[int, list[tuple[int, int, Runs]]]]:
+    def window_columns(self) -> Iterable[tuple[int, list[tuple[int, int, tuple[int, int]]]]]:
         """(mw, _column_alive(mw)) per column of the reporting window,
         ascending in mw."""
         for mw in sorted(self.alive):
             if mw <= self.max_mw:
                 yield mw, self._column_alive(mw)
 
-    def _column_alive(self, mw: int) -> list[tuple[int, int, Runs]]:
-        """(family, c0, runs) for the alive families of column mw in
+    def _column_alive(self, mw: int) -> list[tuple[int, int, tuple[int, int]]]:
+        """(family, c0, (lo, hi)) for the alive families of column mw in
         column order, which is ascending family order; built afresh on
         every call."""
         per = self.alive.get(mw, {})
@@ -321,12 +242,12 @@ class Page:
 
     def basis_at(self, mw: int, c: int) -> list[Monomial]:
         """Ordered class representatives at one bidegree, in column
-        order: a scan of the column's runs that builds no table."""
+        order: a scan of the column's intervals that builds no table."""
         column = self._column_alive(mw)
-        return [family_monomial(f, c - c0) for f, c0, runs in column if runs_contain(runs, c - c0)]
+        return [family_monomial(f, c - c0) for f, c0, (lo, hi) in column if lo <= c - c0 < hi]
 
     def dim_at(self, mw: int, c: int) -> int:
-        return sum(runs_contain(runs, c - c0) for _, c0, runs in self._column_alive(mw))
+        return sum(lo <= c - c0 < hi for _, c0, (lo, hi) in self._column_alive(mw))
 
     def dims_column(self, mw: int) -> dict[int, int]:
         """_column_dims of column mw, cached."""
@@ -341,9 +262,11 @@ class Page:
 
     def class_status(self, mw: int, fam: int, b: int) -> str:
         """status of the class fam * rho^b of column mw."""
-        if runs_contain(self.alive.get(mw, {}).get(fam, EMPTY), b):
+        lo, hi = self.alive.get(mw, {}).get(fam, (b, b))
+        if lo <= b < hi:
             return "alive"
-        if runs_contain(self.zero.get(mw, {}).get(fam, EMPTY), b):
+        lo, hi = self.zero.get(mw, {}).get(fam, (b, b))
+        if lo <= b < hi:
             return "zero"
         if self.kind == "adams":
             t = torsion_bound(fam)
@@ -379,112 +302,114 @@ class Page:
         [lo, hi) the class fam * rho^b maps to the sum of the alive
         classes tfam * rho^(b + delta) over the (tfam, delta) pairs of
         targets, in family_image's term order.  The runs are maximal:
-        each alive source run, clipped to the image threshold and the
-        window, is cut only where some term's target tower starts or
-        stops being alive, and alive runs never touch, so two touching
-        runs have different targets.  A term that is not alive must be
-        zero on the page for every b of its run: zero runs first, then
-        class_status class by class (the model's torsion), else
-        EngineError.
+        each family's alive interval, clipped to the image threshold and
+        the window, is cut only at an end of some term's alive target
+        interval, where that term starts or stops being alive, so two
+        touching runs have different targets.  A term that is not alive
+        must be zero on the page for every b of its run: the zero
+        interval first, then class_status class by class (the model's
+        torsion), else EngineError.
         """
         if self._differentials is not None:
             return self._differentials
         out: list[DiffRun] = []
         shift = self.diff_shift().mw
         for mw, column in self.window_columns():
-            for fam, c0, runs in column:
-                self._family_differentials(fam, runs, mw + shift, self.c_max - c0 + 1, out)
+            for fam, c0, run in column:
+                self._family_differentials(fam, run, mw + shift, self.c_max - c0 + 1, out)
         self._differentials = out
         return out
 
-    def _family_differentials(self, fam: int, runs: Runs, tmw: int, top: int, out: list) -> None:
+    def _family_differentials(
+        self, fam: int, run: tuple[int, int], tmw: int, top: int, out: list
+    ) -> None:
         """Append the runs of nonzero differentials on the classes
-        fam * rho^b with b in runs and b < top; their targets lie in
+        fam * rho^b with b in run and b < top; their targets lie in
         column tmw."""
         terms, threshold = self.family_image(fam)
-        if not terms:
+        lo, hi = max(run[0], threshold), min(run[1], top)
+        if not terms or lo >= hi:
             return
-        runs = runs_intersect(runs, ((threshold, top),))
-        # each term's alive runs, in source rho exponents
-        alive = [runs_shift(self.alive_runs(tmw, tfam), -delta) for tfam, delta in terms]
-        zero = self.zero.get(tmw, {})
-        for lo, hi in runs:
-            cuts = {lo, hi}
-            for talive in alive:
-                cuts.update(x for run in talive for x in run if lo < x < hi)
-            bounds = sorted(cuts)
-            for a, b in zip(bounds, bounds[1:]):
-                targets = []
-                for (tfam, delta), talive in zip(terms, alive):
-                    if runs_contain(talive, a):
-                        targets.append((tfam, delta))
-                    else:
-                        self._check_zero(tmw, tfam, delta, a, b, zero.get(tfam, EMPTY))
-                if targets:
-                    out.append((fam, a, b, targets))
+        # each term's alive interval in source rho exponents, (lo, lo)
+        # for a term that is not alive
+        per = self.alive.get(tmw, {})
+        alive = []
+        for tfam, delta in terms:
+            tlo, thi = per.get(tfam, (lo + delta, lo + delta))
+            alive.append((tlo - delta, thi - delta))
+        cuts = sorted({lo, hi, *(x for ends in alive for x in ends if lo < x < hi)})
+        for a, b in zip(cuts, cuts[1:]):
+            targets = []
+            for (tfam, delta), (tlo, thi) in zip(terms, alive):
+                if tlo <= a < thi:
+                    targets.append((tfam, delta))
+                else:
+                    self._check_zero(tmw, tfam, a + delta, b + delta)
+            if targets:
+                out.append((fam, a, b, targets))
 
-    def _check_zero(self, tmw: int, tfam: int, delta: int, lo: int, hi: int, zero: Runs) -> None:
-        """Raise unless tfam * rho^(b + delta) is zero on the page for
-        every b in [lo, hi)."""
-        for left_lo, left_hi in runs_subtract(((lo + delta, hi + delta),), zero):
-            for tb in range(left_lo, left_hi):
-                if self.class_status(tmw, tfam, tb) != "zero":
-                    term = family_monomial(tfam, tb)
-                    raise EngineError(f"image term {term} is neither alive nor hit")
+    def _check_zero(self, tmw: int, tfam: int, lo: int, hi: int) -> None:
+        """Raise unless tfam * rho^tb is zero on the page for every tb in
+        [lo, hi): the classes outside its zero interval go through
+        class_status."""
+        zlo, zhi = self.zero.get(tmw, {}).get(tfam, (hi, hi))
+        for tb in [*range(lo, min(zlo, hi)), *range(max(zhi, lo), hi)]:
+            if self.class_status(tmw, tfam, tb) != "zero":
+                term = family_monomial(tfam, tb)
+                raise EngineError(f"image term {term} is neither alive nor hit")
 
     # -- read side --------------------------------------------------------
     def column_towers(self, mw: int) -> list[tuple[int, int, int, bool]]:
-        """(family, lo, hi, truncated) per maximal rho-run of column mw,
-        in column order: the tower of fam * rho^b for lo <= b < hi, at
+        """(family, lo, hi, truncated) per alive family of column mw, in
+        column order: the tower of fam * rho^b for lo <= b < hi, at
         bidegree (mw, family_c0(fam) + lo) and of length hi - lo,
         truncated when the Chow truncation rather than torsion cut it."""
-        return [
-            (fam, lo, hi, hi > self.c_max - c0)
-            for fam, c0, runs in self._column_alive(mw)
-            for lo, hi in runs
-        ]
+        return [(fam, lo, hi, hi > self.c_max - c0) for fam, c0, (lo, hi) in self._column_alive(mw)]
 
     def window_towers(self) -> Iterable[tuple[int, int, int, int, bool]]:
         """(mw, family, lo, hi, truncated) per tower of the reporting
-        window, in column order (see column_towers)."""
-        for mw, _ in self.window_columns():
-            for tower in self.column_towers(mw):
-                yield (mw, *tower)
+        window, in column order (see column_towers); one column listing
+        per column."""
+        for mw, column in self.window_columns():
+            for fam, c0, (lo, hi) in column:
+                yield mw, fam, lo, hi, hi > self.c_max - c0
 
-    def column_classes(self, mw: int) -> list[tuple[int, list[int]]]:
-        """(c, positions) per Chow degree c <= c_max of column mw that
-        has classes, ascending in c; positions index _column_alive(mw).
-        They come from one _sweep over the column's runs, and each
-        degree's count must equal the independent difference-array count
-        of _column_dims, else EngineError."""
-        entries = [(pos, c0, runs) for pos, (_, c0, runs) in enumerate(self._column_alive(mw))]
-        swept = _sweep(entries, range(self.c_max + 1))
-        dims = _column_dims(self.alive.get(mw, {}), self.c_max)
-        for c, positions in swept.items():
-            if len(positions) != dims.get(c, 0):
-                raise EngineError(f"basis at mw={mw}, c={c} disagrees with the alive runs")
-        return [(c, positions) for c, positions in swept.items() if positions]
+    def window_classes(self) -> Iterable[tuple[int, list, list[tuple[int, list[int]]]]]:
+        """(mw, column, classes) per column of the reporting window, one
+        column listing each: column is _column_alive(mw), and classes
+        the (c, positions) per Chow degree c <= c_max with classes,
+        ascending in c, where positions index column.  They come from
+        one _sweep over the column's intervals, and each degree's count
+        must equal the independent difference-array count of
+        _column_dims, else EngineError."""
+        for mw, column in self.window_columns():
+            entries = [(pos, c0, run) for pos, (_, c0, run) in enumerate(column)]
+            swept = _sweep(entries, range(self.c_max + 1))
+            dims = _column_dims(self.alive.get(mw, {}), self.c_max)
+            for c, positions in swept.items():
+                if len(positions) != dims.get(c, 0):
+                    raise EngineError(f"basis at mw={mw}, c={c} disagrees with the alive runs")
+            yield mw, column, [(c, positions) for c, positions in swept.items() if positions]
 
 
 def tower_page(
     kind: str, label: str, r: int, mw_max: int, columns: dict[int, Column], tower: Callable
 ) -> Page:
-    """A page with no differential whose alive runs follow one tower
-    rule: tower(fam) gives the Runs of each family of `columns`, EMPTY
-    for a family that is not alive.  A run without 0 <= lo < hi raises
-    EngineError."""
-    alive: dict[int, dict[int, Runs]] = {}
+    """A page with no differential whose alive intervals follow one
+    tower rule: tower(fam) gives the (lo, hi) of each family of
+    `columns`, None for a family that is not alive.  An interval without
+    0 <= lo < hi raises EngineError."""
+    alive: dict[int, dict[int, tuple[int, int]]] = {}
     for mw, col in columns.items():
         per = alive[mw] = {}
         for fam in col.fams:
-            runs = tower(fam)
-            if runs:
-                per[fam] = runs
-    for runs in set().union(*(per.values() for per in alive.values())):  # rules share their Runs
-        for lo, hi in runs:
-            if not 0 <= lo < hi:
-                fam = next(f for per in alive.values() for f, frs in per.items() if frs == runs)
-                raise EngineError(f"{label}: {family_monomial(fam)} has run ({lo}, {hi})")
+            run = tower(fam)
+            if run is not None:
+                per[fam] = run
+    for lo, hi in set().union(*(per.values() for per in alive.values())):  # rules share them
+        if not 0 <= lo < hi:
+            fam = next(f for per in alive.values() for f, run in per.items() if run == (lo, hi))
+            raise EngineError(f"{label}: {family_monomial(fam)} has run ({lo}, {hi})")
     return Page(kind=kind, label=label, r=r, max_mw=mw_max, columns=columns, alive=alive)
 
 
@@ -527,27 +452,28 @@ def bockstein_rule(n: int) -> Differential:
     return Differential(Bidegree(-1, 0), family_image)
 
 
-def bockstein_tower(n: int, c_max: int) -> Callable[[int], Runs]:
+def bockstein_tower(n: int, c_max: int) -> Callable[[int], tuple[int, int] | None]:
     """The tower rule, for tower_page, of the page that holds the result
     of d_(2^n - 1): n = 1 is E1, n = V_TOP the stable page of any window.
     A family with least v index m <= n and P exponent p keeps (0, 2^m - 1)
     if 2^(m-1) divides p; any other keeps its full truncated tower
-    (0, c_max - c0 + 1) if 2^(n-1) divides p; the rest are dead.  On full
-    towers d(P^(2^(m-2))) = rho^(2^m - 1) v_m (bockstein_rule, m <= n)
-    maps each source tower onto the whole of its target's tower above
-    rho^(2^m - 1): the source dies, the target keeps length 2^m - 1.  Run
-    tuples are shared, by c0 for full towers and by m for short ones."""
-    full = {c0: ((0, c_max - c0 + 1),) for c0 in range(c_max + 1)}
-    short = {m: ((0, 2 ** m - 1),) for m in range(2, n + 1)}
+    (0, c_max - c0 + 1) if 2^(n-1) divides p; the rest are dead (None).
+    On full towers d(P^(2^(m-2))) = rho^(2^m - 1) v_m (bockstein_rule,
+    m <= n) maps each source tower onto the whole of its target's tower
+    above rho^(2^m - 1): the source dies, the target keeps length
+    2^m - 1.  Interval tuples are shared, by c0 for full towers and by m
+    for short ones."""
+    full = {c0: (0, c_max - c0 + 1) for c0 in range(c_max + 1)}
+    short = {m: (0, 2 ** m - 1) for m in range(2, n + 1)}
 
-    def tower(fam: int) -> Runs:
+    def tower(fam: int) -> tuple[int, int] | None:
         if n > 1:  # at n = 1 no family has m <= n, and 2^0 divides every p
             m = family_min_v(fam)
             if m is not None and m <= n:
-                return EMPTY if family_p(fam) % 2 ** (m - 1) else short[m]
+                return None if family_p(fam) % 2 ** (m - 1) else short[m]
             if family_p(fam) % 2 ** (n - 1):
-                return EMPTY
-        return full.get(family_c0(fam), EMPTY)
+                return None
+        return full.get(family_c0(fam))
 
     return tower
 
@@ -555,18 +481,22 @@ def bockstein_tower(n: int, c_max: int) -> Callable[[int], Runs]:
 # ---------------------------------------------------------------------------
 # page transitions
 
-def _advance(page: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[int, Runs]]]:
+def _advance(page: Page) -> tuple[dict[int, dict[int, tuple[int, int]]], ...]:
     """Homology of the page differential, tower by tower.
 
     The edges are the differential's family images (family_image) on
     the alive families; a family off the rule answers ([], 0).  Each
     family must map to at most one family and receive from at most one,
     else EngineError, so that every bidegree's matrix is a direct sum of
-    1x1 blocks and the surviving classes form interval complements.  The
-    per-bidegree claim is re-derived through gf2 by verify_transition
-    afterwards.  A Bockstein page-r differential must raise the rho
-    exponent by r at least, checked on every edge: an image that no
-    alive family produces cannot change the page.
+    1x1 blocks.  A family's alive interval then loses, together, the
+    interval its image kills (the classes with an alive image) and the
+    interval its source hits, which must not meet (d o d = 0).  What
+    survives, and the zero interval joined with the new hits, must each
+    be one interval, else EngineError naming the page, the column and
+    the family.  The per-bidegree claim is re-derived through gf2 by
+    verify_transition afterwards.  A Bockstein page-r differential must
+    raise the rho exponent by r at least, checked on every edge: an
+    image that no alive family produces cannot change the page.
 
     Pages are read-only, so the new tables share with the page every
     column that no edge leaves or enters: the same dict object, alive
@@ -598,8 +528,8 @@ def _advance(page: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[int
         incoming[tfam] = (fam, delta, threshold)
 
     touched = edges.keys() | incoming.keys()
-    new_alive: dict[int, dict[int, Runs]] = {}
-    new_zero: dict[int, dict[int, Runs]] = {}
+    new_alive: dict[int, dict[int, tuple[int, int]]] = {}
+    new_zero: dict[int, dict[int, tuple[int, int]]] = {}
     for mw, per_fam in page.alive.items():
         zero = new_zero[mw] = page.zero.get(mw, {})
         if touched.isdisjoint(per_fam):
@@ -607,40 +537,45 @@ def _advance(page: Page) -> tuple[dict[int, dict[int, Runs]], dict[int, dict[int
             continue
         na = new_alive[mw] = {}  # afresh: a dict copy keeps the dead families' slots
         nz = None  # zero, copied at the column's first hit
-        for fam, runs in per_fam.items():
+        for fam, run in per_fam.items():
             if fam not in touched:
-                na[fam] = runs
+                na[fam] = run
                 continue
-            edge = edges.get(fam)
-            inc = incoming.get(fam)
-            if edge is not None:
-                tfam, delta, min_b = edge
-                target_alive = page.alive_runs(mw + shift, tfam)
-                nonzero_domain = runs_intersect(
-                    runs_shift(target_alive, -delta),
-                    ((min_b, runs[-1][1]),) if runs else EMPTY,
+            lo, hi = run
+            killed = hit = (hi, hi)  # empty; an absent tower kills and hits nothing
+            if fam in edges:
+                tfam, delta, min_b = edges[fam]
+                tlo, thi = page.alive.get(mw + shift, {}).get(tfam, (hi + delta, hi + delta))
+                killed = (max(lo, min_b, tlo - delta), min(hi, thi - delta))
+            if fam in incoming:
+                sfam, sdelta, smin = incoming[fam]
+                slo, shi = page.alive.get(mw - shift, {}).get(sfam, (lo - sdelta, lo - sdelta))
+                hit = (max(lo, max(slo, smin) + sdelta), min(hi, shi + sdelta))
+            cuts = sorted(cut for cut in (killed, hit) if cut[0] < cut[1])
+            if not cuts:
+                na[fam] = run
+                continue
+            if len(cuts) == 2 and cuts[0][1] > cuts[1][0]:
+                raise EngineError(f"d o d != 0 at mw={mw} family {name(fam)}")
+            ends = [lo, *(x for cut in cuts for x in cut), hi]
+            left = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b]
+            if len(left) > 1:
+                raise EngineError(
+                    f"{page.label}: the surviving classes of {name(fam)} at mw={mw} "
+                    f"are not one rho-interval: {left}"
                 )
-                kernel = runs_subtract(runs, nonzero_domain)
-            else:
-                kernel = runs
-            if inc is not None:
-                sfam, sdelta, smin = inc
-                src_alive = page.alive_runs(mw - shift, sfam)
-                src_alive = runs_intersect(
-                    src_alive, ((smin, src_alive[-1][1]),) if src_alive else EMPTY
-                )
-                hit = runs_intersect(runs_shift(src_alive, sdelta), runs)
-            else:
-                hit = EMPTY
-            if hit and not runs_subset(hit, kernel):
-                raise EngineError(f"d o d != 0 at mw={mw} family {family_monomial(fam)}")
-            alive = runs_subtract(kernel, hit)
-            if alive:
-                na[fam] = alive
-            if hit:
+            if left:
+                na[fam] = left[0]
+            if hit[0] < hit[1]:
                 if nz is None:
                     nz = new_zero[mw] = dict(zero)
-                nz[fam] = runs_union(nz.get(fam, EMPTY), hit)
+                zlo, zhi = nz.get(fam, hit)
+                if hit[0] > zhi or zlo > hit[1]:
+                    raise EngineError(
+                        f"{page.label}: the zero classes of {name(fam)} at mw={mw} "
+                        f"are not one rho-interval: {(zlo, zhi)} and {hit}"
+                    )
+                nz[fam] = (min(zlo, hit[0]), max(zhi, hit[1]))
     return new_alive, new_zero
 
 
@@ -649,11 +584,11 @@ class _Bases(dict):
     at `degrees`, or (None) at every degree up to the last class.  Another
     degree is swept alone when asked for; a dense sweep found none there."""
 
-    def __init__(self, alive: list[tuple[int, int, Runs]], degrees: Sequence[int] | None):
-        self.entries = [(pos, c0, runs) for pos, (_, c0, runs) in enumerate(alive)]
+    def __init__(self, alive: list, degrees: Sequence[int] | None):
+        self.entries = [(pos, c0, run) for pos, (_, c0, run) in enumerate(alive)]
         self.dense = degrees is None
         if degrees is None:
-            degrees = range(max((c0 + runs[-1][1] for _, c0, runs in alive if runs), default=0))
+            degrees = range(max((c0 + hi for _, c0, (_, hi) in alive), default=0))
         super().__init__(_sweep(self.entries, degrees))
 
     def __missing__(self, c: int) -> list[int]:
@@ -669,7 +604,7 @@ class _ColumnTable:
     (Homology.image), and each Chow degree's image bits
     (Homology.map_columns) and echelon (Homology.echelon)."""
 
-    alive: list[tuple[int, int, Runs]]
+    alive: list[tuple[int, int, tuple[int, int]]]
     pos_of: dict[int, int]
     bases: _Bases
     images: list[tuple[list, int] | None]
@@ -683,7 +618,7 @@ class Homology:
 
     A class at (mw, c) is the position of its family in the column's
     alive families; its rho exponent is b = c - c0.  Every table belongs
-    to a column, whose bases come from one sweep over its alive runs
+    to a column, whose bases come from one sweep over its alive intervals
     (_Bases): at every Chow degree by default, or, given `picks` (the
     Chow degrees to visit, by column), at the picks and the degrees
     their matrices reach in the neighbouring columns.  Visiting column
@@ -901,18 +836,21 @@ class _Replay(Homology):
     def claims(self, mw: int, c: int) -> tuple[list[int], list[int]]:
         """The positions at (mw, c) that the transition claims survive,
         and those it claims are newly hit: one _sweep per column over the
-        new alive runs and one over the new zero runs less the old zero
-        runs, at the degrees of the column's bases."""
+        new alive intervals and one over the new zero intervals less the
+        old ones, at the degrees of the column's bases.  A difference of
+        two intervals may be two pieces, so any table is judged."""
         if mw != self._claims_mw or c not in self._claims[0]:
             table = self.column(mw)
             na, nz, oz = (per.get(mw, {}) for per in (self.new_alive, self.new_zero, self.page.zero))
             fams = list(enumerate(table.alive))
             alive = [(pos, c0, na[fam]) for pos, (fam, c0, _) in fams if fam in na]
-            hit = [
-                (pos, c0, runs_subtract(nz.get(fam, EMPTY), oz.get(fam, EMPTY)))
-                for pos, (fam, c0, _) in fams
-                if nz.get(fam, EMPTY) is not oz.get(fam, EMPTY)
-            ]
+            hit = []
+            for pos, (fam, c0, _) in fams:
+                new, old = nz.get(fam), oz.get(fam)
+                if new is not None and new is not old:
+                    lo, hi = new
+                    olo, ohi = old or (hi, hi)
+                    hit += [(pos, c0, (lo, min(hi, olo))), (pos, c0, (max(lo, ohi), hi))]
             degrees = sorted(table.bases)
             self._claims, self._claims_mw = (_sweep(alive, degrees), _sweep(hit, degrees)), mw
         survivors, hits = self._claims
@@ -956,7 +894,7 @@ def sample_seed(seed: int, r: int, mw: int) -> int:
 
 def _sample_picks(page: Page, seed: int) -> dict[int, list[int]]:
     """Up to SAMPLES_PER_COLUMN random Chow degrees per column, drawn
-    from the run endpoints and midpoints, leaving out every bidegree
+    from the interval endpoints and midpoints, leaving out every bidegree
     whose three columns hold more than SAMPLE_DIM_CAP classes.  Those
     dimensions come from a window of columns mw - 1 to mw + 1 that
     lives for this one ascending pass, so the page keeps no dimension
@@ -973,10 +911,9 @@ def _sample_picks(page: Page, seed: int) -> dict[int, list[int]]:
         pool: set[int] = set()
         per = page.alive[mw]
         for fam in sorted(per)[:: max(1, len(per) // 64)]:
-            c0 = family_c0(fam)
-            for lo, hi in per[fam]:
-                top = min(c0 + hi, page.c_max)
-                pool.update((c0 + lo, min(c0 + hi - 1, page.c_max), top, (c0 + lo + top) // 2))
+            c0, (lo, hi) = family_c0(fam), per[fam]
+            top = min(c0 + hi, page.c_max)
+            pool.update((c0 + lo, min(c0 + hi - 1, page.c_max), top, (c0 + lo + top) // 2))
         pool = {
             c
             for c in pool
@@ -1080,7 +1017,7 @@ def closed_form_einfty(mw_max: int, columns: dict[int, Column]) -> Page:
 def compare_pages(computed: Page, predicted: Page, check: str) -> Report:
     """Dimension-by-bidegree and tower-by-tower equality inside the
     reporting window, which must be the same on both pages, in one pass
-    over the columns: identical alive runs have equal dimensions and
+    over the columns: identical alive intervals have equal dimensions and
     towers; any other column counts dimensions afresh (_column_dims, no
     page cache) and compares column_towers.  A "towers" failure names, in
     the first column whose towers differ, the first tower of each page

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import io
 import json
+from itertools import groupby
+from operator import itemgetter
 
 from .algebra import family_c0, family_monomial
 from .bockstein import Page
@@ -57,9 +59,10 @@ def write_page_dump(page: Page, out) -> None:
     The text is byte for byte what json.dumps of the schema's dict with
     indent=2 gives, but it is written one column of classes, one run of
     differentials or one column of towers at a time, so memory does not
-    grow with the size of the document.  Each family's encoded label
-    and its constant fields are formatted once per page; a class label
-    is its family's label behind the rho power.
+    grow with the size of the document; each section lists each column
+    once.  Each family's encoded label and its constant fields are
+    formatted once per page; a class label is its family's label behind
+    the rho power.
     """
     enc = json.encoder.encode_basestring_ascii
     fams: dict[int, tuple[str, str, str]] = {}
@@ -98,14 +101,13 @@ def write_page_dump(page: Page, out) -> None:
         out.write("\n" if last else ",\n")
 
     def classes():
-        for mw, column in page.window_columns():
+        for mw, column, by_degree in page.window_classes():
             head = f'    {{\n      "mw": {mw},\n      "c": '
             rows = []  # per position: labels from rho^lo on, lo, c0, tail
-            for fam, c0, runs in column:
-                lo, hi = runs[0][0], min(runs[-1][1], page.c_max - c0 + 1)
-                rows.append((labels(fam, lo, hi), lo, c0, family(fam)[2]))
+            for fam, c0, (lo, hi) in column:
+                rows.append((labels(fam, lo, min(hi, page.c_max - c0 + 1)), lo, c0, family(fam)[2]))
             entries = []
-            for c, positions in page.column_classes(mw):
+            for c, positions in by_degree:
                 for pos in positions:
                     names, lo, c0, tail = rows[pos]
                     b = c - c0
@@ -126,16 +128,15 @@ def write_page_dump(page: Page, out) -> None:
             )
 
     def towers():
-        for mw, _ in page.window_columns():
+        for _, column in groupby(page.window_towers(), key=itemgetter(0)):
             entries = []
-            for fam, lo, hi, truncated in page.column_towers(mw):
+            for _, fam, lo, hi, truncated in column:
                 extent = '"infinite": true' if truncated else f'"length": {hi - lo}'
                 entries.append(
                     f'    {{\n      "generator_label": {labels(fam, lo, lo + 1)[0]},\n'
                     f'      {extent}\n    }}'
                 )
-            if entries:
-                yield ",\n".join(entries)
+            yield ",\n".join(entries)
 
     out.write(
         f'{{\n  "page": {page.r},\n  "kind": {enc(page.kind)},\n'

@@ -104,7 +104,7 @@ def vanishing_scan(page: Page) -> Report:
 
 
 def _nm(rho=0, p=0, vs=None) -> NormalMonomial | None:
-    return normalize(Monomial.make(rho, p, vs or {}), torsion=True)
+    return normalize(Monomial.make(rho, p, vs or {}))
 
 
 def massey_index_check(n: int, k: int, m: int) -> Report:
@@ -199,7 +199,7 @@ def product_consistency(
             fam = rng.choice(fams)
             t = torsion_bound(fam)
             b = rng.randrange(t) if t is not None else rng.randrange(8)
-            picks.append(normalize(family_monomial(fam, b), torsion=True))
+            picks.append(normalize(family_monomial(fam, b)))
         a, b, c = picks
         ab, bc = multiply(a, b), multiply(b, c)
         left = multiply(ab, c) if ab is not None else None

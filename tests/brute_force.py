@@ -110,12 +110,12 @@ def enumerate_monomials(deg: Bidegree, generators: Sequence[GeneratorSymbol]) ->
     return out
 
 
-def enumerate_normal_monomials(deg: Bidegree, mw_max: int, torsion: bool = True) -> list[NormalMonomial]:
+def enumerate_normal_monomials(deg: Bidegree, mw_max: int) -> list[NormalMonomial]:
     """All normal monomials of this bidegree over default_generators."""
     out = []
     for m in enumerate_monomials(deg, default_generators(mw_max)):
         try:
-            nm = normalize(m, torsion=torsion)
+            nm = normalize(m)
         except NormalizationFailure:
             continue
         if nm is not None:
@@ -145,7 +145,7 @@ def monomial_families(mw_max: int, normal: bool) -> dict[int, list[Monomial]]:
                 m = Monomial.make(0, p, acc)
                 if normal:
                     try:
-                        normalize(m, torsion=False)
+                        NormalMonomial(m.rho_exp, m.p_exp, m.v_exps)
                     except NormalizationFailure:
                         continue
                 out[m.bidegree.mw].append(m)

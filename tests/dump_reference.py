@@ -4,7 +4,7 @@ This is the reference the streamed writer (etass.charts.write_page_dump)
 is compared against: `json.dumps(reference_page_dump(page), indent=2)`
 is the dump's exact text.  Classes come from Page.basis_at and images
 from image_classes below, so neither shares the writer's integer read
-path; towers are Page.window_towers' runs, labelled here.
+path; towers are Page.window_towers' intervals, labelled here.
 """
 
 from __future__ import annotations
@@ -58,13 +58,12 @@ def reference_differentials(page):
     for mw in sorted(page.alive):
         if mw > page.max_mw:
             continue
-        for fam, c0, runs in page._column_alive(mw):
-            for lo, hi in runs:
-                for b in range(lo, min(hi, page.c_max - c0 + 1)):
-                    m = family_monomial(fam, b)
-                    img = image_classes(page, m)
-                    if img:
-                        out.append((m, img))
+        for fam, c0, (lo, hi) in page._column_alive(mw):
+            for b in range(lo, min(hi, page.c_max - c0 + 1)):
+                m = family_monomial(fam, b)
+                img = image_classes(page, m)
+                if img:
+                    out.append((m, img))
     return out
 
 

@@ -10,9 +10,17 @@ family images (adams.d2_rule) or its homology routine.
 from __future__ import annotations
 
 from dump_reference import apply_rule
-from etass.bockstein import EngineError, RepresentativeNotMonomial, runs_make
+from etass.bockstein import EngineError, RepresentativeNotMonomial
 from etass.algebra import Monomial, family_of
 from etass.gf2 import Echelon, F2Matrix, F2Vector, kernel_basis, quotient_basis
+
+
+def interval(pairs: list[tuple[int, int]]) -> tuple[int, int]:
+    """The one rho-interval (lo, hi) that the single classes (b, b + 1)
+    of pairs fill; they must leave no gap."""
+    bs = sorted(b for b, _ in pairs)
+    assert bs == list(range(bs[0], bs[-1] + 1)), f"classes {bs} are not one interval"
+    return bs[0], bs[-1] + 1
 
 
 def reference_e3_from_e2(e2):
@@ -23,9 +31,8 @@ def reference_e3_from_e2(e2):
 
     def column_cs(mw: int) -> list[int]:
         cs: set[int] = set()
-        for fam, c0, runs in e2._column_alive(mw):
-            for lo, hi in runs:
-                cs.update(range(c0 + lo, min(c0 + hi, e2.c_max + 1)))
+        for fam, c0, (lo, hi) in e2._column_alive(mw):
+            cs.update(range(c0 + lo, min(c0 + hi, e2.c_max + 1)))
         return sorted(cs)
 
     def expand_bits(m: Monomial, index) -> int:
@@ -86,6 +93,6 @@ def reference_e3_from_e2(e2):
     new_zero = {}
     for mw in sorted(e2.alive):
         alive_col, zero_col = do_column(mw)
-        new_alive[mw] = {fam: runs_make(pairs) for fam, pairs in alive_col.items()}
-        new_zero[mw] = {fam: runs_make(pairs) for fam, pairs in zero_col.items()}
+        new_alive[mw] = {fam: interval(pairs) for fam, pairs in alive_col.items()}
+        new_zero[mw] = {fam: interval(pairs) for fam, pairs in zero_col.items()}
     return new_alive, new_zero

@@ -9,14 +9,15 @@ kernel, whose single-class representatives are the reps.  reference_unit_represe
 is the earlier unit_representatives, which inserted every cycle's unit
 vector into a copy of the boundary echelon, and dense_bidegrees the
 earlier bockstein.dense_bidegrees, which gathered the Chow degrees with
-classes from the page's alive runs instead of the homology's sweep.
-reference_positions lists the classes at one bidegree by a scan of each
-family's runs, the reference for the sweep that fills every class list.
+classes from the page's alive intervals instead of the homology's
+sweep.  reference_positions lists the classes at one bidegree by a scan
+of each family's interval, the reference for the sweep that fills every
+class list.
 """
 
 from __future__ import annotations
 
-from etass.bockstein import RepresentativeNotMonomial, runs_contain
+from etass.bockstein import RepresentativeNotMonomial
 from etass.gf2 import Echelon, F2Matrix, F2Vector, kernel_basis, quotient_basis
 from gf2_reference import reference_insert
 
@@ -67,15 +68,14 @@ def reference_unit_representatives(out: list[int], boundaries: dict[int, int], w
 
 def reference_positions(page, mw: int, c: int) -> list[int]:
     """The ascending positions in page._column_alive(mw) of the classes
-    at (mw, c): the families whose runs contain the rho exponent c - c0."""
+    at (mw, c): the families whose interval holds the rho exponent c - c0."""
     column = page._column_alive(mw)
-    return [pos for pos, (_, c0, runs) in enumerate(column) if runs_contain(runs, c - c0)]
+    return [pos for pos, (_, c0, (lo, hi)) in enumerate(column) if lo <= c - c0 < hi]
 
 
 def dense_bidegrees(page, mw: int) -> list[int]:
     """Every Chow degree c <= c_max at which column mw has a class."""
     out: set[int] = set()
-    for _, c0, runs in page._column_alive(mw):
-        for lo, hi in runs:
-            out.update(range(c0 + lo, min(c0 + hi, page.c_max + 1)))
+    for _, c0, (lo, hi) in page._column_alive(mw):
+        out.update(range(c0 + lo, min(c0 + hi, page.c_max + 1)))
     return sorted(out)

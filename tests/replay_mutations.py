@@ -15,7 +15,6 @@ import types
 import pytest
 
 from etass import bockstein
-from etass.bockstein import EMPTY, runs_contain, runs_subtract, runs_union
 
 KINDS = ("drop-survivor", "add-dying", "drop-newly-hit")
 
@@ -24,9 +23,8 @@ def eligible_bidegrees(page) -> list[tuple[int, int]]:
     """Every bidegree of the page that carries a class, c <= c_max."""
     out = set()
     for mw in page.alive:
-        for fam, c0, runs in page._column_alive(mw):
-            for lo, hi in runs:
-                out.update((mw, c) for c in range(c0 + lo, min(c0 + hi, page.c_max + 1)))
+        for fam, c0, (lo, hi) in page._column_alive(mw):
+            out.update((mw, c) for c in range(c0 + lo, min(c0 + hi, page.c_max + 1)))
     return sorted(out)
 
 
@@ -58,18 +56,31 @@ def sampled_bidegrees(page, new_alive, new_zero, seed: int, monkeypatch) -> list
 
 
 def _classes_at(page, mw: int, c: int):
-    return [
-        (fam, c - c0)
-        for fam, c0, runs in page._column_alive(mw)
-        if runs_contain(runs, c - c0)
-    ]
+    return [(fam, c - c0) for fam, c0, (lo, hi) in page._column_alive(mw) if lo <= c - c0 < hi]
 
 
-def _edit(table, mw: int, fam, runs):
+def _holds(run, b: int) -> bool:
+    return run is not None and run[0] <= b < run[1]
+
+
+def _cut(run, b: int) -> tuple[int, int]:
+    """run without class b: less its bottom class alone when that is b,
+    else less b and every class above it."""
+    lo, hi = run
+    return (b + 1, hi) if b == lo else (lo, b)
+
+
+def _stretch(run, b: int) -> tuple[int, int]:
+    """run with class b, and every class between b and run."""
+    lo, hi = run or (b, b + 1)
+    return min(lo, b), max(hi, b + 1)
+
+
+def _edit(table, mw: int, fam, run):
     out = dict(table)
     col = dict(out.get(mw, {}))
-    if runs:
-        col[fam] = runs
+    if run[0] < run[1]:
+        col[fam] = run
     else:
         col.pop(fam, None)
     out[mw] = col
@@ -83,23 +94,22 @@ def corrupt(page, new_alive, new_zero, kind: str, bidegrees):
     drop-survivor: a surviving class is left out of new_alive.
     add-dying: a class that dies (killed or hit) is put into new_alive.
     drop-newly-hit: a class hit on this page is left out of new_zero.
+
+    A table holds one interval per family, so each edit truncates
+    (_cut) or extends (_stretch) the family's interval at the class,
+    where leaving out or adding that class alone would split it.
     """
     for mw, c in bidegrees:
         for fam, b in _classes_at(page, mw, c):
-            alive_runs = new_alive.get(mw, {}).get(fam, EMPTY)
-            zero_runs = new_zero.get(mw, {}).get(fam, EMPTY)
-            old_zero = page.zero.get(mw, {}).get(fam, EMPTY)
-            cls = ((b, b + 1),)
-            if kind == "drop-survivor" and runs_contain(alive_runs, b):
-                return (mw, c), _edit(new_alive, mw, fam, runs_subtract(alive_runs, cls)), new_zero
-            if kind == "add-dying" and not runs_contain(alive_runs, b):
-                return (mw, c), _edit(new_alive, mw, fam, runs_union(alive_runs, cls)), new_zero
-            if (
-                kind == "drop-newly-hit"
-                and runs_contain(zero_runs, b)
-                and not runs_contain(old_zero, b)
-            ):
-                return (mw, c), new_alive, _edit(new_zero, mw, fam, runs_subtract(zero_runs, cls))
+            alive = new_alive.get(mw, {}).get(fam)
+            zero = new_zero.get(mw, {}).get(fam)
+            old_zero = page.zero.get(mw, {}).get(fam)
+            if kind == "drop-survivor" and _holds(alive, b):
+                return (mw, c), _edit(new_alive, mw, fam, _cut(alive, b)), new_zero
+            if kind == "add-dying" and not _holds(alive, b):
+                return (mw, c), _edit(new_alive, mw, fam, _stretch(alive, b)), new_zero
+            if kind == "drop-newly-hit" and _holds(zero, b) and not _holds(old_zero, b):
+                return (mw, c), new_alive, _edit(new_zero, mw, fam, _cut(zero, b))
     return None
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from etass import adams, bockstein
-from etass.algebra import Monomial, family_c0, family_monomial, family_of, leibniz_apply
+from etass.algebra import Bidegree, Monomial, family_c0, family_monomial, family_of, leibniz_apply
 from etass.adams import (
     _e3_from_e2,
     adams_r_max,
@@ -25,10 +25,10 @@ from etass.bockstein import (
     Differential,
     EngineError,
     Homology,
+    Page,
     RepresentativeNotMonomial,
     _advance,
     compare_pages,
-    runs_contain,
     verify_transition,
 )
 from etass.cli import Session, verify_oracle
@@ -170,10 +170,10 @@ def test_tower_bookkeeping_mw63(adams_64):
     pages, einf = adams_64
     fam = family_of(mono(v6=1))
     runs = {p.r: p.alive[63].get(fam) for p in pages if 63 in p.alive}
-    assert runs[3] == ((31, 63),)
-    assert runs[4] == ((46, 63),)
-    assert runs[5] == ((53, 63),)
-    assert einf.alive[63][fam] == ((56, 63),)
+    assert runs[3] == (31, 63)
+    assert runs[4] == (46, 63)
+    assert runs[5] == (53, 63)
+    assert einf.alive[63][fam] == (56, 63)
 
 
 def test_scans(adams_64, e3_64):
@@ -214,12 +214,7 @@ def test_oracle_checks_every_bidegree(mw_max, bidegrees):
     every bidegree of the window that holds a page-2 class."""
     pages, _ = run_adams(mw_max, verify="off")
     e2 = pages[0]
-    total = sum(
-        hi - lo
-        for mw in range(1, mw_max + 1)
-        for runs in e2.alive.get(mw, {}).values()
-        for lo, hi in runs
-    )
+    total = sum(hi - lo for mw in range(1, mw_max + 1) for lo, hi in e2.alive.get(mw, {}).values())
     rep = oracle_spot_check(e2, pages[1], count=total)
     assert len(rep.items) == bidegrees
     assert rep.ok, [item.instance for item in rep.failures()[:5]]
@@ -232,10 +227,9 @@ def _listed_oracle_picks(mw_max: int, count: int, seed: int) -> list[tuple[int, 
     e2 = build_e2(mw_max)
     candidates = []
     for mw in range(1, mw_max + 1):
-        for fam, c0, runs in e2._column_alive(mw):
-            for lo, hi in runs:
-                for b in range(lo, hi):
-                    candidates.append((mw, c0 + b))
+        for fam, c0, (lo, hi) in e2._column_alive(mw):
+            for b in range(lo, hi):
+                candidates.append((mw, c0 + b))
     return sorted(set(random.Random(seed).sample(candidates, min(count, len(candidates)))))
 
 
@@ -307,33 +301,35 @@ def test_rule_table_family_image_is_rho_linear():
         page = replace(e2, differential=adams_rule(r))
         below = moved = 0
         for mw in page.alive:
-            for fam, _, runs in page._column_alive(mw):
+            for fam, _, (lo, hi) in page._column_alive(mw):
                 terms, threshold = page.family_image(fam)
-                for lo, hi in runs:
-                    for b in range(lo, hi):
-                        got = apply_dr_table(table, family_monomial(fam, b))
-                        if b < threshold:
-                            assert got == []
-                            below += bool(terms)
-                        else:
-                            assert got == [family_monomial(tfam, b + d) for tfam, d in terms]
-                            moved += bool(terms)
+                for b in range(lo, hi):
+                    got = apply_dr_table(table, family_monomial(fam, b))
+                    if b < threshold:
+                        assert got == []
+                        below += bool(terms)
+                    else:
+                        assert got == [family_monomial(tfam, b + d) for tfam, d in terms]
+                        moved += bool(terms)
         assert below and moved, f"page {r}: {below} classes below threshold, {moved} moved"
 
 
 def test_replay_keeps_classes_below_rule_threshold():
     """On the page-2 towers the v4 tower starts at rho^0, below the
     rule's threshold rho^7: those classes are cycles, and the replay
-    must not map them onto the target tower."""
+    must not map them onto the target tower.  The v4 tower is cut to
+    rho^0 .. rho^9, the classes the rule's three-class target reaches,
+    so that its survivors are one interval."""
     rules = dr_rule(3, 24)
-    page = replace(build_e2(24), r=3, differential=adams_rule(3))
+    e2 = build_e2(24)
     v4 = family_of(mono(v4=1))
     assert [rule.source for rule in rules] == [mono(rho=7, v4=1)]
-    assert page.alive[15][v4][0][0] == 0
+    assert e2.alive[15][v4] == (0, 15)
+    alive = {**e2.alive, 15: {**e2.alive[15], v4: (0, 10)}}
+    page = replace(e2, r=3, alive=alive, differential=adams_rule(3))
     new_alive, new_zero = _advance(page)
     assert verify_transition(page, new_alive, new_zero, "all") > 0
-    assert all(runs_contain(new_alive[15][v4], b) for b in range(7))
-    assert not runs_contain(new_alive[15][v4], 7)
+    assert new_alive[15][v4] == (0, 7)
 
 
 def test_tower_shortcut_rejects_shared_rule_image():
@@ -357,9 +353,32 @@ def test_tower_shortcut_rejects_shared_rule_image():
 
 @pytest.mark.parametrize("mw", [*range(41), 64])
 def test_e3_step_matches_reference(mw):
-    """The integer page-2 step gives exactly the alive and zero runs of
+    """The integer page-2 step gives exactly the alive and zero intervals of
     the class-by-class monomial step."""
     assert _e3_from_e2(build_e2(mw)) == reference_e3_from_e2(build_e2(mw))
+
+
+def test_e3_step_rejects_page3_classes_in_two_intervals():
+    """A page-2 image strictly inside its target tower, v3 rho^3 and
+    rho^4 onto v2^2 rho^2 and rho^3, would leave v2^2 the page-3 classes
+    rho^0, rho^1, rho^4 and rho^5: the step raises, naming the page, the
+    column and the family."""
+    v3, v2_squared = family_of(mono(v3=1)), family_of(mono(v2=2))
+
+    def family_image(fam):
+        return ([(v2_squared, -1)], 0) if fam == v3 else ([], 0)
+
+    page = Page(
+        kind="adams",
+        label="adams-E2",
+        r=2,
+        max_mw=8,
+        columns={},
+        alive={6: {v2_squared: (0, 6)}, 7: {v3: (3, 5)}},
+        differential=Differential(Bidegree(-1, 0), family_image),
+    )
+    with pytest.raises(EngineError, match=r"^adams-E2: the page-3 alive classes of v2\^2 at mw=6 "):
+        _e3_from_e2(page)
 
 
 def test_e3_step_rejects_image_term_neither_alive_nor_hit():
@@ -420,7 +439,7 @@ def test_e3_step_drops_sum_representative_in_margin_column(monkeypatch):
     assert {mw: runs for mw, runs in alive.items() if mw != margin} == {
         mw: runs for mw, runs in honest_alive.items() if mw != margin
     }
-    dropped = sum(hi - lo for runs in honest_alive[margin].values() for lo, hi in runs) - sum(
-        hi - lo for runs in alive[margin].values() for lo, hi in runs
+    dropped = sum(hi - lo for lo, hi in honest_alive[margin].values()) - sum(
+        hi - lo for lo, hi in alive[margin].values()
     )
     assert dropped == len(changed)

@@ -23,9 +23,8 @@ def mono(rho=0, p=0, **vs):
 
 
 def nmono(rho=0, p=0, **vs):
-    m = normalize(mono(rho, p, **vs), torsion=False)
-    assert m is not None
-    return m
+    m = mono(rho, p, **vs)
+    return NormalMonomial(m.rho_exp, m.p_exp, m.v_exps)
 
 
 D2 = Derivation(
@@ -87,8 +86,9 @@ def test_normalize_shift_examples():
 
 
 def test_normalize_torsion_kills():
-    assert normalize(mono(rho=3, v2=1)) is None
-    assert normalize(mono(rho=3, v2=1), torsion=False) is not None
+    m = mono(rho=3, v2=1)
+    assert normalize(m) is None
+    NormalMonomial(m.rho_exp, m.p_exp, m.v_exps)  # normal: torsion alone kills it
 
 
 def test_normalize_rejects_malformed():
@@ -124,7 +124,7 @@ def random_normal(rng, mw_cap=40):
         b = rng.randrange(0, 2 ** n - 1)
         cand = Monomial.make(b, 2 ** (n - 1) * k, extra)
         if cand.bidegree.mw <= mw_cap:
-            return normalize(cand, torsion=False)
+            return NormalMonomial(cand.rho_exp, cand.p_exp, cand.v_exps)
 
 
 def test_multiply_associative_commutative_random():
@@ -186,11 +186,11 @@ def test_leibniz_product_rule_random():
         via_product = leibniz_apply(D2, prod) if prod is not None else []
         terms = []
         for da in leibniz_apply(D2, a):
-            t = multiply(normalize(da, torsion=False), b)
+            t = multiply(NormalMonomial(da.rho_exp, da.p_exp, da.v_exps), b)
             if t is not None:
                 terms.append(t)
         for db in leibniz_apply(D2, b):
-            t = multiply(a, normalize(db, torsion=False))
+            t = multiply(a, NormalMonomial(db.rho_exp, db.p_exp, db.v_exps))
             if t is not None:
                 terms.append(t)
         reduced = sorted(

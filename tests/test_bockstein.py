@@ -21,7 +21,7 @@ from etass.algebra import (
     torsion_bound,
 )
 from etass.bockstein import (
-    EMPTY,
+    Differential,
     EngineError,
     Homology,
     Page,
@@ -36,8 +36,6 @@ from etass.bockstein import (
     replay_mode,
     rho_inverted_check,
     run_bockstein,
-    runs_contain,
-    runs_union,
     sample_seed,
     tower_page,
     verify_transition,
@@ -110,7 +108,7 @@ def test_rho_inverted(run32):
 
 
 def corrupted(page, mw, runs):
-    """A copy of page whose column mw has the {Monomial: runs} of
+    """A copy of page whose column mw has the {Monomial: (lo, hi)} of
     `runs` (None drops the family); the page itself is left as it is."""
     per = dict(page.alive[mw])
     for m, r in runs.items():
@@ -133,19 +131,21 @@ def compare_items(page, predicted=None):
 def test_compare_shortened_run(run32):
     """One class cut off the v2 tower: both items fail."""
     _, einf = run32
-    assert compare_items(corrupted(einf, 3, {mono(v2=1): ((0, 2),)})) == [
+    assert compare_items(corrupted(einf, 3, {mono(v2=1): (0, 2)})) == [
         ("dimensions", False, "mismatched columns: [(3, {3: (0, 1)})]"),
         ("towers", False, "mw=3: computed v2 of length 2, predicted v2 of length 3"),
     ]
 
 
 def test_compare_split_run(run32):
-    """The v2 tower split into two touching runs: the same classes, so
-    the dimensions agree, but the towers do not."""
+    """The v2^6 tower split into two touching towers, its bottom class
+    on v2^6 and the rest on P v3^2, the other family of (18, 6): the
+    same classes, so the dimensions agree, but the towers do not."""
     _, einf = run32
-    assert compare_items(corrupted(einf, 3, {mono(v2=1): ((0, 1), (1, 3))})) == [
+    split = {mono(v2=6): (0, 1), mono(p=1, v3=2): (1, 3)}
+    assert compare_items(corrupted(einf, 18, split)) == [
         ("dimensions", True, ""),
-        ("towers", False, "mw=3: computed v2 of length 1, predicted v2 of length 3"),
+        ("towers", False, "mw=18: computed rho P v3^2 of length 2, predicted v2^6 of length 3"),
     ]
 
 
@@ -154,7 +154,7 @@ def test_compare_moved_tower(run32):
     the dimensions agree, but the towers compare with their generators,
     so "towers" fails and names both."""
     _, einf = run32
-    page = corrupted(einf, 18, {mono(v2=6): None, mono(p=1, v3=2): ((0, 3),)})
+    page = corrupted(einf, 18, {mono(v2=6): None, mono(p=1, v3=2): (0, 3)})
     assert page.alive[18] != einf.alive[18]
     assert compare_items(page) == [
         ("dimensions", True, ""),
@@ -189,7 +189,7 @@ def test_compare_fills_no_page_cache(run32):
     dims_column table."""
     _, einf = run32
     computed, predicted = replace(einf), closed_form_einfty(32, einf.columns)
-    broken = corrupted(computed, 3, {mono(v2=1): ((0, 2),)})
+    broken = corrupted(computed, 3, {mono(v2=1): (0, 2)})
     assert compare_pages(computed, predicted, "einfty").ok
     assert not compare_pages(broken, predicted, "einfty").ok
     assert computed._dims_cache == broken._dims_cache == predicted._dims_cache == {}
@@ -221,11 +221,11 @@ def test_rho_inverted_failures(run32):
     def items(page):
         return [(i.instance, i.passed, i.detail) for i in rho_inverted_check(page).items]
 
-    assert items(corrupted(einf, 3, {mono(v2=1): ((0, einf.c_max),)})) == [
+    assert items(corrupted(einf, 3, {mono(v2=1): (0, einf.c_max)})) == [
         ("unbounded towers confined to mw=0", False, "boundary towers at ['v2']"),
         ("mw=0 tower unbounded", True, ""),
     ]
-    assert items(corrupted(einf, 0, {mono(): ((0, 5),)})) == [
+    assert items(corrupted(einf, 0, {mono(): (0, 5)})) == [
         ("unbounded towers confined to mw=0", True, ""),
         ("mw=0 tower unbounded", False, ""),
     ]
@@ -303,6 +303,47 @@ def test_tower_shortcut_rejects_shared_image():
         _advance(replace(build_e1(8), differential=d))
 
 
+def test_tower_transition_rejects_split_survivors():
+    """An image that is nonzero strictly inside its source tower would
+    leave the source two rho-intervals: P maps from rho^1 on onto a v2
+    tower cut to (0, 10), so only P rho^1 .. rho^6 have a nonzero image,
+    and P would keep rho^0 and rho^7 .. rho^20.  The transition raises,
+    naming the page, the column and the family."""
+    e1 = build_e1(8)
+    p, v2 = family_of(mono(p=1)), family_of(mono(v2=1))
+
+    def family_image(fam):
+        return ([(v2, 3)], 1) if fam == p else ([], 0)
+
+    page = replace(
+        e1,
+        alive={**e1.alive, 3: {**e1.alive[3], v2: (0, 10)}},
+        differential=Differential(Bidegree(-1, 0), family_image),
+    )
+    assert page.alive[4][p] == (0, 21)
+    with pytest.raises(EngineError, match=r"^bockstein-E1: the surviving classes of P at mw=4 "):
+        _advance(page)
+
+
+def test_tower_transition_rejects_split_zero_classes():
+    """New hits that do not meet a family's zero interval would leave
+    it two zero intervals: on a v2 tower cut to (0, 10) with the zero
+    classes rho^15 and rho^16, page 3 hits rho^3 .. rho^9.  The
+    transition raises, naming the page, the column and the family."""
+    e1 = build_e1(8)
+    v2 = family_of(mono(v2=1))
+    page = replace(
+        e1,
+        label="bockstein-E3",
+        r=3,
+        alive={**e1.alive, 3: {v2: (0, 10)}},
+        zero={3: {v2: (15, 17)}},
+        differential=bockstein_rule(2),
+    )
+    with pytest.raises(EngineError, match=r"^bockstein-E3: the zero classes of v2 at mw=3 "):
+        _advance(page)
+
+
 def test_tower_shortcut_rejects_bockstein_image_below_rho_r():
     """A Bockstein page-r image carries rho^r at least: the page-3 rule
     P -> rho^3 v2 falls short on page 7."""
@@ -316,7 +357,7 @@ def test_tower_page_rejects_run_outside_rho_range(run):
     tower_page, naming the page and the family, instead of making a page
     whose readers fail elsewhere."""
     with pytest.raises(EngineError, match=rf"^bad-page: 1 has run \({run[0]}, {run[1]}\)$"):
-        tower_page("bockstein", "bad-page", 0, 4, enumerate_families(4), lambda fam: (run,))
+        tower_page("bockstein", "bad-page", 0, 4, enumerate_families(4), lambda fam: run)
 
 
 def test_closed_form_tower_degrees():
@@ -367,8 +408,9 @@ def test_tower_page_builders_reject_negative_window(builder):
 
 
 # sha256 of repr(sorted((mw, sorted(alive[mw].items())))) at mw 0, 1, 2,
-# 13, 14, 40 and 64; the stable Bockstein page and the Ext model hold the
-# same towers
+# 13, 14, 40 and 64, each interval (lo, hi) written as the one-run tuple
+# ((lo, hi),) (as_runs); the stable Bockstein page and the Ext model hold
+# the same towers
 _EXT_MODEL_DIGESTS = (
         "93a7b2f16843329bfbfd5e8ccd86895c9b2f6c74aec9ec6ddcccccf5c60aea37",
         "1ae6fed451c2d54861fded4278c750ffc6f7a3b0f28ea86e3e19cd3b5f1da7a6",
@@ -417,16 +459,17 @@ def test_tower_page_builders_are_pinned(builder):
     closed forms."""
     got = []
     for mw in (0, 1, 2, 13, 14, 40, 64):
-        items = sorted((m, sorted(per.items())) for m, per in _build(builder, mw).alive.items())
+        items = as_runs(_build(builder, mw).alive)
         got.append(hashlib.sha256(repr(items).encode()).hexdigest())
     assert tuple(got) == BUILDER_DIGESTS[builder]
 
 
 TRANSITION_WINDOWS = (*range(41), 64, 112)
 # sha256 of every page of a run, E-infinity included, as (label, alive,
-# zero) with sorted columns and families, per window of
-# TRANSITION_WINDOWS; taken from the code before the transitions shared
-# untouched columns with the page before
+# zero) with sorted columns and families and each interval written as a
+# one-run tuple (as_runs), per window of TRANSITION_WINDOWS; taken from
+# the code before the transitions shared untouched columns with the page
+# before
 TRANSITION_DIGESTS = {
     "bockstein": (
         "9adb88df1849309eeddad03f18630a45e7294715a7b586295fc7517a355b8369",  # mw 0
@@ -523,11 +566,17 @@ TRANSITION_DIGESTS = {
 RUNS = {"bockstein": run_bockstein, "adams": run_adams}
 
 
-def run_digest(pages: list[Page]) -> str:
-    def table(t):
-        return sorted((mw, sorted(per.items())) for mw, per in t.items())
+def as_runs(table):
+    """A page table with sorted columns and families, each interval
+    (lo, hi) written as the one-run tuple ((lo, hi),): the form the
+    digests were taken in when a page stored a tuple of runs."""
+    return sorted(
+        (mw, sorted((fam, (run,)) for fam, run in per.items())) for mw, per in table.items()
+    )
 
-    items = [(p.label, table(p.alive), table(p.zero)) for p in pages]
+
+def run_digest(pages: list[Page]) -> str:
+    items = [(p.label, as_runs(p.alive), as_runs(p.zero)) for p in pages]
     return hashlib.sha256(repr(items).encode()).hexdigest()
 
 
@@ -720,13 +769,19 @@ def test_sweep_tables_match_reference_positions(run):
     degree of every column: a column table's bases, filled by one sweep
     over the alive runs, for a dense Homology, and for a sampled one at
     the picks, at the degrees their matrices reach in the neighbouring
-    columns, and at any other degree asked for later; column_classes at
-    its degrees 0..c_max with classes; basis_at and dim_at."""
+    columns, and at any other degree asked for later; window_classes at
+    its degrees 0..c_max with classes, in every column of the window;
+    basis_at and dim_at."""
     pages, einf = run(32, verify="off")
     for page in [*pages, einf]:
         shift = page.diff_shift()
         picks = {mw: dense_bidegrees(page, mw)[mw % 3 :: 3] for mw in page.alive}
         dense, sampled = Homology(page), Homology(page, picks)
+        listed = {}
+        for mw, column, classes in page.window_classes():
+            assert column == page._column_alive(mw), (page.label, mw)
+            listed[mw] = classes
+        assert sorted(listed) == [mw for mw in sorted(page.alive) if mw <= page.max_mw]
         for mw in sorted(page.alive):
             column = page._column_alive(mw)
             want = {c: reference_positions(page, mw, c) for c in range(-2, page.c_max + 4)}
@@ -736,9 +791,10 @@ def test_sweep_tables_match_reference_positions(run):
             assert sorted(swept) == sorted(reach | set(picks[mw]))
             for c, positions in swept.items():
                 assert positions == reference_positions(page, mw, c), (page.label, mw, c)
-            assert page.column_classes(mw) == [
-                (c, want[c]) for c in range(page.c_max + 1) if want[c]
-            ], (page.label, mw)
+            if mw <= page.max_mw:
+                assert listed[mw] == [
+                    (c, want[c]) for c in range(page.c_max + 1) if want[c]
+                ], (page.label, mw)
             for c, positions in want.items():
                 assert dense.column(mw).bases[c] == positions, (page.label, mw, c)
                 assert sampled.column(mw).bases[c] == positions, (page.label, mw, c)
@@ -844,12 +900,11 @@ def test_replay_rejects_class_both_alive_and_newly_hit():
     mw, fam, b = next(
         (mw, fam, lo)
         for mw, per in new_zero.items()
-        for fam, runs in per.items()
-        for lo, _ in runs
-        if not runs_contain(page.zero.get(mw, {}).get(fam, EMPTY), lo)
+        for fam, (lo, _) in per.items()
+        if page.class_status(mw, fam, lo) != "zero" and new_alive[mw].get(fam, (lo, lo))[1] == lo
     )
     column = dict(new_alive[mw])
-    column[fam] = runs_union(column.get(fam, EMPTY), ((b, b + 1),))
+    column[fam] = (column.get(fam, (b, b))[0], b + 1)  # one class more: the hit class b
     with pytest.raises(EngineError):
         verify_transition(page, {**new_alive, mw: column}, new_zero, "all")
 
@@ -884,14 +939,13 @@ def test_family_image_is_rho_linear():
         assert page.differential.shift == reference.shift
         moved = 0
         for mw in page.alive:
-            for fam, _, runs in page._column_alive(mw):
+            for fam, _, (lo, hi) in page._column_alive(mw):
                 terms, threshold = page.family_image(fam)
                 assert threshold == 0
                 moved += bool(terms)
-                for lo, hi in runs:
-                    for b in range(lo, hi):
-                        want = [family_monomial(tfam, b + d) for tfam, d in terms]
-                        assert leibniz_apply(reference, family_monomial(fam, b)) == want
+                for b in range(lo, hi):
+                    want = [family_monomial(tfam, b + d) for tfam, d in terms]
+                    assert leibniz_apply(reference, family_monomial(fam, b)) == want
         assert moved, f"{page.label} moves no family"
 
     # the Adams page 2: d2 renormalizes, so the shifted family image
@@ -901,17 +955,16 @@ def test_family_image_is_rho_linear():
     assert e2.differential.shift == d2.shift
     moved = killed = 0
     for mw in e2.alive:
-        for fam, _, runs in e2._column_alive(mw):
+        for fam, _, (lo, hi) in e2._column_alive(mw):
             terms, threshold = e2.family_image(fam)
             assert threshold == 0
-            for lo, hi in runs:
-                for b in range(lo, hi):
-                    shifted = [(tfam, b + d) for tfam, d in terms]
-                    want = leibniz_apply(d2, family_monomial(fam, b))
-                    kept = [family_monomial(*t) for t in shifted if not model_zero(*t)]
-                    assert kept == want
-                    moved += bool(want)
-                    killed += len(shifted) - len(want)
+            for b in range(lo, hi):
+                shifted = [(tfam, b + d) for tfam, d in terms]
+                want = leibniz_apply(d2, family_monomial(fam, b))
+                kept = [family_monomial(*t) for t in shifted if not model_zero(*t)]
+                assert kept == want
+                moved += bool(want)
+                killed += len(shifted) - len(want)
     assert moved and killed, f"adams-E2: {moved} classes moved, {killed} terms killed"
 
 

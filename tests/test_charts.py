@@ -29,8 +29,8 @@ def fixture_dots(rows, c_cap=63):
 def page_dots(page, mw_cap=64, c_cap=63):
     return {
         (mw, c)
-        for mw, _ in page.window_columns()
-        for c, _ in page.column_classes(mw)
+        for mw, _, classes in page.window_classes()
+        for c, _ in classes
         if mw <= mw_cap and c <= c_cap
     }
 
@@ -92,8 +92,8 @@ def test_json_round_trip(einf64):
     dumped = {(cl["mw"], cl["c"], cl["label"]) for cl in doc["classes"]}
     direct = [
         (mw, c, str(family_monomial(column[pos][0], c - column[pos][1])))
-        for mw, column in einf64.window_columns()
-        for c, positions in einf64.column_classes(mw)
+        for mw, column, classes in einf64.window_classes()
+        for c, positions in classes
         for pos in positions
     ]
     assert dumped == set(direct)

@@ -9,7 +9,7 @@ from dump_reference import image_classes, reference_differentials, reference_pag
 from etass import bockstein
 from etass.adams import run_adams
 from etass.algebra import family_monomial
-from etass.bockstein import EMPTY, EngineError, run_bockstein, runs_subtract, runs_union
+from etass.bockstein import EngineError, run_bockstein
 from etass.charts import write_page_dump
 from etass.cli import main
 
@@ -108,44 +108,40 @@ def test_differential_runs_are_maximal_and_disjoint(run):
 
 
 def test_differential_runs_cut_where_any_target_changes():
-    """When the last target tower of a multi-term image loses a class
-    inside the source run (it becomes a zero class), the run is cut
-    there, and the runs still expand to the class-by-class images."""
+    """When the last target tower of a multi-term image ends inside the
+    source run (its classes from there on become zero classes), the run
+    is cut there, and the runs still expand to the class-by-class
+    images."""
     e2 = run_adams(24, verify="off")[0][0]
     fam, lo, hi, targets = next(
         run for run in e2.differentials() if len(run[3]) > 1 and run[2] - run[1] > 2
     )
     tfam, delta = targets[-1]
     tmw = family_monomial(tfam).bidegree.mw
-    hole = ((lo + 1 + delta, lo + 2 + delta),)
-    alive = {**e2.alive[tmw], tfam: runs_subtract(e2.alive[tmw][tfam], hole)}
-    zero = {
-        **e2.zero.get(tmw, {}),
-        tfam: runs_union(e2.zero.get(tmw, {}).get(tfam, EMPTY), hole),
-    }
+    tlo, thi = e2.alive[tmw][tfam]
+    cut = lo + 1 + delta  # the target tower's new end, inside the source run
+    assert tlo < cut < thi and tfam not in e2.zero.get(tmw, {})
+    alive = {**e2.alive[tmw], tfam: (tlo, cut)}
+    zero = {**e2.zero.get(tmw, {}), tfam: (cut, thi)}
     mutant = replace(e2, alive={**e2.alive, tmw: alive}, zero={**e2.zero, tmw: zero})
     runs = [run for run in mutant.differentials() if run[0] == fam and lo <= run[1] < hi]
     assert [(a, b, len(t)) for _, a, b, t in runs] == [
         (lo, lo + 1, len(targets)),
-        (lo + 1, lo + 2, len(targets) - 1),
-        (lo + 2, hi, len(targets)),
+        (lo + 1, hi, len(targets) - 1),
     ]
     assert expand_runs(mutant.differentials()) == image_class_expansion(mutant)
 
 
 def drop_target_run(page):
-    """A copy of the page whose first differential's target class lies
-    in no alive run and no zero run."""
+    """A copy of the page without the alive tower of its first
+    differential's first target, whose class then lies in no alive and
+    no zero interval."""
     _, b, _, targets = page.differentials()[0]
     tfam, delta = targets[0]
     target, tb = family_monomial(tfam), b + delta
     tmw = target.bidegree.mw
     column = dict(page.alive[tmw])
-    kept = tuple((lo, hi) for lo, hi in column[tfam] if not lo <= tb < hi)
-    if kept:
-        column[tfam] = kept
-    else:
-        del column[tfam]
+    del column[tfam]
     assert page.status(times_rho(target, tb)) == "alive"
     return replace(page, alive={**page.alive, tmw: column})
 

@@ -81,19 +81,18 @@ def test_multiple_towers_guard():
     from etass.bockstein import Column, Page
     from etass.algebra import Monomial, family_of
 
-    v2 = family_of(Monomial.make(0, 0, {2: 1}))
-    v2sq = family_of(Monomial.make(0, 0, {2: 2}))
+    v3 = family_of(Monomial.make(0, 0, {3: 1}))
+    pv2 = family_of(Monomial.make(0, 1, {2: 1}))
     # an artificial page with two families in one stem triggers the guard
-    col = Column([v2])
-    col6 = Column([v2sq])
+    col = Column(sorted([v3, pv2]))
     page = Page(
         kind="adams",
         label="fake",
         r=9,
-        max_mw=6,
-        columns={3: col, 6: col6, 0: Column([])},
-        alive={3: {v2: ((0, 1), (2, 3))}, 6: {}, 0: {}},
-        zero={3: {}, 6: {}, 0: {}},
+        max_mw=7,
+        columns={7: col, 0: Column([])},
+        alive={7: {v3: (0, 7), pv2: (0, 3)}, 0: {}},
+        zero={7: {}, 0: {}},
     )
     with pytest.raises(MultipleTowers):
         extract_groups(page)
