@@ -9,10 +9,11 @@ differentials; a family without such classes is absent.  A page carries
 one Differential (Page.differential), which gives the image of a whole
 tower (family_image): bockstein_rule, adams.d2_rule or adams.adams_rule.
 Differentials on these pages send single monomials to single monomials,
-so each page transition (_advance) decomposes into tower-to-tower
-blocks, derived from family_image, whose homology is interval
-arithmetic; a transition that would leave a family two intervals
-raises EngineError instead.
+so each page transition (_advance) is interval arithmetic on
+tower-to-tower blocks, in one sweep over the columns: each family's run
+of differentials (Page._family_differentials, as in Page.differentials)
+cuts its own interval and its target's; a transition that would leave a
+family two intervals raises EngineError instead.
 
 Every such transition is then replayed per bidegree through gf2
 elimination of the page differential's matrices (at every bidegree up
@@ -188,7 +189,7 @@ class Page:
     On an "adams" page the Ext model's ring torsion holds as well: a
     class past its family's torsion_bound is zero.  The Chow truncation
     c_max follows from max_mw.  basis_at and status speak Monomials;
-    differentials, column_towers and window_towers give packed families
+    differentials and window_towers give packed families
     and rho intervals to every reader that walks a page, which names a
     class with family_monomial.
 
@@ -295,41 +296,38 @@ class Page:
 
     def differentials(self) -> list[DiffRun]:
         """All nonzero differentials on this page inside the reporting
-        window, run-length encoded, ordered by column, family position
-        and rho exponent; computed once per page.
-
-        An entry (fam, lo, hi, targets) says that for every b in
-        [lo, hi) the class fam * rho^b maps to the sum of the alive
-        classes tfam * rho^(b + delta) over the (tfam, delta) pairs of
-        targets, in family_image's term order.  The runs are maximal:
-        each family's alive interval, clipped to the image threshold and
-        the window, is cut only at an end of some term's alive target
-        interval, where that term starts or stops being alive, so two
-        touching runs have different targets.  A term that is not alive
-        must be zero on the page for every b of its run: the zero
-        interval first, then class_status class by class (the model's
-        torsion), else EngineError.
-        """
+        window, run-length encoded (_family_differentials on each alive
+        interval, clipped to the window), ordered by column, family
+        position and rho exponent; computed once per page."""
         if self._differentials is not None:
             return self._differentials
         out: list[DiffRun] = []
         shift = self.diff_shift().mw
         for mw, column in self.window_columns():
-            for fam, c0, run in column:
-                self._family_differentials(fam, run, mw + shift, self.c_max - c0 + 1, out)
+            for fam, c0, (lo, hi) in column:
+                run = (lo, min(hi, self.c_max - c0 + 1))
+                out += self._family_differentials(fam, run, self.family_image(fam), mw + shift)
         self._differentials = out
         return out
 
     def _family_differentials(
-        self, fam: int, run: tuple[int, int], tmw: int, top: int, out: list
-    ) -> None:
-        """Append the runs of nonzero differentials on the classes
-        fam * rho^b with b in run and b < top; their targets lie in
-        column tmw."""
-        terms, threshold = self.family_image(fam)
-        lo, hi = max(run[0], threshold), min(run[1], top)
+        self, fam: int, run: tuple[int, int], image: tuple[list[tuple[int, int]], int], tmw: int
+    ) -> list[DiffRun]:
+        """The maximal runs (fam, lo, hi, targets) of nonzero
+        differentials on fam * rho^b, b in run: each such class maps to
+        the sum of the alive classes tfam * rho^(b + delta) of column tmw
+        over the (tfam, delta) of targets, in term order.  image is
+        family_image(fam), passed in so that a caller asks for it once.
+        The run, clipped to the image threshold, is cut only where some
+        term's alive target interval starts or ends, so touching runs
+        differ in targets; a term that is not alive must be zero on the
+        page (_check_zero), else EngineError.  differentials() and the
+        tower transition (_advance, margin column included) both read
+        their runs here."""
+        terms, threshold = image
+        lo, hi = max(run[0], threshold), run[1]
         if not terms or lo >= hi:
-            return
+            return []
         # each term's alive interval in source rho exponents, (lo, lo)
         # for a term that is not alive
         per = self.alive.get(tmw, {})
@@ -338,6 +336,7 @@ class Page:
             tlo, thi = per.get(tfam, (lo + delta, lo + delta))
             alive.append((tlo - delta, thi - delta))
         cuts = sorted({lo, hi, *(x for ends in alive for x in ends if lo < x < hi)})
+        out = []
         for a, b in zip(cuts, cuts[1:]):
             targets = []
             for (tfam, delta), (tlo, thi) in zip(terms, alive):
@@ -347,6 +346,7 @@ class Page:
                     self._check_zero(tmw, tfam, a + delta, b + delta)
             if targets:
                 out.append((fam, a, b, targets))
+        return out
 
     def _check_zero(self, tmw: int, tfam: int, lo: int, hi: int) -> None:
         """Raise unless tfam * rho^tb is zero on the page for every tb in
@@ -359,17 +359,11 @@ class Page:
                 raise EngineError(f"image term {term} is neither alive nor hit")
 
     # -- read side --------------------------------------------------------
-    def column_towers(self, mw: int) -> list[tuple[int, int, int, bool]]:
-        """(family, lo, hi, truncated) per alive family of column mw, in
-        column order: the tower of fam * rho^b for lo <= b < hi, at
-        bidegree (mw, family_c0(fam) + lo) and of length hi - lo,
-        truncated when the Chow truncation rather than torsion cut it."""
-        return [(fam, lo, hi, hi > self.c_max - c0) for fam, c0, (lo, hi) in self._column_alive(mw)]
-
     def window_towers(self) -> Iterable[tuple[int, int, int, int, bool]]:
-        """(mw, family, lo, hi, truncated) per tower of the reporting
-        window, in column order (see column_towers); one column listing
-        per column."""
+        """(mw, family, lo, hi, truncated) per tower fam * rho^b,
+        lo <= b < hi, of the reporting window, in column order, one column
+        listing per column; truncated when the Chow truncation rather
+        than torsion cut it."""
         for mw, column in self.window_columns():
             for fam, c0, (lo, hi) in column:
                 yield mw, fam, lo, hi, hi > self.c_max - c0
@@ -482,82 +476,72 @@ def bockstein_tower(n: int, c_max: int) -> Callable[[int], tuple[int, int] | Non
 # page transitions
 
 def _advance(page: Page) -> tuple[dict[int, dict[int, tuple[int, int]]], ...]:
-    """Homology of the page differential, tower by tower.
+    """Homology of the page differential, tower by tower, in one sweep
+    over the columns that visits each source column before its target
+    column: descending mw, as every rule lowers mw by one.
 
-    The edges are the differential's family images (family_image) on
-    the alive families; a family off the rule answers ([], 0).  Each
-    family must map to at most one family and receive from at most one,
-    else EngineError, so that every bidegree's matrix is a direct sum of
-    1x1 blocks.  A family's alive interval then loses, together, the
-    interval its image kills (the classes with an alive image) and the
-    interval its source hits, which must not meet (d o d = 0).  What
-    survives, and the zero interval joined with the new hits, must each
-    be one interval, else EngineError naming the page, the column and
-    the family.  The per-bidegree claim is re-derived through gf2 by
-    verify_transition afterwards.  A Bockstein page-r differential must
-    raise the rho exponent by r at least, checked on every edge: an
-    image that no alive family produces cannot change the page.
+    Each alive family's image (family_image) must be one term, raising
+    the rho exponent by r at least on a Bockstein page r, and no two
+    families may share an image family, else EngineError: so every
+    bidegree's matrix is a direct sum of 1x1 blocks.  The family loses
+    its run of nonzero differentials (Page._family_differentials, zero
+    check included), and its target, in the target column, that run
+    shifted by the rho delta.  A family's two cuts must not meet (d o d
+    = 0); what survives, and the zero interval joined with the new hits,
+    must each be one interval, else EngineError naming the page, the
+    column and the family.  verify_transition replays it through gf2.
 
-    Pages are read-only, so the new tables share with the page every
-    column that no edge leaves or enters: the same dict object, alive
-    and zero alike.  A column that an edge touches is built once, as a
-    new dict.
+    The new tables list the columns in ascending mw.  Pages are
+    read-only, so they share with the page, as the same dict object,
+    every column that no edge leaves or enters, alive and zero alike.
     """
     d = page.differential
     floor = page.r if page.kind == "bockstein" else None  # the least rho delta
     shift = page.diff_shift().mw
-    edges: dict[int, tuple[int, int, int]] = {}  # fam -> (target, rho delta, threshold)
-    incoming: dict[int, tuple[int, int, int]] = {}  # target -> (fam, rho delta, threshold)
     name = family_monomial
-    # d.family_image is Page.family_image less its None check, which
-    # costs as much as the image itself on most families
-    for fam in (f for per in page.alive.values() for f in per) if d is not None else ():
-        terms, threshold = d.family_image(fam)
-        if not terms:
-            continue
-        if len(terms) != 1:
-            raise EngineError(f"family image of {name(fam)} is not a single monomial")
-        ((tfam, delta),) = terms
-        if floor is not None and delta < floor:
-            raise EngineError(f"rule image {name(tfam, delta)} has rho exponent below r = {floor}")
-        if tfam in incoming:
-            raise EngineError(
-                f"families {name(incoming[tfam][0])} and {name(fam)} share image {name(tfam)}"
-            )
-        edges[fam] = (tfam, delta, threshold)
-        incoming[tfam] = (fam, delta, threshold)
-
-    touched = edges.keys() | incoming.keys()
+    order = sorted(page.alive)
     new_alive: dict[int, dict[int, tuple[int, int]]] = {}
     new_zero: dict[int, dict[int, tuple[int, int]]] = {}
-    for mw, per_fam in page.alive.items():
-        zero = new_zero[mw] = page.zero.get(mw, {})
-        if touched.isdisjoint(per_fam):
-            new_alive[mw] = per_fam
+    carry: dict[int, dict] = {}  # target column -> target -> (source, rho delta, source run)
+    for mw in order[::-1] if shift < 0 else order:
+        per_fam, zero = page.alive[mw], page.zero.get(mw, {})
+        into = carry.setdefault(mw + shift, {})
+        killed: dict[int, tuple[int, int] | None] = {}
+        # d.family_image is Page.family_image less its None check, which
+        # costs as much as the image itself on most families
+        for fam, run in per_fam.items() if d is not None else ():
+            image = d.family_image(fam)
+            if not image[0]:
+                continue
+            if len(image[0]) != 1:
+                raise EngineError(f"family image of {name(fam)} is not a single monomial")
+            ((tfam, delta),) = image[0]
+            if floor is not None and delta < floor:
+                raise EngineError(f"rule image {name(tfam, delta)} has rho exponent below r = {floor}")
+            if tfam in into:
+                raise EngineError(
+                    f"families {name(into[tfam][0])} and {name(fam)} share image {name(tfam)}"
+                )
+            runs = page._family_differentials(fam, run, image, mw + shift)
+            killed[fam] = runs[0][1:3] if runs else None
+            into[tfam] = (fam, delta, killed[fam])
+        hits = carry.pop(mw, {})
+        if not killed and per_fam.keys().isdisjoint(hits):
+            new_alive[mw], new_zero[mw] = per_fam, zero
             continue
         na = new_alive[mw] = {}  # afresh: a dict copy keeps the dead families' slots
-        nz = None  # zero, copied at the column's first hit
+        nz = new_zero[mw] = zero  # copied at the column's first hit
         for fam, run in per_fam.items():
-            if fam not in touched:
+            kill, (_, delta, hit) = killed.get(fam), hits.get(fam, (0, 0, None))
+            if hit:  # shifted; max and min keep the run's own ints, shared by the zero table
+                hit = (max(run[0], hit[0] + delta), min(run[1], hit[1] + delta))
+            if not (kill or hit):
                 na[fam] = run
                 continue
-            lo, hi = run
-            killed = hit = (hi, hi)  # empty; an absent tower kills and hits nothing
-            if fam in edges:
-                tfam, delta, min_b = edges[fam]
-                tlo, thi = page.alive.get(mw + shift, {}).get(tfam, (hi + delta, hi + delta))
-                killed = (max(lo, min_b, tlo - delta), min(hi, thi - delta))
-            if fam in incoming:
-                sfam, sdelta, smin = incoming[fam]
-                slo, shi = page.alive.get(mw - shift, {}).get(sfam, (lo - sdelta, lo - sdelta))
-                hit = (max(lo, max(slo, smin) + sdelta), min(hi, shi + sdelta))
-            cuts = sorted(cut for cut in (killed, hit) if cut[0] < cut[1])
-            if not cuts:
-                na[fam] = run
-                continue
+            cuts = sorted(filter(None, (kill, hit)))
             if len(cuts) == 2 and cuts[0][1] > cuts[1][0]:
                 raise EngineError(f"d o d != 0 at mw={mw} family {name(fam)}")
-            ends = [lo, *(x for cut in cuts for x in cut), hi]
+            ends = [run[0], *(x for cut in cuts for x in cut), run[1]]
             left = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b]
             if len(left) > 1:
                 raise EngineError(
@@ -566,8 +550,8 @@ def _advance(page: Page) -> tuple[dict[int, dict[int, tuple[int, int]]], ...]:
                 )
             if left:
                 na[fam] = left[0]
-            if hit[0] < hit[1]:
-                if nz is None:
+            if hit:
+                if nz is zero:
                     nz = new_zero[mw] = dict(zero)
                 zlo, zhi = nz.get(fam, hit)
                 if hit[0] > zhi or zlo > hit[1]:
@@ -576,7 +560,7 @@ def _advance(page: Page) -> tuple[dict[int, dict[int, tuple[int, int]]], ...]:
                         f"are not one rho-interval: {(zlo, zhi)} and {hit}"
                     )
                 nz[fam] = (min(zlo, hit[0]), max(zhi, hit[1]))
-    return new_alive, new_zero
+    return {mw: new_alive[mw] for mw in order}, {mw: new_zero[mw] for mw in order}
 
 
 class _Bases(dict):
@@ -1018,29 +1002,26 @@ def compare_pages(computed: Page, predicted: Page, check: str) -> Report:
     """Dimension-by-bidegree and tower-by-tower equality inside the
     reporting window, which must be the same on both pages, in one pass
     over the columns: identical alive intervals have equal dimensions and
-    towers; any other column counts dimensions afresh (_column_dims, no
-    page cache) and compares column_towers.  A "towers" failure names, in
-    the first column whose towers differ, the first tower of each page
-    that the other lacks."""
+    towers (same window, so same c_max and truncation); any other column
+    counts dimensions afresh (_column_dims, no page cache), and the
+    first such column fails "towers", naming the first tower, in column
+    order, of each page that the other lacks."""
     if computed.max_mw != predicted.max_mw:
         raise ValueError(f"windows differ: max_mw {computed.max_mw} and {predicted.max_mw}")
 
-    def first_only(page: Page, other: Page, mw: int) -> str:
-        """The first tower of column mw of page that other lacks."""
-        theirs = set(other.column_towers(mw))
-        for fam, lo, hi, truncated in page.column_towers(mw):
-            if (fam, lo, hi, truncated) not in theirs:
-                return f"{family_monomial(fam, lo)} of length {hi - lo}"
-        return "none"
+    def first_only(mine: dict[int, tuple[int, int]], theirs: dict[int, tuple[int, int]]) -> str:
+        """The first tower of column `mine`, in column order, that `theirs` lacks."""
+        fam = min((f for f, run in mine.items() if theirs.get(f) != run), default=None)
+        lo, hi = mine.get(fam, (0, 0))
+        return "none" if fam is None else f"{family_monomial(fam, lo)} of length {hi - lo}"
 
     bad_dims, bad = [], ""
     for mw in range(computed.max_mw + 1):
         alive = computed.alive.get(mw, {}), predicted.alive.get(mw, {})
         if alive[0] == alive[1]:
             continue
-        if not bad and computed.column_towers(mw) != predicted.column_towers(mw):
-            only = first_only(computed, predicted, mw), first_only(predicted, computed, mw)
-            bad = f"mw={mw}: computed {only[0]}, predicted {only[1]}"
+        if not bad:
+            bad = f"mw={mw}: computed {first_only(*alive)}, predicted {first_only(*alive[::-1])}"
         got, want = (_column_dims(per, computed.c_max) for per in alive)
         if got != want:
             cs = sorted(c for c in got.keys() | want.keys() if got.get(c) != want.get(c))

@@ -297,18 +297,25 @@ def test_tower_shortcut_rejects_multi_term_image():
 
 def test_tower_shortcut_rejects_shared_image():
     """Two families with one image family would make a 2x1 block: P v2
-    and v3 both map to the v2^2 tower."""
+    and v3 both map to the v2^2 tower.  Their towers are cut to (0, 18)
+    and (0, 22), so that every image class lies in v2^2's alive (0, 23)
+    and the first of them passes the zero check."""
     d = as_differential(shortcut_derivation())
+    e1 = build_e1(8)
+    p_v2, v3 = family_of(mono(p=1, v2=1)), family_of(mono(v3=1))
+    page = replace(e1, alive={**e1.alive, 7: {**e1.alive[7], p_v2: (0, 18), v3: (0, 22)}})
+    assert page.alive[6][family_of(mono(v2=2))] == (0, 23)
     with pytest.raises(EngineError, match="share image"):
-        _advance(replace(build_e1(8), differential=d))
+        _advance(replace(page, differential=d))
 
 
 def test_tower_transition_rejects_split_survivors():
     """An image that is nonzero strictly inside its source tower would
     leave the source two rho-intervals: P maps from rho^1 on onto a v2
-    tower cut to (0, 10), so only P rho^1 .. rho^6 have a nonzero image,
-    and P would keep rho^0 and rho^7 .. rho^20.  The transition raises,
-    naming the page, the column and the family."""
+    tower cut to (0, 10) whose classes rho^10 .. rho^23 are zero, so only
+    P rho^1 .. rho^6 have a nonzero image, and P would keep rho^0 and
+    rho^7 .. rho^20.  The transition raises, naming the page, the column
+    and the family."""
     e1 = build_e1(8)
     p, v2 = family_of(mono(p=1)), family_of(mono(v2=1))
 
@@ -318,6 +325,7 @@ def test_tower_transition_rejects_split_survivors():
     page = replace(
         e1,
         alive={**e1.alive, 3: {**e1.alive[3], v2: (0, 10)}},
+        zero={3: {v2: (10, 24)}},
         differential=Differential(Bidegree(-1, 0), family_image),
     )
     assert page.alive[4][p] == (0, 21)
@@ -328,15 +336,16 @@ def test_tower_transition_rejects_split_survivors():
 def test_tower_transition_rejects_split_zero_classes():
     """New hits that do not meet a family's zero interval would leave
     it two zero intervals: on a v2 tower cut to (0, 10) with the zero
-    classes rho^15 and rho^16, page 3 hits rho^3 .. rho^9.  The
-    transition raises, naming the page, the column and the family."""
+    classes rho^15 and rho^16, page 3 hits rho^3 .. rho^9 from a P tower
+    cut to (0, 7), whose every image class is alive.  The transition
+    raises, naming the page, the column and the family."""
     e1 = build_e1(8)
-    v2 = family_of(mono(v2=1))
+    p, v2 = family_of(mono(p=1)), family_of(mono(v2=1))
     page = replace(
         e1,
         label="bockstein-E3",
         r=3,
-        alive={**e1.alive, 3: {v2: (0, 10)}},
+        alive={**e1.alive, 3: {v2: (0, 10)}, 4: {p: (0, 7)}},
         zero={3: {v2: (15, 17)}},
         differential=bockstein_rule(2),
     )
@@ -346,9 +355,28 @@ def test_tower_transition_rejects_split_zero_classes():
 
 def test_tower_shortcut_rejects_bockstein_image_below_rho_r():
     """A Bockstein page-r image carries rho^r at least: the page-3 rule
-    P -> rho^3 v2 falls short on page 7."""
+    P -> rho^3 v2 falls short on page 7.  At mw 4, P is the only
+    family with an image."""
     with pytest.raises(EngineError, match="rule image rho\\^3 v2 has rho exponent below r = 7"):
-        _advance(replace(build_e1(8), r=7, differential=bockstein_rule(2)))
+        _advance(replace(build_e1(4), r=7, differential=bockstein_rule(2)))
+
+
+def test_tower_transition_rejects_image_neither_alive_nor_zero():
+    """The transition checks every image term it does not hit: on page
+    3, P maps onto rho^3 v2 .. rho^23 v2, but the v2 tower is cut to
+    (0, 10) with no zero classes, so rho^10 v2 is neither alive nor hit.
+    The transition raises itself, before any replay."""
+    e1 = build_e1(8)
+    v2 = family_of(mono(v2=1))
+    page = replace(
+        e1,
+        label="bockstein-E3",
+        r=3,
+        alive={**e1.alive, 3: {v2: (0, 10)}},
+        differential=bockstein_rule(2),
+    )
+    with pytest.raises(EngineError, match=r"^image term rho\^10 v2 is neither alive nor hit$"):
+        _advance(page)
 
 
 @pytest.mark.parametrize("run", [(-1, 2), (2, 2), (3, 1)])
