@@ -11,7 +11,7 @@ positions, through the same homology routine that replays the tower
 transitions (bockstein.Homology), no shortcuts.  From the third page
 on, the differential of page r (adams_rule) maps single towers onto
 single towers from a fixed rho exponent on, and the transitions run on
-the shared tower engine, replayed through gf2 like the Bockstein ones.
+the shared tower engine, replayed like the Bockstein ones.
 A page-r differential shifts (mw, c) by (-1, r-1).  Each page holds its
 differential (Page.differential, a bockstein.Differential) and each
 page from 3 on is one tower rule (adams_tower); every page of kind
@@ -222,16 +222,13 @@ def closed_form_einfty(mw_max: int, columns: dict[int, Column]) -> Page:
     return tower_page("adams", "adams-Einf-closed-form", 0, mw_max, columns, tower)
 
 
-def run_adams(
-    mw_max: int,
-    *,
-    verify: str = "auto",
-    seed: int = 0,
-) -> tuple[list[Page], Page]:
+def run_adams(mw_max: int, *, verify: str = "auto", seed: int = 0) -> tuple[list[Page], Page]:
     """Run from the Ext model through every rule page to the stable
     page.  Returns ([E2, E3, ..., E_rmax], Einf); below mw 14 no rule
     page fits, and Einf is page 3.  verify is as in
-    bockstein.replay_mode."""
+    bockstein.replay_mode; seed no longer reaches the replay, which
+    draws nothing at random.  The page-2 step (_e3_from_e2) is the
+    class-at-a-time homology itself, so no mode replays it."""
     verify = replay_mode(verify, mw_max)
     page = build_e2(mw_max)
     pages = [page]
@@ -432,16 +429,16 @@ def oracle_spot_check(e2: Page, e3: Page, count: int = 20, seed: int = 0) -> Rep
     window = [(mw, e2.alive.get(mw, {})) for mw in range(1, mw_max + 1)]
     total = sum(hi - lo for _, per in window for lo, hi in per.values())
     wanted = sorted(rng.sample(range(total), min(count, total)), reverse=True)
-    picks = set()
+    chosen = set()
     start = 0  # the index of the tower's first class
     for mw, _ in window:
         for _, c0, (lo, hi) in e2._column_alive(mw):
             while wanted and wanted[-1] < start + hi - lo:
-                picks.add((mw, c0 + lo + wanted.pop() - start))
+                chosen.add((mw, c0 + lo + wanted.pop() - start))
             start += hi - lo
     rep = Report()
     d2 = d2_derivation(mw_max)
-    for mw, c in sorted(picks):
+    for mw, c in sorted(chosen):
         mid = e2.basis_at(mw, c)
         src = e2.basis_at(mw + 1, c - d2.shift.c)
         tgt = e2.basis_at(mw - 1, c + d2.shift.c)

@@ -15,28 +15,20 @@ of differentials (Page._family_differentials, as in Page.differentials)
 cuts its own interval and its target's; a transition that would leave a
 family two intervals raises EngineError instead.
 
-Every such transition is then replayed per bidegree through gf2
-elimination of the page differential's matrices (at every bidegree up
-to DENSE_VERIFY_LIMIT, on a deterministic sample above it) and any
-disagreement raises.  The replay works on integers: a class is the
-position of its family in the page's column plus its rho exponent, and
-each family's image (Page.family_image) is computed once and shifted by
-the rho exponent, which is exact because every differential the engine
-runs is rho-linear (the Adams d2 drops only shifted terms that torsion
-kills, which its model reports as zero).  An image term outside the
-target basis must be zero by the page's class_status.  Family images
-are exponent arithmetic on the packed ints; Monomials are built only on
-the read side and for error messages.  One homology routine (Homology)
-serves the dense and the sampled replay and the Adams page-2 to page-3
-step, whose images are genuine sums.  It sweeps the columns in
-ascending mw and fills each column's bases in one pass over its alive
-intervals; it eliminates each bidegree's differential matrix once (the
-echelon gives the outgoing rank at its source and is the boundary span
-at its target), takes the coset representatives from the zero columns
-of the outgoing matrix (a cycle outside the boundary support needs no
-elimination), and keeps three columns' tables at a time.  The replay
-reads the survivors and new hits the transition claims from the same
-kind of sweep over the new intervals.
+Every such transition is then replayed at every bidegree that holds a
+class, on the replay's own family images (Page.family_image), and any
+disagreement raises.  Each differential is rho-linear (the Adams d2
+drops only shifted terms that torsion kills, which its model reports as
+zero), so a family's image, shifted by the rho exponent, serves its
+whole tower; an image term outside the target basis must be zero by the
+page's class_status.  The per-family replay (_tower_replay) checks each
+family's classes at once, one bit per rho exponent, as a partial
+matching.  The class-at-a-time homology routine (Homology, gf2
+elimination on integer class positions, a column's tables filled by one
+sweep over its intervals) computes the Adams page-2 to page-3 step,
+whose images are genuine sums, and cross-checks the per-family replay
+in "all" mode (_Replay).  Monomials are built only on the read side
+and for error messages.
 
 Only pages r = 2^n - 1 carry differentials, and run_bockstein walks
 exactly those.  Inside the window each page is one tower rule at that
@@ -46,8 +38,8 @@ its differential is bockstein_rule.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
@@ -69,12 +61,8 @@ from .algebra import (
 from .gf2 import Echelon, F2Matrix, F2Vector, SubspaceNotContained, kernel_basis, quotient_basis
 from .report import Report
 
-# full per-bidegree verification below this window size, sampling above
+# "auto" adds the class-at-a-time replay up to this window size
 DENSE_VERIFY_LIMIT = 96
-# sampled replays skip instances whose three columns exceed this; the
-# interval transition is still fully asserted there
-SAMPLE_DIM_CAP = 1500
-SAMPLES_PER_COLUMN = 6
 
 
 def c_max_for(mw_max: int) -> int:
@@ -185,7 +173,7 @@ class Page:
     classes is absent.  `differential` acts on this page (None once the
     sequence has collapsed): a Differential, from bockstein_rule,
     adams.d2_rule or adams.adams_rule; the tower transition (_advance)
-    and the gf2 replay both read it through family_image.
+    and both replays read it through family_image.
     On an "adams" page the Ext model's ring torsion holds as well: a
     class past its family's torsion_bound is zero.  The Chow truncation
     c_max follows from max_mw.  basis_at and status speak Monomials;
@@ -489,7 +477,7 @@ def _advance(page: Page) -> tuple[dict[int, dict[int, tuple[int, int]]], ...]:
     shifted by the rho delta.  A family's two cuts must not meet (d o d
     = 0); what survives, and the zero interval joined with the new hits,
     must each be one interval, else EngineError naming the page, the
-    column and the family.  verify_transition replays it through gf2.
+    column and the family.  verify_transition replays it.
 
     The new tables list the columns in ascending mw.  Pages are
     read-only, so they share with the page, as the same dict object,
@@ -563,21 +551,12 @@ def _advance(page: Page) -> tuple[dict[int, dict[int, tuple[int, int]]], ...]:
     return {mw: new_alive[mw] for mw in order}, {mw: new_zero[mw] for mw in order}
 
 
-class _Bases(dict):
+def _bases(alive: list) -> defaultdict[int, list[int]]:
     """Chow degree -> the positions of a column's classes there: one _sweep
-    at `degrees`, or (None) at every degree up to the last class.  Another
-    degree is swept alone when asked for; a dense sweep found none there."""
-
-    def __init__(self, alive: list, degrees: Sequence[int] | None):
-        self.entries = [(pos, c0, run) for pos, (_, c0, run) in enumerate(alive)]
-        self.dense = degrees is None
-        if degrees is None:
-            degrees = range(max((c0 + hi for _, c0, (_, hi) in alive), default=0))
-        super().__init__(_sweep(self.entries, degrees))
-
-    def __missing__(self, c: int) -> list[int]:
-        out = self[c] = [] if self.dense else _sweep(self.entries, (c,))[c]
-        return out
+    at every degree up to the last class, [] at any other degree."""
+    entries = [(pos, c0, run) for pos, (_, c0, run) in enumerate(alive)]
+    top = max((c0 + hi for _, c0, (_, hi) in alive), default=0)
+    return defaultdict(list, _sweep(entries, range(top)))
 
 
 @dataclass
@@ -590,7 +569,7 @@ class _ColumnTable:
 
     alive: list[tuple[int, int, tuple[int, int]]]
     pos_of: dict[int, int]
-    bases: _Bases
+    bases: defaultdict[int, list[int]]
     images: list[tuple[list, int] | None]
     maps: dict[int, list[int]] = field(default_factory=dict)
     echelons: dict[int, Echelon] = field(default_factory=dict)
@@ -603,20 +582,18 @@ class Homology:
     A class at (mw, c) is the position of its family in the column's
     alive families; its rho exponent is b = c - c0.  Every table belongs
     to a column, whose bases come from one sweep over its alive intervals
-    (_Bases): at every Chow degree by default, or, given `picks` (the
-    Chow degrees to visit, by column), at the picks and the degrees
-    their matrices reach in the neighbouring columns.  Visiting column
-    mw (at, bidegrees) keeps the tables of columns mw - 1 to mw + 1 only,
-    so an ascending sweep builds and eliminates each matrix once; a call
-    out of that order just recomputes what it needs.  The homology is read off the
+    at every Chow degree (_bases).  Visiting column mw (at, bidegrees)
+    keeps the tables of columns mw - 1 to mw + 1 only, so an ascending
+    sweep builds and eliminates each matrix once; a call out of that
+    order just recomputes what it needs.  The homology is read off the
     rank of the outgoing matrix, the boundary echelon and the zero
-    columns of the outgoing matrix, which are the cycles.
+    columns of the outgoing matrix, which are the cycles.  It computes
+    the Adams page-2 step and, in "all" mode, replays (_Replay).
     """
 
-    def __init__(self, page: Page, picks: dict[int, list[int]] | None = None):
+    def __init__(self, page: Page):
         self.page = page
         self.shift = page.diff_shift()
-        self.picks = picks
         self._columns: dict[int, _ColumnTable] = {}
         self._mw: int | None = None
 
@@ -624,15 +601,10 @@ class Homology:
         table = self._columns.get(mw)
         if table is None:
             alive = self.page._column_alive(mw)
-            degrees = None
-            if self.picks is not None:  # the picks and the degrees their matrices reach
-                s, get = self.shift, self.picks.get
-                reach = [c + s.c for c in get(mw - s.mw, ())] + [c - s.c for c in get(mw + s.mw, ())]
-                degrees = sorted({*get(mw, ()), *reach})
             table = self._columns[mw] = _ColumnTable(
                 alive=alive,
                 pos_of={fam: pos for pos, (fam, _, _) in enumerate(alive)},
-                bases=_Bases(alive, degrees),
+                bases=_bases(alive),
                 images=[None] * len(alive),
             )
         return table
@@ -647,9 +619,7 @@ class Homology:
         return self.column(mw)
 
     def bidegrees(self, mw: int) -> list[int]:
-        """The degrees to visit in column mw: the picks, or all c <= c_max with classes."""
-        if self.picks is not None:
-            return self.picks.get(mw, [])
+        """The degrees to visit in column mw: every c <= c_max with classes."""
         return [c for c, mid in self.visit(mw).bases.items() if mid and c <= self.page.c_max]
 
     def image(self, mw: int, pos: int) -> tuple[list[tuple[int | None, int, int]], int]:
@@ -766,7 +736,7 @@ def unit_representatives(out: list[int], boundaries: Echelon, want: int) -> list
     cycle (out[i] == 0) whose unit vector is independent of the
     boundaries and of the units already picked.
 
-    These are the representatives gf2.quotient_basis picks first from a
+    These are the representatives gf2.quotient_basis takes first from a
     kernel basis, because e_i lies in the kernel exactly when column i
     of the outgoing matrix is zero; the kernel vectors it tries next
     never add a single class.  Fewer than `want` means some class needs
@@ -811,8 +781,8 @@ class _Replay(Homology):
     homology at each bidegree.  The classes it claims survive and newly
     hit are tabled like the bases (claims), for the current column."""
 
-    def __init__(self, page: Page, new_alive, new_zero, picks: dict[int, list[int]] | None = None):
-        super().__init__(page, picks)
+    def __init__(self, page: Page, new_alive, new_zero):
+        super().__init__(page)
         self.new_alive = new_alive
         self.new_zero = new_zero
         self._claims_mw, self._claims = None, ({}, {})
@@ -868,67 +838,132 @@ class _Replay(Homology):
         if len(hits) != ech.rank:
             raise EngineError(f"boundary rank mismatch at mw={mw}, c={c}")
 
-
-def sample_seed(seed: int, r: int, mw: int) -> int:
-    """The sampler's seed for page r and column mw, by explicit integer
-    arithmetic: random.Random seeds from an int the same way on every
-    interpreter, whereas a tuple's hash is implementation-defined."""
-    return (seed * 1_000_003 + r) * 1_000_003 + mw
-
-
-def _sample_picks(page: Page, seed: int) -> dict[int, list[int]]:
-    """Up to SAMPLES_PER_COLUMN random Chow degrees per column, drawn
-    from the interval endpoints and midpoints, leaving out every bidegree
-    whose three columns hold more than SAMPLE_DIM_CAP classes.  Those
-    dimensions come from a window of columns mw - 1 to mw + 1 that
-    lives for this one ascending pass, so the page keeps no dimension
-    table (Page.dims_column) for them."""
-    picks: dict[int, list[int]] = {}
-    window: dict[int, dict[int, int]] = {}
-    for mw in sorted(page.alive):
-        window = {
-            k: window[k] if k in window else _column_dims(page.alive.get(k, {}), page.c_max)
-            for k in (mw - 1, mw, mw + 1)
-        }
-        below, here, above = window.values()
-        rng = random.Random(sample_seed(seed, page.r, mw))
-        pool: set[int] = set()
-        per = page.alive[mw]
-        for fam in sorted(per)[:: max(1, len(per) // 64)]:
-            c0, (lo, hi) = family_c0(fam), per[fam]
-            top = min(c0 + hi, page.c_max)
-            pool.update((c0 + lo, min(c0 + hi - 1, page.c_max), top, (c0 + lo + top) // 2))
-        pool = {
-            c
-            for c in pool
-            if 0 < here.get(c, 0) <= SAMPLE_DIM_CAP - above.get(c, 0) - below.get(c, 0)
-        }
-        cs = rng.sample(sorted(pool), min(len(pool), SAMPLES_PER_COLUMN))
-        picks[mw] = sorted(c for c in cs if 0 <= c <= page.c_max)
-    return picks
+    def sweep(self) -> int:
+        """bidegree at every eligible bidegree, ascending; returns their number."""
+        count = 0
+        for mw in sorted(self.page.alive):
+            for c in self.bidegrees(mw):
+                self.bidegree(mw, c)
+                count += 1
+        return count
 
 
-def verify_transition(
-    page: Page,
-    new_alive,
-    new_zero,
-    mode: str,
-    seed: int = 0,
-) -> int:
-    """Replay the transition per bidegree via gf2 on integer class
-    positions (see Homology).  mode 'all' covers every bidegree with
-    classes; 'sample' draws its picks up front (_sample_picks) and
-    sweeps only what they reach.  Returns the number of bidegrees
-    checked."""
+def _bits(lo: int, hi: int) -> int:
+    """The int with bits lo <= b < hi set, those below 0 left out."""
+    lo = max(lo, 0)
+    return (1 << hi) - (1 << lo) if lo < hi else 0
+
+
+def _lowest(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
+
+
+def _tower_replay(page: Page, new_alive, new_zero) -> int:
+    """Replay a tower transition a family at a time; returns the number
+    of eligible bidegrees, those (mw, c <= c_max) that hold a class.
+
+    When each class maps to at most one class, the homology at every
+    bidegree is read off that partial matching: the hit classes must be
+    cycles, and the cycles not hit survive.  One int per family, one bit
+    per rho exponent, holds its classes at c <= c_max.  One sweep over
+    the columns in the order of _advance asks Page.family_image itself
+    for every alive family and raises EngineError when a class's image
+    has two terms in the target basis, when two sources hit one class,
+    when an image term off the target's alive interval (or Chow degree)
+    is not zero by class_status, or when a family's survivors or new
+    hits differ from new_alive or new_zero less the page's zero; a class
+    both a source and a hit raises gf2.SubspaceNotContained."""
+    shift = page.diff_shift()
+    image, name, c_max = page.family_image, family_monomial, page.c_max
+    order = sorted(page.alive)
+    carry: dict[int, dict[int, tuple[int, int]]] = {}  # target column -> target -> (hit bits, source)
+    eligible = 0
+    for mw in order[::-1] if shift.mw < 0 else order:
+        per, tmw = page.alive[mw], mw + shift.mw
+        target, tzero = page.alive.get(tmw, {}), page.zero.get(tmw, {})
+        into, hits = carry.setdefault(tmw, {}), carry.pop(mw, {})
+        outs: dict[int, int] = {}  # source -> the bits of its classes with a nonzero image
+        for fam, run in per.items():
+            terms, threshold = image(fam)
+            if not terms:
+                continue
+            c0 = family_c0(fam)
+            src, out = _bits(max(run[0], threshold), min(run[1], c_max - c0 + 1)), 0
+            for tfam, delta in terms:
+                tlo, thi = target.get(tfam, (0, 0))
+                if family_c0(tfam) + delta != c0 + shift.c:
+                    tlo = thi = 0  # at another Chow degree: never in the target basis
+                on = src & _bits(tlo - delta, thi - delta)
+                zlo, zhi = tzero.get(tfam, (0, 0))
+                off = src & ~on & ~_bits(zlo - delta, zhi - delta)
+                while off:
+                    b = _lowest(off)
+                    if page.class_status(tmw, tfam, b + delta) != "zero":
+                        term = name(tfam, b + delta)
+                        raise EngineError(f"image term {term} is neither alive nor hit")
+                    off &= off - 1
+                if not on:
+                    continue
+                if on & out:
+                    raise EngineError(f"family image of {name(fam)} is not a single monomial")
+                out |= on
+                hit = on << delta if delta >= 0 else on >> -delta
+                got, first = into.get(tfam, (0, fam))
+                if got & hit:
+                    both = name(tfam, _lowest(got & hit))
+                    raise EngineError(f"families {name(first)} and {name(fam)} share image {both}")
+                into[tfam] = (got | hit, first)
+            if out:
+                outs[fam] = out
+        na, nz, oz = new_alive.get(mw, {}), new_zero.get(mw, {}), page.zero.get(mw, {})
+        if na is not per and not na.keys() <= per.keys():
+            fam = min(na.keys() - per.keys())
+            raise EngineError(f"homology mismatch at mw={mw}: {name(fam)} was not alive")
+        degrees, shared = 0, na is per and nz is oz
+        for fam, run in per.items():
+            c0, (lo, hi) = family_c0(fam), run
+            top = c_max - c0 + 1
+            cls = (1 << min(hi, top)) - (1 << lo) if lo < top else 0
+            degrees |= cls << c0
+            out, hit = outs.get(fam, 0), hits[fam][0] & cls if fam in hits else 0
+            if not (out or hit) and (shared or na.get(fam) is run and nz.get(fam) is oz.get(fam)):
+                continue  # a cycle, not hit, claimed unchanged
+            if out & hit:
+                b = _lowest(out & hit)
+                boundary = f"boundary {name(fam, b)} at mw={mw}, c={c0 + b}"
+                raise SubspaceNotContained(f"{boundary} is not a cycle")
+            keep, clip = cls & ~out & ~hit, _bits(0, top)
+            claim = _bits(*na.get(fam, (0, 0))) & clip
+            if keep != claim:
+                b = _lowest(keep ^ claim)
+                says = ("survives", "dies") if keep >> b & 1 else ("dies", "survives")
+                raise EngineError(
+                    f"homology mismatch at mw={mw}, c={c0 + b}: {name(fam, b)} {says[0]} "
+                    f"by the replay, {says[1]} by the towers"
+                )
+            new = _bits(*nz.get(fam, (0, 0))) & ~_bits(*oz.get(fam, (0, 0))) & clip
+            if new & ~hit:
+                b = _lowest(new & ~hit)
+                raise EngineError(f"class {name(fam, b)} marked hit but outside boundary span")
+            if hit & ~new:
+                raise EngineError(f"boundary rank mismatch at mw={mw}, c={c0 + _lowest(hit & ~new)}")
+        eligible += degrees.bit_count()
+    return eligible
+
+
+def verify_transition(page: Page, new_alive, new_zero, mode: str, seed: int = 0) -> int:
+    """Replay a tower transition; returns the number of eligible
+    bidegrees checked.  'sample', a historical name kept for criterion 9,
+    scale112 and --page-verify, runs the per-family replay
+    (_tower_replay) at every one of them; 'all' then also runs the
+    class-at-a-time replay (_Replay.sweep), which must count the same;
+    'off' replays nothing.  Nothing is drawn at random: seed stays for
+    the callers that pass it and no longer reaches the replay."""
     if mode == "off":
         return 0
-    picks = None if mode == "all" else _sample_picks(page, seed)
-    replay = _Replay(page, new_alive, new_zero, picks)
-    count = 0
-    for mw in sorted(page.alive):
-        for c in replay.bidegrees(mw):
-            replay.bidegree(mw, c)
-            count += 1
+    count = _tower_replay(page, new_alive, new_zero)
+    if mode == "all" and _Replay(page, new_alive, new_zero).sweep() != count:
+        raise EngineError(f"{page.label}: the two replays count different bidegrees")
     return count
 
 
@@ -944,8 +979,9 @@ def build_e1(mw_max: int) -> Page:
 
 def replay_mode(verify: str, mw_max: int) -> str:
     """The verify_transition mode of a run: 'all', 'sample' or 'off' as
-    given, and 'auto' dense up to DENSE_VERIFY_LIMIT, sampled above it.
-    Any other value raises ValueError."""
+    given, and 'auto' 'all' up to DENSE_VERIFY_LIMIT, 'sample' above it;
+    both replay every eligible bidegree, 'all' twice.  Any other value
+    raises ValueError."""
     if verify == "auto":
         return "all" if mw_max <= DENSE_VERIFY_LIMIT else "sample"
     if verify not in ("all", "sample", "off"):
@@ -962,17 +998,13 @@ def bockstein_page_indices(mw_max: int) -> list[int]:
     return out
 
 
-def run_bockstein(
-    mw_max: int,
-    *,
-    verify: str = "auto",
-    seed: int = 0,
-) -> tuple[list[Page], Page]:
+def run_bockstein(mw_max: int, *, verify: str = "auto", seed: int = 0) -> tuple[list[Page], Page]:
     """Run the sequence from E1 to its last differential page.
 
     Returns the pages that carry differentials (r = 2^n - 1) and the
     stable page after the last one; all other page indices are identity
-    steps.  verify is as in replay_mode.
+    steps.  verify is as in replay_mode; seed no longer reaches the
+    replay (verify_transition), which draws nothing at random.
     """
     verify = replay_mode(verify, mw_max)
     page = build_e1(mw_max)

@@ -285,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--page-verify",
             choices=["auto", "all", "sample", "off"],
             default="auto",
-            help="per-bidegree replay density for page transitions",
+            help="page-transition replay at every bidegree: 'sample' (a historical name) per "
+            "family, 'all' also class by class, 'auto' all up to mw 96",
         )
         if dump:
             p.add_argument("--dump-pages", metavar="DIR")

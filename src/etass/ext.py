@@ -194,13 +194,13 @@ def product_consistency(
     # windows below mw 3 hold no family to pick from
     trials = trials if fams else 0
     for _ in range(trials):
-        picks = []
+        drawn = []
         for _ in range(3):
             fam = rng.choice(fams)
             t = torsion_bound(fam)
             b = rng.randrange(t) if t is not None else rng.randrange(8)
-            picks.append(normalize(family_monomial(fam, b)))
-        a, b, c = picks
+            drawn.append(normalize(family_monomial(fam, b)))
+        a, b, c = drawn
         ab, bc = multiply(a, b), multiply(b, c)
         left = multiply(ab, c) if ab is not None else None
         right = multiply(a, bc) if bc is not None else None

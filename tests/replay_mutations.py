@@ -2,15 +2,11 @@
 
 A transition is the pair (new_alive, new_zero) that `_advance` computes
 from a page.  `corrupt` makes it wrong at one class in one of three
-ways, and `sampled_bidegrees` records which bidegrees a sample-mode
-replay visits, so a test can place a corruption where the sampler is
-known to look.
+ways; every replay mode but "off" checks every eligible bidegree, so a
+corruption anywhere must raise.
 """
 
 from __future__ import annotations
-
-import random
-import types
 
 import pytest
 
@@ -26,33 +22,6 @@ def eligible_bidegrees(page) -> list[tuple[int, int]]:
         for fam, c0, (lo, hi) in page._column_alive(mw):
             out.update((mw, c) for c in range(c0 + lo, min(c0 + hi, page.c_max + 1)))
     return sorted(out)
-
-
-def sampled_bidegrees(page, new_alive, new_zero, seed: int, monkeypatch) -> list[tuple[int, int]]:
-    """The bidegrees a sample-mode replay of this transition visits.
-
-    The sampler seeds one random.Random per column from
-    bockstein.sample_seed(seed, page.r, mw); a recording subclass maps
-    that seed back to its column and logs what `sample` returns, without
-    changing the picks.
-    """
-    column_of = {bockstein.sample_seed(seed, page.r, mw): mw for mw in page.alive}
-    picks: list[tuple[int, int]] = []
-
-    class Recording(random.Random):
-        def __init__(self, x=None):
-            super().__init__(x)
-            self.mw = column_of.get(x)
-
-        def sample(self, population, k, **kwargs):
-            out = super().sample(population, k, **kwargs)
-            picks.extend((self.mw, c) for c in out)
-            return out
-
-    with monkeypatch.context() as m:
-        m.setattr(bockstein, "random", types.SimpleNamespace(Random=Recording))
-        bockstein.verify_transition(page, new_alive, new_zero, "sample", seed)
-    return sorted(picks)
 
 
 def _classes_at(page, mw: int, c: int):
@@ -113,29 +82,21 @@ def corrupt(page, new_alive, new_zero, kind: str, bidegrees):
     return None
 
 
-def check_mutations_caught(page, monkeypatch, seeds=range(64)) -> None:
-    """The honest transition replays cleanly; each corruption raises
-    EngineError in 'all' mode, and in 'sample' mode at a seed whose
-    recorded picks include the corrupted bidegree."""
+def check_mutations_caught(page) -> None:
+    """The honest transition replays cleanly in 'all' and 'sample' mode;
+    each corruption, at the first eligible bidegree with a class of its
+    sort, raises EngineError in both, and in the class-at-a-time replay
+    alone (which 'all' runs only after the per-family one)."""
     new_alive, new_zero = bockstein._advance(page)
-    bockstein.verify_transition(page, new_alive, new_zero, "all", 0)
-    bockstein.verify_transition(page, new_alive, new_zero, "sample", 0)
+    for mode in ("all", "sample"):
+        bockstein.verify_transition(page, new_alive, new_zero, mode, 0)
     everywhere = eligible_bidegrees(page)
     for kind in KINDS:
         found = corrupt(page, new_alive, new_zero, kind, everywhere)
         assert found is not None, f"page {page.label} has no class for {kind}"
         _, bad_alive, bad_zero = found
+        for mode in ("all", "sample"):
+            with pytest.raises(bockstein.EngineError):
+                bockstein.verify_transition(page, bad_alive, bad_zero, mode, 0)
         with pytest.raises(bockstein.EngineError):
-            bockstein.verify_transition(page, bad_alive, bad_zero, "all", 0)
-
-        for seed in seeds:
-            picks = sampled_bidegrees(page, new_alive, new_zero, seed, monkeypatch)
-            found = corrupt(page, new_alive, new_zero, kind, picks)
-            if found is not None:
-                break
-        else:
-            raise AssertionError(f"no seed samples a bidegree for {kind} on {page.label}")
-        where, bad_alive, bad_zero = found
-        assert where in picks
-        with pytest.raises(bockstein.EngineError):
-            bockstein.verify_transition(page, bad_alive, bad_zero, "sample", seed)
+            bockstein._Replay(page, bad_alive, bad_zero).sweep()

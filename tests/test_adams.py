@@ -285,10 +285,10 @@ def test_e2_page_status():
     assert ext_model_page(16).dim_at(3, 1) == 1
 
 
-def test_replay_catches_corrupted_transitions(monkeypatch):
+def test_replay_catches_corrupted_transitions():
     pages, _ = run_adams(24, verify="off")
     assert pages[1].label == "adams-E3" and isinstance(pages[1].differential, Differential)
-    check_mutations_caught(pages[1], monkeypatch)
+    check_mutations_caught(pages[1])
 
 
 def test_rule_table_family_image_is_rho_linear():

@@ -36,17 +36,18 @@ from etass.bockstein import (
     replay_mode,
     rho_inverted_check,
     run_bockstein,
-    sample_seed,
     tower_page,
     verify_transition,
     _advance,
+    _Replay,
+    _tower_replay,
 )
 from etass.gf2 import SubspaceNotContained
 from brute_force import default_generators, enumerate_monomials, rho_matrix_at
 from dump_reference import image_classes
 from gf2_reference import coeff, nrows
 from homology_reference import dense_bidegrees, reference_at, reference_positions
-from replay_mutations import check_mutations_caught, sampled_bidegrees
+from replay_mutations import KINDS, check_mutations_caught, corrupt
 from rule_reference import as_differential, bockstein_derivation, dr_rule, dr_table
 
 
@@ -196,8 +197,8 @@ def test_compare_fills_no_page_cache(run32):
 
 
 def test_replay_mode():
-    """One decision for both runs: "auto" is dense up to mw 96 and
-    sampled above, and both runs reject an unknown mode."""
+    """One decision for both runs: "auto" is "all" up to mw 96 and
+    "sample" above, and both runs reject an unknown mode."""
     assert replay_mode("auto", 96) == "all"
     assert replay_mode("auto", 97) == "sample"
     for mode in ("all", "sample", "off"):
@@ -661,8 +662,8 @@ def test_transitions_share_untouched_columns(sequence):
     assert shared and copied
 
 
-def test_sampled_replay_leaves_dimension_tables_alone():
-    """The sampler reads column dimensions from its own window: a page's
+def test_replay_leaves_dimension_tables_alone():
+    """The replay keeps no dimension table on the page: a page's
     dims_column cache is as the replay found it, empty or not."""
     pages = run_bockstein(32, verify="off")[0] + run_adams(32, verify="off")[0][1:]
     for page in pages:
@@ -700,9 +701,9 @@ def test_rho_matrix_tower_shape(run32):
     assert nrows(m) == 0 and m.cols == 1
 
 
-def test_replay_catches_corrupted_transitions(monkeypatch):
+def test_replay_catches_corrupted_transitions():
     pages, _ = run_bockstein(16, verify="off")
-    check_mutations_caught(pages[0], monkeypatch)
+    check_mutations_caught(pages[0])
 
 
 def bockstein_e3(mw: int) -> Page:
@@ -795,16 +796,11 @@ def test_sweep_tables_match_reference_positions(run):
     """Every class listing of every page of a sequence at mw 32, E∞
     included, is the run scan of reference_positions at every Chow
     degree of every column: a column table's bases, filled by one sweep
-    over the alive runs, for a dense Homology, and for a sampled one at
-    the picks, at the degrees their matrices reach in the neighbouring
-    columns, and at any other degree asked for later; window_classes at
-    its degrees 0..c_max with classes, in every column of the window;
-    basis_at and dim_at."""
+    over the alive runs; window_classes at its degrees 0..c_max with
+    classes, in every column of the window; basis_at and dim_at."""
     pages, einf = run(32, verify="off")
     for page in [*pages, einf]:
-        shift = page.diff_shift()
-        picks = {mw: dense_bidegrees(page, mw)[mw % 3 :: 3] for mw in page.alive}
-        dense, sampled = Homology(page), Homology(page, picks)
+        dense = Homology(page)
         listed = {}
         for mw, column, classes in page.window_classes():
             assert column == page._column_alive(mw), (page.label, mw)
@@ -813,19 +809,12 @@ def test_sweep_tables_match_reference_positions(run):
         for mw in sorted(page.alive):
             column = page._column_alive(mw)
             want = {c: reference_positions(page, mw, c) for c in range(-2, page.c_max + 4)}
-            reach = {c + shift.c for c in picks.get(mw - shift.mw, ())}
-            reach |= {c - shift.c for c in picks.get(mw + shift.mw, ())}
-            swept = dict(sampled.column(mw).bases)
-            assert sorted(swept) == sorted(reach | set(picks[mw]))
-            for c, positions in swept.items():
-                assert positions == reference_positions(page, mw, c), (page.label, mw, c)
             if mw <= page.max_mw:
                 assert listed[mw] == [
                     (c, want[c]) for c in range(page.c_max + 1) if want[c]
                 ], (page.label, mw)
             for c, positions in want.items():
                 assert dense.column(mw).bases[c] == positions, (page.label, mw, c)
-                assert sampled.column(mw).bases[c] == positions, (page.label, mw, c)
                 assert page.basis_at(mw, c) == [
                     family_monomial(column[pos][0], c - column[pos][1]) for pos in positions
                 ], (page.label, mw, c)
@@ -834,7 +823,8 @@ def test_sweep_tables_match_reference_positions(run):
 
 def test_replay_counts_are_pinned(monkeypatch):
     """The dense replay at mw 64 checks 21,056 Bockstein and 792 Adams
-    bidegrees, and the sampled replay at mw 112, seed 1, 3,472."""
+    bidegrees, and the "sample" replay at mw 112, seed 1, every one of
+    the 70,333 eligible bidegrees."""
     counts = {"bockstein": 0, "adams": 0}
     for module in (bockstein, adams):
         name = module.__name__.rsplit(".", 1)[1]
@@ -851,36 +841,59 @@ def test_replay_counts_are_pinned(monkeypatch):
     counts.update(bockstein=0, adams=0)
     run_bockstein(112, verify="sample", seed=1)
     run_adams(112, verify="sample", seed=1)
-    assert sum(counts.values()) == 3_472
+    assert sum(counts.values()) == 70_333
+
+
+def hit_class_mapped_on(page, new_alive, new_zero):
+    """(mw, c, differential): a differential that is the page's, except
+    that a family with no image of its own, hit at (mw, c), maps from
+    that class on onto alive classes that nothing hits, in the column
+    the page's differential reaches."""
+    shift, d = page.diff_shift(), page.differential
+    for mw in sorted(new_zero):
+        for tfam, (zlo, zhi) in new_zero[mw].items():
+            hit = set(range(zlo, zhi)) - set(range(*page.zero.get(mw, {}).get(tfam, (0, 0))))
+            c0, run = family_c0(tfam), page.alive[mw].get(tfam)
+            if not hit or run is None or page.family_image(tfam)[0]:
+                continue
+            b, top = min(hit), min(run[1], page.c_max - c0 + 1)
+            if b >= top:
+                continue
+            for g, (glo, ghi) in page.alive.get(mw + shift.mw, {}).items():
+                delta = c0 + shift.c - family_c0(g)
+                taken = set(range(*new_zero[mw + shift.mw].get(g, (0, 0))))
+                if glo <= b + delta and top + delta <= ghi and taken.isdisjoint(
+                    range(b + delta, top + delta)
+                ):
+                    image = ([(g, delta)], b)
+                    rule = Differential(shift, lambda f: image if f == tfam else d.family_image(f))
+                    return mw, c0 + b, rule
+    return None
 
 
 @pytest.mark.parametrize("mode", ["all", "sample"])
 def test_replay_rejects_boundary_that_is_not_a_cycle(monkeypatch, mode):
-    """One incoming matrix column changed by a class that is not a cycle
-    makes a boundary that is not a cycle: the replay's homology raises
-    at the target bidegree, in dense and in sampled replay."""
+    """A class that is both hit and mapped on makes a boundary that is
+    not a cycle, and the replay raises at that bidegree.  In "all" mode
+    one incoming matrix column of the class-at-a-time replay changes;
+    in "sample" mode the page's family image makes a hit class map onto
+    alive classes."""
     page = bockstein_e3(32)
     new_alive, new_zero = _advance(page)
+    verify_transition(page, new_alive, new_zero, mode)
+    if mode == "sample":
+        mw, c, rule = hit_class_mapped_on(page, new_alive, new_zero)
+        with pytest.raises(SubspaceNotContained, match=f"mw={mw}, c={c} is not a cycle"):
+            verify_transition(replace(page, differential=rule), new_alive, new_zero, mode)
+        return
     shift = page.diff_shift()
     probe = Homology(page)
-
-    def target_in(bidegrees):
-        for mw, c in bidegrees:
-            out = probe.map_columns(mw, c)
-            if any(out) and probe.column(mw - shift.mw).bases[c - shift.c]:
-                return mw, c, next(i for i, bits in enumerate(out) if bits)
-        return None
-
-    if mode == "all":
-        seed = 0
-        found = target_in((mw, c) for mw in sorted(page.alive) for c in dense_bidegrees(page, mw))
-    else:
-        for seed in range(16):
-            found = target_in(sampled_bidegrees(page, new_alive, new_zero, seed, monkeypatch))
-            if found:
-                break
-    assert found
-    mw, c, i = found
+    mw, c, i = next(
+        (mw, c, next(i for i, bits in enumerate(out) if bits))
+        for mw in sorted(page.alive)
+        for c in dense_bidegrees(page, mw)
+        if any(out := probe.map_columns(mw, c)) and probe.column(mw - shift.mw).bases[c - shift.c]
+    )
     source = (mw - shift.mw, c - shift.c)
     real_map_columns = Homology.map_columns
 
@@ -888,10 +901,9 @@ def test_replay_rejects_boundary_that_is_not_a_cycle(monkeypatch, mode):
         out = real_map_columns(self, m, cc)
         return [out[0] ^ (1 << i), *out[1:]] if (m, cc) == source else out
 
-    verify_transition(page, new_alive, new_zero, mode, seed)
     monkeypatch.setattr(Homology, "map_columns", map_columns)
     with pytest.raises(SubspaceNotContained, match=f"mw={mw}, c={c} is not a cycle"):
-        verify_transition(page, new_alive, new_zero, mode, seed)
+        verify_transition(page, new_alive, new_zero, mode)
 
 
 @pytest.mark.parametrize("label", ["bockstein-E3", "adams-E2"])
@@ -920,6 +932,168 @@ def test_homology_is_independent_of_call_order(label):
     assert results(shuffled) == ascending
 
 
+def tower_pages(mw: int) -> list[Page]:
+    """Every page of both sequences at window mw that a tower transition
+    leaves, replay off: the Adams page 2 is computed by the homology
+    routine itself."""
+    return run_bockstein(mw, verify="off")[0] + run_adams(mw, verify="off")[0][1:]
+
+
+# eligible bidegrees of every tower page of both sequences, summed
+TOWER_REPLAY_COUNTS = {8: 250, 13: 535, 14: 811, 40: 7_261, 64: 21_848, 96: 51_118}
+
+
+@pytest.mark.parametrize("mw", [*range(41), 64, 96])
+def test_tower_replay_agrees_with_class_at_a_time_replay(mw):
+    """On every tower page of both sequences, the per-family replay and
+    the class-at-a-time replay both pass and count the same eligible
+    bidegrees."""
+    total = 0
+    for page in tower_pages(mw):
+        new_alive, new_zero = _advance(page)
+        count = _tower_replay(page, new_alive, new_zero)
+        assert count == _Replay(page, new_alive, new_zero).sweep(), (mw, page.label)
+        total += count
+    assert total == TOWER_REPLAY_COUNTS.get(mw, total)
+
+
+def classes_by_kind(page, new_alive, new_zero) -> dict[str, set[tuple[int, int]]]:
+    """The eligible bidegrees that hold a class of each corruption kind:
+    a survivor, a class that dies, a class newly hit."""
+    out = {kind: set() for kind in KINDS}
+    for mw in page.alive:
+        na, nz, oz = (t.get(mw, {}) for t in (new_alive, new_zero, page.zero))
+        for fam, c0, (lo, hi) in page._column_alive(mw):
+            for b in range(lo, min(hi, page.c_max - c0 + 1)):
+                runs = (table.get(fam, (0, 0)) for table in (na, nz, oz))
+                inside = [start <= b < end for start, end in runs]
+                out["drop-survivor" if inside[0] else "add-dying"].add((mw, c0 + b))
+                if inside[1] and not inside[2]:
+                    out["drop-newly-hit"].add((mw, c0 + b))
+    return out
+
+
+@pytest.mark.parametrize("mw", [24, 40, 64])
+def test_tower_replay_catches_corruptions_anywhere(mw):
+    """Each corruption kind raises in "sample" mode, the per-family
+    replay alone, at 40 random eligible bidegrees per page and kind,
+    or at every one there is when a page has fewer: 1,835 corruptions
+    over the 18 tower pages of the three windows."""
+    rng = random.Random(mw)
+    tried = 0
+    for page in tower_pages(mw):
+        new_alive, new_zero = _advance(page)
+        for kind, where in classes_by_kind(page, new_alive, new_zero).items():
+            assert where, (page.label, kind)
+            for bidegree in rng.sample(sorted(where), min(40, len(where))):
+                found = corrupt(page, new_alive, new_zero, kind, [bidegree])
+                assert found is not None and found[0] == bidegree
+                with pytest.raises(EngineError):
+                    verify_transition(page, found[1], found[2], "sample")
+                tried += 1
+    assert tried == {24: 409, 40: 599, 64: 827}[mw]
+
+
+def synthetic_page(alive, images) -> Page:
+    """A Bockstein-kind page over hand-picked columns whose differential
+    sends each family of `images` to its (terms, threshold)."""
+    return Page(
+        kind="bockstein",
+        label="synthetic",
+        r=3,
+        max_mw=8,
+        columns={},
+        alive=alive,
+        differential=Differential(Bidegree(-1, 0), lambda fam: images.get(fam, ([], 0))),
+    )
+
+
+P, V2, V3, PV2 = (family_of(m) for m in (mono(p=1), mono(v2=1), mono(v3=1), mono(p=1, v2=1)))
+
+
+@pytest.mark.parametrize(
+    "alive, images, match",
+    [
+        (  # P rho^b -> rho^(b+3) v2 + rho^(b+3) v3
+            {3: {V2: (0, 10), V3: (0, 10)}, 4: {P: (0, 5)}},
+            {P: ([(V2, 3), (V3, 3)], 0)},
+            "^family image of P is not a single monomial$",
+        ),
+        (  # P rho^1 and P v2 rho^0 -> rho^4 v2
+            {3: {V2: (0, 12)}, 4: {P: (0, 5), PV2: (0, 5)}},
+            {P: ([(V2, 3)], 0), PV2: ([(V2, 4)], 0)},
+            "^families P and P v2 share image rho\\^4 v2$",
+        ),
+        (  # P rho^2 -> rho^5 v2, above the v2 tower, with no zero classes
+            {3: {V2: (0, 5)}, 4: {P: (0, 5)}},
+            {P: ([(V2, 3)], 0)},
+            "^image term rho\\^5 v2 is neither alive nor hit$",
+        ),
+        (  # P rho^b -> rho^(b+2) v2 lies at Chow degree 3 + b, not 4 + b
+            {3: {V2: (0, 10)}, 4: {P: (0, 5)}},
+            {P: ([(V2, 2)], 0)},
+            "^image term rho\\^2 v2 is neither alive nor hit$",
+        ),
+    ],
+    ids=["two-term image", "two sources on one class", "off-basis term not zero", "wrong degree"],
+)
+def test_tower_replay_guards(alive, images, match):
+    """Each guard of the per-family replay on a synthetic page, checked
+    before any claim of the column."""
+    page = synthetic_page(alive, images)
+    with pytest.raises(EngineError, match=match):
+        _tower_replay(page, page.alive, page.zero)
+
+
+@pytest.mark.parametrize(
+    "new_alive, new_zero, match",
+    [
+        (
+            {3: {V2: (0, 10), V3: (0, 2)}, 4: {P: (0, 5)}},
+            {},
+            "^homology mismatch at mw=3: v3 was not alive$",
+        ),
+        (
+            {3: {V2: (0, 10)}, 4: {P: (0, 5)}},
+            {3: {V2: (2, 3)}},
+            "^class rho\\^2 v2 marked hit but outside boundary span$",
+        ),
+    ],
+    ids=["family from nowhere", "hit from nowhere"],
+)
+def test_tower_replay_rejects_claims_of_classes_nothing_made(new_alive, new_zero, match):
+    """On a page without differential, a claimed survivor of a family the
+    page does not hold, or a claimed new hit, raises."""
+    page = synthetic_page({3: {V2: (0, 10)}, 4: {P: (0, 5)}}, {})
+    _tower_replay(page, page.alive, page.zero)
+    with pytest.raises(EngineError, match=match):
+        _tower_replay(page, new_alive, new_zero)
+
+
+def test_all_mode_needs_both_replays_to_count_alike(monkeypatch):
+    """In "all" mode the class-at-a-time replay must visit exactly the
+    bidegrees the per-family replay counts."""
+    page = bockstein_e3(16)
+    new_alive, new_zero = _advance(page)
+    real_sweep = _Replay.sweep
+    monkeypatch.setattr(_Replay, "sweep", lambda self: real_sweep(self) + 1)
+    assert verify_transition(page, new_alive, new_zero, "sample")
+    with pytest.raises(EngineError, match="^bockstein-E3: the two replays count different bidegrees$"):
+        verify_transition(page, new_alive, new_zero, "all")
+
+
+def test_tower_replay_rejects_class_both_source_and_hit():
+    """P v2 rho^0 hits P rho^1, which maps onto rho^4 v2: its boundary is
+    not a cycle."""
+    page = synthetic_page(
+        {3: {V2: (0, 10)}, 4: {P: (0, 5)}, 5: {PV2: (0, 1)}},
+        {P: ([(V2, 3)], 0), PV2: ([(P, 1)], 0)},
+    )
+    new_alive = {**page.alive, 5: {}}
+    with pytest.raises(SubspaceNotContained, match="^boundary rho P at mw=4, c=5 is not a cycle$"):
+        _tower_replay(page, new_alive, page.zero)
+
+
 def test_replay_rejects_class_both_alive_and_newly_hit():
     """The survivor and newly-hit checks are independent: a class hit on
     this page that is also claimed to survive must raise."""
@@ -935,18 +1109,6 @@ def test_replay_rejects_class_both_alive_and_newly_hit():
     column[fam] = (column.get(fam, (b, b))[0], b + 1)  # one class more: the hit class b
     with pytest.raises(EngineError):
         verify_transition(page, {**new_alive, mw: column}, new_zero, "all")
-
-
-def test_sampler_picks_are_pinned(monkeypatch):
-    """The sampler's seed is plain integer arithmetic, so its picks are
-    the same on every interpreter; these are the picks of two columns
-    of bockstein-E3 at mw 32, seed 7."""
-    assert sample_seed(7, 3, 20) == 7_000_045_000_092
-    page = bockstein_e3(32)
-    new_alive, new_zero = _advance(page)
-    picks = sampled_bidegrees(page, new_alive, new_zero, 7, monkeypatch)
-    assert [c for mw, c in picks if mw == 20] == [4, 8, 20, 40, 46, 72]
-    assert [c for mw, c in picks if mw == 23] == [5, 9, 13, 17, 21, 40]
 
 
 def model_zero(fam, b):

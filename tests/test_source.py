@@ -6,7 +6,7 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
-from etass.bockstein import SAMPLE_DIM_CAP, run_bockstein
+from etass.bockstein import run_bockstein
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "etass"
@@ -55,10 +55,12 @@ def test_tracer_coverage_reads_pages():
     """The tracer's replay coverage, which only traced benchmark runs
     reach, still reads the page: (eligible, skipped by the cap) per
     mw-32 Bockstein transition as before the sampler kept its dimension
-    tables to itself, with the page's dims_column cache restored."""
+    tables to itself, with the page's dims_column cache restored.  The
+    tracer takes the cap as an argument: 1500 is the size cap of the
+    retired sampler."""
     tracer = load_tracer()
     pages, _ = run_bockstein(32, verify="off")
-    got = {cap: [] for cap in (SAMPLE_DIM_CAP, 30)}
+    got = {cap: [] for cap in (1500, 30)}
     for page in pages:
         page.dims_column(5)
         cached = dict(page._dims_cache)
@@ -66,7 +68,7 @@ def test_tracer_coverage_reads_pages():
             out.append(tracer.coverage(page, "sample", cap))
             assert page._dims_cache == cached
     assert got == {
-        SAMPLE_DIM_CAP: [(2164, 0), (1171, 0), (646, 0), (486, 0)],
+        1500: [(2164, 0), (1171, 0), (646, 0), (486, 0)],
         30: [(2164, 204), (1171, 0), (646, 0), (486, 0)],
     }
 
