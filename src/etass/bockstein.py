@@ -24,11 +24,11 @@ whole tower; an image term outside the target basis must be zero by the
 page's class_status.  The per-family replay (_tower_replay) checks each
 family's classes at once, one bit per rho exponent, as a partial
 matching.  The class-at-a-time homology routine (Homology, gf2
-elimination on integer class positions, a column's tables filled by one
-sweep over its intervals) computes the Adams page-2 to page-3 step,
-whose images are genuine sums, and cross-checks the per-family replay
-in "all" mode (_Replay).  Monomials are built only on the read side
-and for error messages.
+elimination per bidegree on integer class positions, a column's bases
+and matrices each filled by one pass) computes the Adams page-2 to
+page-3 step, whose images are genuine sums, and cross-checks the
+per-family replay in "all" mode (_Replay).  Monomials are built only on
+the read side and for error messages.
 
 Only pages r = 2^n - 1 carry differentials, and run_bockstein walks
 exactly those.  Inside the window each page is one tower rule at that
@@ -128,11 +128,11 @@ def enumerate_families(mw_max: int) -> dict[int, Column]:
 def _sweep(entries: Iterable, degrees: Sequence[int]) -> dict[int, list[int]]:
     """Per Chow degree of `degrees` (ascending), the positions of the
     (position, c0, (lo, hi)) entries with a class there, in one pass."""
-    out: dict[int, list[int]] = {c: [] for c in degrees}
+    out: list[list[int]] = [[] for _ in degrees]
     for pos, c0, (lo, hi) in entries:
-        for c in degrees[bisect_left(degrees, c0 + lo) : bisect_left(degrees, c0 + hi)]:
-            out[c].append(pos)
-    return out
+        for positions in out[bisect_left(degrees, c0 + lo) : bisect_left(degrees, c0 + hi)]:
+            positions.append(pos)
+    return dict(zip(degrees, out))
 
 
 def _column_dims(per: dict[int, tuple[int, int]], c_max: int) -> dict[int, int]:
@@ -562,16 +562,15 @@ def _bases(alive: list) -> defaultdict[int, list[int]]:
 @dataclass
 class _ColumnTable:
     """One column of a page by family position: the alive families
-    (Page._column_alive) with their Chow degrees, their positions, their
-    bases (one _sweep, the page's only class listing) and image entries
-    (Homology.image), and each Chow degree's image bits
-    (Homology.map_columns) and echelon (Homology.echelon)."""
+    (Page._column_alive) with their Chow degrees, their positions and
+    their bases (one _sweep, the page's only class listing), and each
+    Chow degree's image bits (maps, filled for the whole column at once
+    by Homology.map_columns) and echelon (Homology.echelon)."""
 
     alive: list[tuple[int, int, tuple[int, int]]]
     pos_of: dict[int, int]
     bases: defaultdict[int, list[int]]
-    images: list[tuple[list, int] | None]
-    maps: dict[int, list[int]] = field(default_factory=dict)
+    maps: dict[int, list[int]] | None = None
     echelons: dict[int, Echelon] = field(default_factory=dict)
 
 
@@ -581,14 +580,18 @@ class Homology:
 
     A class at (mw, c) is the position of its family in the column's
     alive families; its rho exponent is b = c - c0.  Every table belongs
-    to a column, whose bases come from one sweep over its alive intervals
-    at every Chow degree (_bases).  Visiting column mw (at, bidegrees)
-    keeps the tables of columns mw - 1 to mw + 1 only, so an ascending
-    sweep builds and eliminates each matrix once; a call out of that
-    order just recomputes what it needs.  The homology is read off the
-    rank of the outgoing matrix, the boundary echelon and the zero
-    columns of the outgoing matrix, which are the cycles.  It computes
-    the Adams page-2 step and, in "all" mode, replays (_Replay).
+    to a column: its bases come from one sweep over its alive intervals
+    at every Chow degree (_bases), and its maps from one pass over its
+    families that have an image (map_columns).  Visiting column mw (at,
+    bidegrees) keeps the tables of columns mw - 1 to mw + 1 only, so an
+    ascending sweep builds and eliminates each matrix once; a call out of
+    that order just recomputes what it needs.  Elimination is per
+    bidegree.  The homology is read off the rank of the outgoing matrix,
+    the boundary echelon and the zero columns of the outgoing matrix,
+    which are the cycles; a degree with no boundary and a zero outgoing
+    matrix needs no elimination, as each class is its own representative.
+    It computes the Adams page-2 step and, in "all" mode, replays
+    (_Replay).
     """
 
     def __init__(self, page: Page):
@@ -605,7 +608,6 @@ class Homology:
                 alive=alive,
                 pos_of={fam: pos for pos, (fam, _, _) in enumerate(alive)},
                 bases=_bases(alive),
-                images=[None] * len(alive),
             )
         return table
 
@@ -616,62 +618,59 @@ class Homology:
             reach = abs(self.shift.mw)
             for k in [k for k in self._columns if not mw - reach <= k <= mw + reach]:
                 del self._columns[k]
-        return self.column(mw)
+        return self._columns.get(mw) or self.column(mw)
 
     def bidegrees(self, mw: int) -> list[int]:
         """The degrees to visit in column mw: every c <= c_max with classes."""
         return [c for c, mid in self.visit(mw).bases.items() if mid and c <= self.page.c_max]
 
-    def image(self, mw: int, pos: int) -> tuple[list[tuple[int | None, int, int]], int]:
-        """The family's image as (target position, target family, rho
-        delta) entries plus the first Chow degree it applies at (c0 plus
-        the rho threshold).  The target position is None when the target
-        family is not alive in the target column, or would land at
-        another Chow degree, so the term is never in a target basis."""
-        table = self.column(mw)
-        cached = table.images[pos]
-        if cached is None:
-            fam, c0, _ = table.alive[pos]
-            terms, threshold = self.page.family_image(fam)
-            target = self.column(mw + self.shift.mw)
-            entries = []
-            for tfam, delta in terms:
-                tpos = target.pos_of.get(tfam)
-                if tpos is not None and target.alive[tpos][1] + delta != c0 + self.shift.c:
-                    tpos = None
-                entries.append((tpos, tfam, delta))
-            cached = table.images[pos] = (entries, c0 + threshold)
-        return cached
-
     def map_columns(self, mw: int, c: int) -> list[int]:
         """The page differential out of (mw, c) as one column per class:
         the image bits of each class of basis(mw, c) over the basis of
         the target bidegree (mw, c) + shift.  A term outside that basis
-        must be zero on the page, else EngineError.  Built once per
-        bidegree: at(mw, c) reads it as its outgoing matrix, and
+        must be zero on the page, else EngineError.  The first call in a
+        column fills its table at every degree in one pass over the
+        families with an image: each image is taken once
+        (Page.family_image) and only its classes at or above the rho
+        threshold are visited; a degree that no image reaches reads
+        zeros.  at(mw, c) reads it as its outgoing matrix, and
         at((mw, c) + shift) as its boundaries."""
-        table = self.column(mw)
+        table = self._columns.get(mw) or self.column(mw)
+        if table.maps is None:
+            table.maps = self._fill_maps(mw, table)
         out = table.maps.get(c)
         if out is None:
-            tmw = mw + self.shift.mw
-            target = self.column(tmw).bases[c + self.shift.c]
-            index = dict(zip(target, range(len(target))))
-            images, alive = table.images, table.alive
-            out = []
-            for pos in table.bases[c]:
-                entries, start = images[pos] or self.image(mw, pos)
-                bits = 0
-                if entries and c >= start:
-                    for tpos, tfam, delta in entries:
-                        i = index.get(tpos)
-                        if i is not None:
-                            bits ^= 1 << i
-                        elif self.page.class_status(tmw, tfam, c - alive[pos][1] + delta) != "zero":
-                            term = family_monomial(tfam, c - alive[pos][1] + delta)
-                            raise EngineError(f"image term {term} is neither alive nor hit")
-                out.append(bits)
-            table.maps[c] = out
+            out = table.maps[c] = [0] * len(table.bases[c])
         return out
+
+    def _fill_maps(self, mw: int, table: _ColumnTable) -> dict[int, list[int]]:
+        """map_columns of column mw at every degree of its bases."""
+        page, sc = self.page, self.shift.c
+        tmw = mw + self.shift.mw
+        target = self.column(tmw)
+        bases, tbases = table.bases, target.bases
+        maps = {c: [0] * len(mid) for c, mid in bases.items()}
+        for pos, (fam, c0, (lo, hi)) in enumerate(table.alive):
+            terms, threshold = page.family_image(fam)
+            start = max(lo, threshold)
+            for tfam, delta in terms:
+                # the rho exponents whose term is in the target basis: none
+                # off the target column or Chow degree
+                tpos = target.pos_of.get(tfam)
+                tlo = thi = start
+                if tpos is not None and target.alive[tpos][1] + delta == c0 + sc:
+                    tlo, thi = target.alive[tpos][2]
+                    tlo, thi = tlo - delta, thi - delta
+                a, z = max(start, tlo), min(hi, thi)
+                if a >= z:
+                    a = z = hi
+                for b in [*range(start, a), *range(z, hi)]:
+                    if page.class_status(tmw, tfam, b + delta) != "zero":
+                        term = family_monomial(tfam, b + delta)
+                        raise EngineError(f"image term {term} is neither alive nor hit")
+                for c in range(c0 + a, c0 + z):
+                    maps[c][bisect_left(bases[c], pos)] ^= 1 << bisect_left(tbases[c + sc], tpos)
+        return maps
 
     def name(self, mw: int, pos: int, c: int) -> str:
         fam, c0, _ = self.column(mw).alive[pos]
@@ -682,13 +681,10 @@ class Homology:
         built once per bidegree and kept next to the matrix: its rank is
         the rank of the differential out of (mw, c), and it is the
         boundary span at (mw, c) + shift.  Callers must not change it."""
-        table = self.column(mw)
+        table = self._columns.get(mw) or self.column(mw)
         out = table.echelons.get(c)
         if out is None:
-            out = Echelon()
-            for bits in filter(None, self.map_columns(mw, c)):
-                out.insert(bits)
-            table.echelons[c] = out
+            out = table.echelons[c] = Echelon(self.map_columns(mw, c))
         return out
 
     def at(self, mw: int, c: int, sums_allowed: bool = False) -> tuple[list[int], list[int], Echelon]:
@@ -711,6 +707,8 @@ class Homology:
             return mid, [], Echelon()
         out = self.map_columns(mw, c)
         boundaries = self.echelon(mw - self.shift.mw, c - self.shift.c)
+        if not boundaries.pivots and not any(out):  # each class represents itself
+            return mid, list(range(len(mid))), boundaries
         for p, row in boundaries.pivots.items():
             image, todo = out[p], row ^ (1 << p)
             while todo:
@@ -742,11 +740,16 @@ def unit_representatives(out: list[int], boundaries: Echelon, want: int) -> list
     never add a single class.  Fewer than `want` means some class needs
     a sum of classes.  A unit outside the boundary support is independent
     of the boundaries and of every other unit; the echelon is copied only
-    for a unit inside the support that is not a boundary itself."""
+    for a unit inside the support that is not a boundary itself.  When
+    every boundary row is a unit (one support bit per row), every unit
+    inside the support is a boundary."""
     reps: list[int] = []
+    support = boundaries.support
+    if want > 0 and support.bit_count() == boundaries.rank:
+        return [i for i, bits in enumerate(out) if not (bits or support >> i & 1)][:want]
     acc = None  # the boundaries and the units picked inside their support
     for i in [i for i, bits in enumerate(out) if not bits] if want > 0 else ():
-        if (boundaries.support >> i) & 1:
+        if (support >> i) & 1:
             if boundaries.contains(1 << i):
                 continue
             acc = boundaries.copy() if acc is None else acc
@@ -779,7 +782,8 @@ def _sum_representative(out: list[int], boundaries: Echelon, reps: list[int]) ->
 class _Replay(Homology):
     """Compares one page transition (new_alive, new_zero) with the
     homology at each bidegree.  The classes it claims survive and newly
-    hit are tabled like the bases (claims), for the current column."""
+    hit are tabled like the bases (claims), once per column: a column
+    the transition hands over unchanged claims its bases and no hit."""
 
     def __init__(self, page: Page, new_alive, new_zero):
         super().__init__(page)
@@ -791,24 +795,30 @@ class _Replay(Homology):
         """The positions at (mw, c) that the transition claims survive,
         and those it claims are newly hit: one _sweep per column over the
         new alive intervals and one over the new zero intervals less the
-        old ones, at the degrees of the column's bases.  A difference of
-        two intervals may be two pieces, so any table is judged."""
-        if mw != self._claims_mw or c not in self._claims[0]:
+        old ones, at the degrees of the column's bases; when the
+        column's alive and zero tables are the page's own dicts, its bases
+        survive and nothing is newly hit.  A difference of two intervals
+        may be two pieces, so any table is judged."""
+        if mw != self._claims_mw:
             table = self.column(mw)
             na, nz, oz = (per.get(mw, {}) for per in (self.new_alive, self.new_zero, self.page.zero))
-            fams = list(enumerate(table.alive))
-            alive = [(pos, c0, na[fam]) for pos, (fam, c0, _) in fams if fam in na]
-            hit = []
-            for pos, (fam, c0, _) in fams:
-                new, old = nz.get(fam), oz.get(fam)
-                if new is not None and new is not old:
-                    lo, hi = new
-                    olo, ohi = old or (hi, hi)
-                    hit += [(pos, c0, (lo, min(hi, olo))), (pos, c0, (max(lo, ohi), hi))]
-            degrees = sorted(table.bases)
-            self._claims, self._claims_mw = (_sweep(alive, degrees), _sweep(hit, degrees)), mw
+            if na is self.page.alive.get(mw) and nz is self.page.zero.get(mw):
+                self._claims = table.bases, {}  # handed over unchanged
+            else:
+                fams = list(enumerate(table.alive))
+                alive = [(pos, c0, na[fam]) for pos, (fam, c0, _) in fams if fam in na]
+                hit = []
+                for pos, (fam, c0, _) in fams:
+                    new, old = nz.get(fam), oz.get(fam)
+                    if new is not None and new is not old:
+                        lo, hi = new
+                        olo, ohi = old or (hi, hi)
+                        hit += [(pos, c0, (lo, min(hi, olo))), (pos, c0, (max(lo, ohi), hi))]
+                degrees = sorted(table.bases)
+                self._claims = _sweep(alive, degrees), _sweep(hit, degrees)
+            self._claims_mw = mw
         survivors, hits = self._claims
-        return survivors[c], hits[c]
+        return survivors[c], hits.get(c, [])
 
     def bidegree(self, mw: int, c: int) -> None:
         """Recompute the homology at one bidegree and compare: raises
@@ -822,21 +832,25 @@ class _Replay(Homology):
         expected, hits = self.claims(mw, c)
 
         # surviving classes are a subset of the old ones, in the same order
-        if [mid[i] for i in got] != expected:
+        # (got holds every index when all survive)
+        survivors = mid if len(got) == len(mid) else [mid[i] for i in got]
+        if survivors != expected:
             raise EngineError(
                 f"homology mismatch at mw={mw}, c={c}: gf2 gives "
                 f"{[self.name(mw, mid[i], c) for i in got]}, towers give "
                 f"{[self.name(mw, pos, c) for pos in expected]}"
             )
-        # classes newly hit must span exactly the boundary space
-        spanned = {mid[i] for i in ech.units()} if hits else ()
-        for pos in hits:
-            if pos not in spanned:
-                raise EngineError(
-                    f"class {self.name(mw, pos, c)} marked hit but outside boundary span"
-                )
-        if len(hits) != ech.rank:
-            raise EngineError(f"boundary rank mismatch at mw={mw}, c={c}")
+        # classes newly hit must span exactly the boundary space: they are
+        # its units, as many as its rank
+        if hits or ech.pivots:
+            spanned = [mid[i] for i in sorted(ech.units())]
+            if hits != spanned or len(hits) != ech.rank:
+                for pos in hits:
+                    if pos not in spanned:
+                        raise EngineError(
+                            f"class {self.name(mw, pos, c)} marked hit but outside boundary span"
+                        )
+                raise EngineError(f"boundary rank mismatch at mw={mw}, c={c}")
 
     def sweep(self) -> int:
         """bidegree at every eligible bidegree, ascending; returns their number."""
@@ -957,8 +971,11 @@ def verify_transition(page: Page, new_alive, new_zero, mode: str, seed: int = 0)
     scale112 and --page-verify, runs the per-family replay
     (_tower_replay) at every one of them; 'all' then also runs the
     class-at-a-time replay (_Replay.sweep), which must count the same;
-    'off' replays nothing.  Nothing is drawn at random: seed stays for
-    the callers that pass it and no longer reaches the replay."""
+    'off' replays nothing; any other mode raises ValueError.  Nothing is
+    drawn at random: seed stays for the callers that pass it and no
+    longer reaches the replay."""
+    if mode not in ("all", "sample", "off"):
+        raise ValueError(f"unknown replay mode {mode!r}")
     if mode == "off":
         return 0
     count = _tower_replay(page, new_alive, new_zero)

@@ -12,12 +12,15 @@ earlier bockstein.dense_bidegrees, which gathered the Chow degrees with
 classes from the page's alive intervals instead of the homology's
 sweep.  reference_positions lists the classes at one bidegree by a scan
 of each family's interval, the reference for the sweep that fills every
-class list.
+class list.  reference_map_columns is the earlier body of
+Homology.map_columns, which built one bidegree's matrix class by class,
+the reference for the map table that a column fills in one pass.
 """
 
 from __future__ import annotations
 
-from etass.bockstein import RepresentativeNotMonomial
+from etass.algebra import family_monomial
+from etass.bockstein import EngineError, RepresentativeNotMonomial
 from etass.gf2 import Echelon, F2Matrix, F2Vector, kernel_basis, quotient_basis
 from gf2_reference import reference_insert
 
@@ -79,3 +82,31 @@ def dense_bidegrees(page, mw: int) -> list[int]:
     for _, c0, (lo, hi) in page._column_alive(mw):
         out.update(range(c0 + lo, min(c0 + hi, page.c_max + 1)))
     return sorted(out)
+
+
+def reference_map_columns(homology, mw: int, c: int) -> list[int]:
+    """map_columns(mw, c) class by class: each class of the basis asks
+    the page for its family's image, and each term is either looked up
+    in the target basis or must be zero by class_status."""
+    page, shift = homology.page, homology.shift
+    column, tmw = homology.column(mw), mw + shift.mw
+    target = homology.column(tmw)
+    basis = target.bases[c + shift.c]
+    index = dict(zip(basis, range(len(basis))))
+    out = []
+    for pos in column.bases[c]:
+        fam, c0, _ = column.alive[pos]
+        terms, threshold = page.family_image(fam)
+        bits = 0
+        for tfam, delta in terms if c - c0 >= threshold else ():
+            tpos = target.pos_of.get(tfam)
+            if tpos is not None and target.alive[tpos][1] + delta != c0 + shift.c:
+                tpos = None  # at another Chow degree: never in the target basis
+            i = index.get(tpos)
+            if i is not None:
+                bits ^= 1 << i
+            elif page.class_status(tmw, tfam, c - c0 + delta) != "zero":
+                term = family_monomial(tfam, c - c0 + delta)
+                raise EngineError(f"image term {term} is neither alive nor hit")
+        out.append(bits)
+    return out

@@ -46,7 +46,12 @@ from etass.gf2 import SubspaceNotContained
 from brute_force import default_generators, enumerate_monomials, rho_matrix_at
 from dump_reference import image_classes
 from gf2_reference import coeff, nrows
-from homology_reference import dense_bidegrees, reference_at, reference_positions
+from homology_reference import (
+    dense_bidegrees,
+    reference_at,
+    reference_map_columns,
+    reference_positions,
+)
 from replay_mutations import KINDS, check_mutations_caught, corrupt
 from rule_reference import as_differential, bockstein_derivation, dr_rule, dr_table
 
@@ -206,6 +211,17 @@ def test_replay_mode():
     for run in (run_bockstein, run_adams):
         with pytest.raises(ValueError, match="unknown replay mode 'dense'"):
             run(20, verify="dense")
+
+
+@pytest.mark.parametrize("mode", ["al", "auto", "dense", ""])
+def test_verify_transition_rejects_unknown_modes(mode):
+    """verify_transition replays in "all", "sample" or "off" mode only;
+    any other mode, "auto" included (replay_mode resolves it), raises
+    instead of running the per-family replay alone."""
+    page = bockstein_e3(16)
+    new_alive, new_zero = _advance(page)
+    with pytest.raises(ValueError, match=f"^unknown replay mode {mode!r}$"):
+        verify_transition(page, new_alive, new_zero, mode)
 
 
 def test_compare_rejects_different_windows(run32):
@@ -821,6 +837,29 @@ def test_sweep_tables_match_reference_positions(run):
                 assert page.dim_at(mw, c) == len(positions), (page.label, mw, c)
 
 
+@pytest.mark.parametrize("label", ["bockstein", "adams", "adams-E2"])
+def test_map_columns_match_reference(label):
+    """Homology.map_columns, whose table a column fills in one pass over
+    its families with an image, equals the class-by-class
+    reference_map_columns at every bidegree with classes of every page
+    of both sequences at mw 32, E-infinity included, and of adams-E2 at
+    mw 64."""
+    if label == "adams-E2":
+        pages = [build_e2(64)]
+    else:
+        pages, einf = (run_bockstein if label == "bockstein" else run_adams)(32, verify="off")
+        pages = [*pages, einf]
+    nonzero = 0
+    for page in pages:
+        homology = Homology(page)
+        for mw in sorted(page.alive):
+            for c in [c for c, mid in homology.column(mw).bases.items() if mid]:
+                got = homology.map_columns(mw, c)
+                assert got == reference_map_columns(homology, mw, c), (page.label, mw, c)
+                nonzero += sum(map(bool, got))
+    assert nonzero
+
+
 def test_replay_counts_are_pinned(monkeypatch):
     """The dense replay at mw 64 checks 21,056 Bockstein and 792 Adams
     bidegrees, and the "sample" replay at mw 112, seed 1, every one of
@@ -992,6 +1031,48 @@ def test_tower_replay_catches_corruptions_anywhere(mw):
                     verify_transition(page, found[1], found[2], "sample")
                 tried += 1
     assert tried == {24: 409, 40: 599, 64: 827}[mw]
+
+
+def test_class_at_a_time_replay_catches_corruptions_anywhere():
+    """Each corruption kind raises in the class-at-a-time replay alone
+    (_Replay.sweep) at 15 random eligible bidegrees per page and kind,
+    or at every one there is when a page has fewer, on every tower page
+    at mw 40: the degrees that need no elimination and the columns a
+    transition hands over unchanged are checked like any other."""
+    rng = random.Random(40)
+    tried = 0
+    for page in tower_pages(40):
+        new_alive, new_zero = _advance(page)
+        for kind, where in classes_by_kind(page, new_alive, new_zero).items():
+            assert where, (page.label, kind)
+            for bidegree in rng.sample(sorted(where), min(15, len(where))):
+                found = corrupt(page, new_alive, new_zero, kind, [bidegree])
+                assert found is not None and found[0] == bidegree
+                with pytest.raises(EngineError):
+                    _Replay(page, found[1], found[2]).sweep()
+                tried += 1
+    assert tried == 244
+
+
+def test_class_at_a_time_replay_judges_new_hits_in_unchanged_columns():
+    """A column whose alive table the transition hands over unchanged
+    claims its bases as survivors and no new hit only while its zero
+    table is the page's own too: a new hit claimed there, which nothing
+    hits, raises in the class-at-a-time replay alone."""
+    page = run_bockstein(40, verify="off")[0][2]
+    assert page.label == "bockstein-E15"
+    new_alive, new_zero = _advance(page)
+    mw, fam, b = next(
+        (mw, fam, lo)
+        for mw in sorted(page.alive)
+        if new_alive[mw] is page.alive[mw] and new_zero[mw] is page.zero[mw]
+        for fam, (lo, _) in page.alive[mw].items()
+        if fam not in page.zero[mw] and family_c0(fam) + lo <= page.c_max
+    )
+    _Replay(page, new_alive, new_zero).sweep()
+    bad_zero = {**new_zero, mw: {**new_zero[mw], fam: (b, b + 1)}}
+    with pytest.raises(EngineError, match="marked hit but outside boundary span$"):
+        _Replay(page, new_alive, bad_zero).sweep()
 
 
 def synthetic_page(alive, images) -> Page:
