@@ -618,7 +618,7 @@ class Homology:
             reach = abs(self.shift.mw)
             for k in [k for k in self._columns if not mw - reach <= k <= mw + reach]:
                 del self._columns[k]
-        return self._columns.get(mw) or self.column(mw)
+        return self.column(mw)
 
     def bidegrees(self, mw: int) -> list[int]:
         """The degrees to visit in column mw: every c <= c_max with classes."""
@@ -635,7 +635,7 @@ class Homology:
         threshold are visited; a degree that no image reaches reads
         zeros.  at(mw, c) reads it as its outgoing matrix, and
         at((mw, c) + shift) as its boundaries."""
-        table = self._columns.get(mw) or self.column(mw)
+        table = self.column(mw)
         if table.maps is None:
             table.maps = self._fill_maps(mw, table)
         out = table.maps.get(c)
@@ -681,10 +681,13 @@ class Homology:
         built once per bidegree and kept next to the matrix: its rank is
         the rank of the differential out of (mw, c), and it is the
         boundary span at (mw, c) + shift.  Callers must not change it."""
-        table = self._columns.get(mw) or self.column(mw)
+        table = self.column(mw)
         out = table.echelons.get(c)
         if out is None:
-            out = table.echelons[c] = Echelon(self.map_columns(mw, c))
+            out = Echelon()
+            for bits in filter(None, self.map_columns(mw, c)):
+                out.insert(bits)
+            table.echelons[c] = out
         return out
 
     def at(self, mw: int, c: int, sums_allowed: bool = False) -> tuple[list[int], list[int], Echelon]:
@@ -740,16 +743,11 @@ def unit_representatives(out: list[int], boundaries: Echelon, want: int) -> list
     never add a single class.  Fewer than `want` means some class needs
     a sum of classes.  A unit outside the boundary support is independent
     of the boundaries and of every other unit; the echelon is copied only
-    for a unit inside the support that is not a boundary itself.  When
-    every boundary row is a unit (one support bit per row), every unit
-    inside the support is a boundary."""
+    for a unit inside the support that is not a boundary itself."""
     reps: list[int] = []
-    support = boundaries.support
-    if want > 0 and support.bit_count() == boundaries.rank:
-        return [i for i, bits in enumerate(out) if not (bits or support >> i & 1)][:want]
     acc = None  # the boundaries and the units picked inside their support
     for i in [i for i, bits in enumerate(out) if not bits] if want > 0 else ():
-        if (support >> i) & 1:
+        if (boundaries.support >> i) & 1:
             if boundaries.contains(1 << i):
                 continue
             acc = boundaries.copy() if acc is None else acc
@@ -832,25 +830,21 @@ class _Replay(Homology):
         expected, hits = self.claims(mw, c)
 
         # surviving classes are a subset of the old ones, in the same order
-        # (got holds every index when all survive)
-        survivors = mid if len(got) == len(mid) else [mid[i] for i in got]
-        if survivors != expected:
+        if [mid[i] for i in got] != expected:
             raise EngineError(
                 f"homology mismatch at mw={mw}, c={c}: gf2 gives "
                 f"{[self.name(mw, mid[i], c) for i in got]}, towers give "
                 f"{[self.name(mw, pos, c) for pos in expected]}"
             )
-        # classes newly hit must span exactly the boundary space: they are
-        # its units, as many as its rank
-        if hits or ech.pivots:
-            spanned = [mid[i] for i in sorted(ech.units())]
-            if hits != spanned or len(hits) != ech.rank:
-                for pos in hits:
-                    if pos not in spanned:
-                        raise EngineError(
-                            f"class {self.name(mw, pos, c)} marked hit but outside boundary span"
-                        )
-                raise EngineError(f"boundary rank mismatch at mw={mw}, c={c}")
+        # classes newly hit must span exactly the boundary space
+        spanned = {mid[i] for i in ech.units()} if hits else ()
+        for pos in hits:
+            if pos not in spanned:
+                raise EngineError(
+                    f"class {self.name(mw, pos, c)} marked hit but outside boundary span"
+                )
+        if len(hits) != ech.rank:
+            raise EngineError(f"boundary rank mismatch at mw={mw}, c={c}")
 
     def sweep(self) -> int:
         """bidegree at every eligible bidegree, ascending; returns their number."""

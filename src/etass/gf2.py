@@ -8,7 +8,7 @@ Everything is immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class GF2Error(Exception):
@@ -69,16 +69,10 @@ class Echelon:
     Internal helper for rank/membership bookkeeping; rows are raw ints.
     """
 
-    def __init__(self, rows: Iterable[int] = ()):
+    def __init__(self):
         self.pivots: dict[int, int] = {}
         # a superset of the bits set in any stored row
         self.support = 0
-        for bits in rows:  # insert, its new-pivot case inlined
-            if bits and not bits & self.support:
-                self.pivots[(bits & -bits).bit_length() - 1] = bits
-                self.support |= bits
-            elif bits:
-                self.insert(bits)
 
     @property
     def rank(self) -> int:
@@ -144,10 +138,7 @@ class Echelon:
         return self.reduce(bits) == 0
 
     def units(self) -> list[int]:
-        """The i with e_i in the span: fully reduced, its row i is e_i,
-        and every row is a unit when the support has one bit per row."""
-        if self.support.bit_count() == len(self.pivots):
-            return list(self.pivots)
+        """The i with e_i in the span: fully reduced, its row i is e_i."""
         return [p for p, row in self.pivots.items() if row == 1 << p]
 
 
