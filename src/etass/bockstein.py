@@ -23,12 +23,13 @@ zero), so a family's image, shifted by the rho exponent, serves its
 whole tower; an image term outside the target basis must be zero by the
 page's class_status.  The per-family replay (_tower_replay) checks each
 family's classes at once, one bit per rho exponent, as a partial
-matching.  The class-at-a-time homology routine (Homology, gf2
-elimination per bidegree on integer class positions, a column's bases
-and matrices each filled by one pass) computes the Adams page-2 to
-page-3 step, whose images are genuine sums, and cross-checks the
-per-family replay in "all" mode (_Replay).  Monomials are built only on
-the read side and for error messages.
+matching.  The class-at-a-time homology routine
+(Homology.column_homology: one column at a time, its bases, matrices
+and echelons each filled by one pass, gf2 elimination per degree on
+integer class positions) computes the Adams page-2 to page-3 step,
+whose images are genuine sums, and cross-checks the per-family replay
+in "all" mode (_class_replay).  Monomials are built only on the read
+side and for error messages.
 
 Only pages r = 2^n - 1 carry differentials, and run_bockstein walks
 exactly those.  Inside the window each page is one tower rule at that
@@ -41,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import (
     MW_LIMIT,
@@ -317,13 +318,18 @@ class Page:
         if not terms or lo >= hi:
             return []
         # each term's alive interval in source rho exponents, (lo, lo)
-        # for a term that is not alive
+        # for a term that is not alive, and its ends inside the run
         per = self.alive.get(tmw, {})
-        alive = []
+        alive, inner = [], []
         for tfam, delta in terms:
             tlo, thi = per.get(tfam, (lo + delta, lo + delta))
-            alive.append((tlo - delta, thi - delta))
-        cuts = sorted({lo, hi, *(x for ends in alive for x in ends if lo < x < hi)})
+            tlo, thi = tlo - delta, thi - delta
+            alive.append((tlo, thi))
+            if lo < tlo < hi:
+                inner.append(tlo)
+            if lo < thi < hi:
+                inner.append(thi)
+        cuts = [lo, *sorted(set(inner)), hi] if inner else (lo, hi)
         out = []
         for a, b in zip(cuts, cuts[1:]):
             targets = []
@@ -551,21 +557,14 @@ def _advance(page: Page) -> tuple[dict[int, dict[int, tuple[int, int]]], ...]:
     return {mw: new_alive[mw] for mw in order}, {mw: new_zero[mw] for mw in order}
 
 
-def _bases(alive: list) -> defaultdict[int, list[int]]:
-    """Chow degree -> the positions of a column's classes there: one _sweep
-    at every degree up to the last class, [] at any other degree."""
-    entries = [(pos, c0, run) for pos, (_, c0, run) in enumerate(alive)]
-    top = max((c0 + hi for _, c0, (_, hi) in alive), default=0)
-    return defaultdict(list, _sweep(entries, range(top)))
-
-
 @dataclass
 class _ColumnTable:
     """One column of a page by family position: the alive families
     (Page._column_alive) with their Chow degrees, their positions and
-    their bases (one _sweep, the page's only class listing), and each
-    Chow degree's image bits (maps, filled for the whole column at once
-    by Homology.map_columns) and echelon (Homology.echelon)."""
+    their bases (the positions at each Chow degree, [] past the last
+    class: one _sweep, the page's only class listing), and per degree
+    the image bits of its classes (maps) and the echelon of the nonzero
+    ones (echelons), filled for the whole column at once (Homology._fill)."""
 
     alive: list[tuple[int, int, tuple[int, int]]]
     pos_of: dict[int, int]
@@ -575,76 +574,63 @@ class _ColumnTable:
 
 
 class Homology:
-    """Homology of a page differential at single bidegrees, through gf2
+    """Homology of a page differential one column at a time, through gf2
     on integer classes.
 
     A class at (mw, c) is the position of its family in the column's
-    alive families; its rho exponent is b = c - c0.  Every table belongs
-    to a column: its bases come from one sweep over its alive intervals
-    at every Chow degree (_bases), and its maps from one pass over its
-    families that have an image (map_columns).  Visiting column mw (at,
-    bidegrees) keeps the tables of columns mw - 1 to mw + 1 only, so an
-    ascending sweep builds and eliminates each matrix once; a call out of
-    that order just recomputes what it needs.  Elimination is per
-    bidegree.  The homology is read off the rank of the outgoing matrix,
+    alive families; its rho exponent is b = c - c0.  Column mw's
+    homology (column_homology) keeps the tables of columns mw - 1 to
+    mw + 1 only, so an ascending sweep fills each column and eliminates
+    each matrix once; a column out of that order just recomputes what it
+    needs.  The homology is read off the rank of the outgoing matrix,
     the boundary echelon and the zero columns of the outgoing matrix,
     which are the cycles; a degree with no boundary and a zero outgoing
-    matrix needs no elimination, as each class is its own representative.
-    It computes the Adams page-2 step and, in "all" mode, replays
-    (_Replay).
+    matrix needs no elimination, as each class is its own
+    representative.  It computes the Adams page-2 step and, in "all"
+    mode, replays the tower transitions (_class_replay).
     """
 
     def __init__(self, page: Page):
         self.page = page
         self.shift = page.diff_shift()
         self._columns: dict[int, _ColumnTable] = {}
-        self._mw: int | None = None
 
     def column(self, mw: int) -> _ColumnTable:
         table = self._columns.get(mw)
         if table is None:
             alive = self.page._column_alive(mw)
+            entries = [(pos, c0, run) for pos, (_, c0, run) in enumerate(alive)]
+            top = max((c0 + hi for _, c0, (_, hi) in alive), default=0)
             table = self._columns[mw] = _ColumnTable(
-                alive=alive,
-                pos_of={fam: pos for pos, (fam, _, _) in enumerate(alive)},
-                bases=_bases(alive),
+                alive,
+                {fam: pos for pos, (fam, _, _) in enumerate(alive)},
+                defaultdict(list, _sweep(entries, range(top))),
             )
         return table
 
-    def visit(self, mw: int) -> _ColumnTable:
-        """Column mw's table, dropping those of columns out of reach."""
-        if mw != self._mw:
-            self._mw = mw
-            reach = abs(self.shift.mw)
-            for k in [k for k in self._columns if not mw - reach <= k <= mw + reach]:
-                del self._columns[k]
-        return self.column(mw)
-
-    def bidegrees(self, mw: int) -> list[int]:
-        """The degrees to visit in column mw: every c <= c_max with classes."""
-        return [c for c, mid in self.visit(mw).bases.items() if mid and c <= self.page.c_max]
-
-    def map_columns(self, mw: int, c: int) -> list[int]:
-        """The page differential out of (mw, c) as one column per class:
-        the image bits of each class of basis(mw, c) over the basis of
-        the target bidegree (mw, c) + shift.  A term outside that basis
-        must be zero on the page, else EngineError.  The first call in a
-        column fills its table at every degree in one pass over the
-        families with an image: each image is taken once
-        (Page.family_image) and only its classes at or above the rho
-        threshold are visited; a degree that no image reaches reads
-        zeros.  at(mw, c) reads it as its outgoing matrix, and
-        at((mw, c) + shift) as its boundaries."""
+    def _fill(self, mw: int) -> _ColumnTable:
+        """Column mw's table, its maps (_fill_maps) and echelons filled
+        once: the echelon at c, of the nonzero map columns, has the rank
+        of the differential out of (mw, c) and spans the boundaries at
+        (mw, c) + shift; a zero map has none."""
         table = self.column(mw)
         if table.maps is None:
             table.maps = self._fill_maps(mw, table)
-        out = table.maps.get(c)
-        if out is None:
-            out = table.maps[c] = [0] * len(table.bases[c])
-        return out
+            for c, cols in table.maps.items():
+                if any(cols):
+                    echelon = table.echelons[c] = Echelon()
+                    for bits in filter(None, cols):
+                        echelon.insert(bits)
+        return table
 
     def _fill_maps(self, mw: int, table: _ColumnTable) -> dict[int, list[int]]:
-        """map_columns of column mw at every degree of its bases."""
+        """The page differential out of column mw, per degree c of its
+        bases one int per class of basis(mw, c): the image bits over the
+        basis of the target bidegree (mw, c) + shift.  One pass over the
+        families with an image takes each image once (Page.family_image)
+        and visits only its classes at or above the rho threshold; a
+        degree that no image reaches reads zeros.  A term outside the
+        target basis must be zero on the page, else EngineError."""
         page, sc = self.page, self.shift.c
         tmw = mw + self.shift.mw
         target = self.column(tmw)
@@ -672,64 +658,57 @@ class Homology:
                     maps[c][bisect_left(bases[c], pos)] ^= 1 << bisect_left(tbases[c + sc], tpos)
         return maps
 
-    def name(self, mw: int, pos: int, c: int) -> str:
-        fam, c0, _ = self.column(mw).alive[pos]
-        return str(family_monomial(fam, c - c0))
-
-    def echelon(self, mw: int, c: int) -> Echelon:
-        """The echelon of the nonzero columns of map_columns(mw, c),
-        built once per bidegree and kept next to the matrix: its rank is
-        the rank of the differential out of (mw, c), and it is the
-        boundary span at (mw, c) + shift.  Callers must not change it."""
-        table = self.column(mw)
-        out = table.echelons.get(c)
-        if out is None:
-            out = Echelon()
-            for bits in filter(None, self.map_columns(mw, c)):
-                out.insert(bits)
-            table.echelons[c] = out
-        return out
-
-    def at(self, mw: int, c: int, sums_allowed: bool = False) -> tuple[list[int], list[int], Echelon]:
-        """The homology at one bidegree: (basis, reps, boundaries).
+    def column_homology(
+        self, mw: int, sums_allowed: bool = False
+    ) -> Iterator[tuple[int, list[int], list[int], Echelon]]:
+        """The homology at every degree c <= c_max of column mw that
+        holds classes, ascending: (c, basis, reps, boundaries).
 
         basis is the classes at (mw, c) as family positions; reps the
         coordinates, in that basis, of the single-class coset
         representatives (unit_representatives); boundaries the echelon
-        of the boundary span, echelon((mw, c) - shift).  The outgoing
-        matrix is map_columns(mw, c), and its rank is that of
-        echelon(mw, c), so each matrix is eliminated once per sweep.
-        A boundary that is not a cycle raises gf2.SubspaceNotContained;
-        a class with no single-class representative raises
+        of the boundary span, that of (mw, c) - shift, which callers must
+        not change.  The outgoing matrix and its rank come from column
+        mw's table and the boundaries from column mw - shift's, each
+        filled (_fill) at the column's first degree, column mw first.  A
+        boundary that is not a cycle raises gf2.SubspaceNotContained; a
+        class with no single-class representative raises
         RepresentativeNotMonomial, or is left out when sums_allowed; an
         image term that is neither a basis class nor zero on the page
-        raises EngineError (map_columns).
+        raises EngineError (_fill_maps).
         """
-        mid = self.visit(mw).bases[c]
-        if not mid:
-            return mid, [], Echelon()
-        out = self.map_columns(mw, c)
-        boundaries = self.echelon(mw - self.shift.mw, c - self.shift.c)
-        if not boundaries.pivots and not any(out):  # each class represents itself
-            return mid, list(range(len(mid))), boundaries
-        for p, row in boundaries.pivots.items():
-            image, todo = out[p], row ^ (1 << p)
-            while todo:
-                low = todo & -todo
-                image ^= out[low.bit_length() - 1]
-                todo ^= low
-            if image:
-                raise SubspaceNotContained(
-                    f"boundary {F2Vector(len(mid), row).support()} at mw={mw}, c={c} is not a cycle"
+        reach = abs(self.shift.mw)
+        for k in [k for k in self._columns if not mw - reach <= k <= mw + reach]:
+            del self._columns[k]
+        bases = self.column(mw).bases
+        degrees = [c for c, mid in bases.items() if mid and c <= self.page.c_max]
+        if not degrees:
+            return
+        table, source, sc = self._fill(mw), self._fill(mw - self.shift.mw), self.shift.c
+        for c in degrees:
+            mid, out = bases[c], table.maps[c]
+            boundaries = source.echelons.get(c - sc) or Echelon()
+            if not boundaries.pivots and not any(out):  # each class represents itself
+                yield c, mid, list(range(len(mid))), boundaries
+                continue
+            for p, row in boundaries.pivots.items():
+                image, todo = out[p], row ^ (1 << p)
+                while todo:
+                    low = todo & -todo
+                    image ^= out[low.bit_length() - 1]
+                    todo ^= low
+                if image:
+                    raise SubspaceNotContained(
+                        f"boundary {F2Vector(len(mid), row).support()} at mw={mw}, c={c} is not a cycle"
+                    )
+            want = len(mid) - len(table.echelons.get(c, ())) - boundaries.rank
+            reps = unit_representatives(out, boundaries, want)
+            if len(reps) < want and not sums_allowed:
+                v = _sum_representative(out, boundaries, reps)
+                raise RepresentativeNotMonomial(
+                    f"no single-monomial representative at mw={mw}, c={c}: {v.coeffs()}"
                 )
-        want = len(mid) - self.echelon(mw, c).rank - boundaries.rank
-        reps = unit_representatives(out, boundaries, want)
-        if len(reps) < want and not sums_allowed:
-            v = _sum_representative(out, boundaries, reps)
-            raise RepresentativeNotMonomial(
-                f"no single-monomial representative at mw={mw}, c={c}: {v.coeffs()}"
-            )
-        return mid, reps, boundaries
+            yield c, mid, reps, boundaries
 
 
 def unit_representatives(out: list[int], boundaries: Echelon, want: int) -> list[int]:
@@ -777,83 +756,61 @@ def _sum_representative(out: list[int], boundaries: Echelon, reps: list[int]) ->
     return quotient_basis(acc, kernel)[0]
 
 
-class _Replay(Homology):
-    """Compares one page transition (new_alive, new_zero) with the
-    homology at each bidegree.  The classes it claims survive and newly
-    hit are tabled like the bases (claims), once per column: a column
-    the transition hands over unchanged claims its bases and no hit."""
+def _class_replay(page: Page, new_alive, new_zero) -> int:
+    """Replay a page transition (new_alive, new_zero) a class at a time
+    against Homology.column_homology, column by column in ascending mw;
+    returns the number of eligible bidegrees, those (mw, c <= c_max) that
+    hold a class.  Three independent checks raise EngineError (or
+    RepresentativeNotMonomial): the survivors, the newly hit classes
+    inside the boundary span, and the boundary rank.  A column's claimed
+    survivors and new hits are tabled like its bases, by one _sweep over
+    the new alive intervals and one over the new zero intervals less the
+    old ones; a column whose alive and zero tables are the page's own
+    dicts claims its bases and no hit.  A difference of two intervals may
+    be two pieces, so any table is judged."""
+    homology, count = Homology(page), 0
 
-    def __init__(self, page: Page, new_alive, new_zero):
-        super().__init__(page)
-        self.new_alive = new_alive
-        self.new_zero = new_zero
-        self._claims_mw, self._claims = None, ({}, {})
+    def name(mw: int, pos: int, c: int) -> str:
+        fam, c0, _ = homology.column(mw).alive[pos]
+        return str(family_monomial(fam, c - c0))
 
-    def claims(self, mw: int, c: int) -> tuple[list[int], list[int]]:
-        """The positions at (mw, c) that the transition claims survive,
-        and those it claims are newly hit: one _sweep per column over the
-        new alive intervals and one over the new zero intervals less the
-        old ones, at the degrees of the column's bases; when the
-        column's alive and zero tables are the page's own dicts, its bases
-        survive and nothing is newly hit.  A difference of two intervals
-        may be two pieces, so any table is judged."""
-        if mw != self._claims_mw:
-            table = self.column(mw)
-            na, nz, oz = (per.get(mw, {}) for per in (self.new_alive, self.new_zero, self.page.zero))
-            if na is self.page.alive.get(mw) and nz is self.page.zero.get(mw):
-                self._claims = table.bases, {}  # handed over unchanged
-            else:
-                fams = list(enumerate(table.alive))
-                alive = [(pos, c0, na[fam]) for pos, (fam, c0, _) in fams if fam in na]
-                hit = []
-                for pos, (fam, c0, _) in fams:
-                    new, old = nz.get(fam), oz.get(fam)
-                    if new is not None and new is not old:
-                        lo, hi = new
-                        olo, ohi = old or (hi, hi)
-                        hit += [(pos, c0, (lo, min(hi, olo))), (pos, c0, (max(lo, ohi), hi))]
-                degrees = sorted(table.bases)
-                self._claims = _sweep(alive, degrees), _sweep(hit, degrees)
-            self._claims_mw = mw
-        survivors, hits = self._claims
-        return survivors[c], hits.get(c, [])
-
-    def bidegree(self, mw: int, c: int) -> None:
-        """Recompute the homology at one bidegree and compare: raises
-        EngineError (or RepresentativeNotMonomial) on any disagreement
-        with the tower transition.  Three independent checks: the
-        survivors, the newly hit classes inside the boundary span, and
-        the boundary rank."""
-        mid, got, ech = self.at(mw, c)
-        if not mid:
-            return
-        expected, hits = self.claims(mw, c)
-
-        # surviving classes are a subset of the old ones, in the same order
-        if [mid[i] for i in got] != expected:
-            raise EngineError(
-                f"homology mismatch at mw={mw}, c={c}: gf2 gives "
-                f"{[self.name(mw, mid[i], c) for i in got]}, towers give "
-                f"{[self.name(mw, pos, c) for pos in expected]}"
-            )
-        # classes newly hit must span exactly the boundary space
-        spanned = {mid[i] for i in ech.units()} if hits else ()
-        for pos in hits:
-            if pos not in spanned:
+    for mw in sorted(page.alive):
+        table = homology.column(mw)
+        na, nz, oz = (per.get(mw, {}) for per in (new_alive, new_zero, page.zero))
+        if na is page.alive.get(mw) and nz is page.zero.get(mw):
+            survivors, hits = table.bases, {}  # handed over unchanged
+        else:
+            fams = list(enumerate(table.alive))
+            alive = [(pos, c0, na[fam]) for pos, (fam, c0, _) in fams if fam in na]
+            hit = []
+            for pos, (fam, c0, _) in fams:
+                new, old = nz.get(fam), oz.get(fam)
+                if new is not None and new is not old:
+                    lo, hi = new
+                    olo, ohi = old or (hi, hi)
+                    hit += [(pos, c0, (lo, min(hi, olo))), (pos, c0, (max(lo, ohi), hi))]
+            degrees = sorted(table.bases)
+            survivors, hits = _sweep(alive, degrees), _sweep(hit, degrees)
+        for c, mid, got, ech in homology.column_homology(mw):
+            count += 1
+            expected, newly_hit = survivors[c], hits.get(c, [])
+            # surviving classes are a subset of the old ones, in the same order
+            if [mid[i] for i in got] != expected:
                 raise EngineError(
-                    f"class {self.name(mw, pos, c)} marked hit but outside boundary span"
+                    f"homology mismatch at mw={mw}, c={c}: gf2 gives "
+                    f"{[name(mw, mid[i], c) for i in got]}, towers give "
+                    f"{[name(mw, pos, c) for pos in expected]}"
                 )
-        if len(hits) != ech.rank:
-            raise EngineError(f"boundary rank mismatch at mw={mw}, c={c}")
-
-    def sweep(self) -> int:
-        """bidegree at every eligible bidegree, ascending; returns their number."""
-        count = 0
-        for mw in sorted(self.page.alive):
-            for c in self.bidegrees(mw):
-                self.bidegree(mw, c)
-                count += 1
-        return count
+            # classes newly hit must span exactly the boundary space
+            spanned = {mid[i] for i in ech.units()} if newly_hit else ()
+            for pos in newly_hit:
+                if pos not in spanned:
+                    raise EngineError(
+                        f"class {name(mw, pos, c)} marked hit but outside boundary span"
+                    )
+            if len(newly_hit) != ech.rank:
+                raise EngineError(f"boundary rank mismatch at mw={mw}, c={c}")
+    return count
 
 
 def _bits(lo: int, hi: int) -> int:
@@ -964,7 +921,7 @@ def verify_transition(page: Page, new_alive, new_zero, mode: str, seed: int = 0)
     bidegrees checked.  'sample', a historical name kept for criterion 9,
     scale112 and --page-verify, runs the per-family replay
     (_tower_replay) at every one of them; 'all' then also runs the
-    class-at-a-time replay (_Replay.sweep), which must count the same;
+    class-at-a-time replay (_class_replay), which must count the same;
     'off' replays nothing; any other mode raises ValueError.  Nothing is
     drawn at random: seed stays for the callers that pass it and no
     longer reaches the replay."""
@@ -973,7 +930,7 @@ def verify_transition(page: Page, new_alive, new_zero, mode: str, seed: int = 0)
     if mode == "off":
         return 0
     count = _tower_replay(page, new_alive, new_zero)
-    if mode == "all" and _Replay(page, new_alive, new_zero).sweep() != count:
+    if mode == "all" and _class_replay(page, new_alive, new_zero) != count:
         raise EngineError(f"{page.label}: the two replays count different bidegrees")
     return count
 

@@ -1,8 +1,10 @@
-"""The earlier body of bockstein.Homology.at, kept as the reference that
-the one-elimination routine is compared against.
+"""The homology of one bidegree with the generic gf2 routines, kept as the
+reference that the one-elimination column routine
+(bockstein.Homology.column_homology) is compared against.
 
-It reads the same integer matrices (Homology.column's bases and
-map_columns) but computes the homology with the generic gf2 routines:
+reference_at reads the same integer matrices (Homology.column's bases
+and the maps of the column tables, Homology._fill) but computes the
+homology of one bidegree with the generic gf2 routines:
 the outgoing matrix transposed into F2Vector rows for kernel_basis, a
 fresh boundary Echelon, and quotient_basis of the boundaries in the
 kernel, whose single-class representatives are the reps.  reference_unit_representatives
@@ -12,9 +14,9 @@ earlier bockstein.dense_bidegrees, which gathered the Chow degrees with
 classes from the page's alive intervals instead of the homology's
 sweep.  reference_positions lists the classes at one bidegree by a scan
 of each family's interval, the reference for the sweep that fills every
-class list.  reference_map_columns is the earlier body of
-Homology.map_columns, which built one bidegree's matrix class by class,
-the reference for the map table that a column fills in one pass.
+class list.  reference_map_columns builds one bidegree's matrix class by
+class, the reference for the map table that a column fills in one pass
+(Homology._fill_maps).
 """
 
 from __future__ import annotations
@@ -26,21 +28,22 @@ from gf2_reference import reference_insert
 
 
 def reference_at(homology, mw: int, c: int, sums_allowed: bool = False):
-    """(basis, reps, boundaries) at (mw, c), as Homology.at returns them."""
+    """(basis, reps, boundaries) at (mw, c), as Homology.column_homology
+    yields them after c."""
     mid = homology.column(mw).bases[c]
     if not mid:
         return mid, [], Echelon()
     shift = homology.shift
     n = len(mid)
     rows_bits = [0] * len(homology.column(mw + shift.mw).bases[c + shift.c])
-    for j, bits in enumerate(homology.map_columns(mw, c)):
+    for j, bits in enumerate(homology._fill(mw).maps[c]):
         while bits:
             low = bits & -bits
             rows_bits[low.bit_length() - 1] |= 1 << j
             bits ^= low
     kernel = kernel_basis(F2Matrix(n, tuple(F2Vector(n, b) for b in rows_bits)))
     boundaries = Echelon()
-    for b in homology.map_columns(mw - shift.mw, c - shift.c):
+    for b in homology._fill(mw - shift.mw).maps.get(c - shift.c, ()):
         if b:
             boundaries.insert(b)
     reps: list[int] = []
@@ -85,9 +88,10 @@ def dense_bidegrees(page, mw: int) -> list[int]:
 
 
 def reference_map_columns(homology, mw: int, c: int) -> list[int]:
-    """map_columns(mw, c) class by class: each class of the basis asks
-    the page for its family's image, and each term is either looked up
-    in the target basis or must be zero by class_status."""
+    """The maps of column mw at degree c, class by class: each class of
+    the basis asks the page for its family's image, and each term is
+    either looked up in the target basis or must be zero by
+    class_status."""
     page, shift = homology.page, homology.shift
     column, tmw = homology.column(mw), mw + shift.mw
     target = homology.column(tmw)

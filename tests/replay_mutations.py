@@ -99,4 +99,4 @@ def check_mutations_caught(page) -> None:
             with pytest.raises(bockstein.EngineError):
                 bockstein.verify_transition(page, bad_alive, bad_zero, mode, 0)
         with pytest.raises(bockstein.EngineError):
-            bockstein._Replay(page, bad_alive, bad_zero).sweep()
+            bockstein._class_replay(page, bad_alive, bad_zero)

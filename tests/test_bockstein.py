@@ -39,7 +39,7 @@ from etass.bockstein import (
     tower_page,
     verify_transition,
     _advance,
-    _Replay,
+    _class_replay,
     _tower_replay,
 )
 from etass.gf2 import SubspaceNotContained
@@ -754,14 +754,16 @@ def test_homology_builds_each_echelon_once(monkeypatch):
     page = bockstein_e3(32)
     new_alive, new_zero = _advance(page)
     built = []
-    real_echelon = Homology.echelon
+    real_fill = Homology._fill
 
-    def echelon(self, mw, c):
-        if c not in self.column(mw).echelons:
-            built.append((mw, c))
-        return real_echelon(self, mw, c)
+    def fill(self, mw):
+        fresh = self.column(mw).maps is None
+        table = real_fill(self, mw)
+        if fresh:
+            built.extend((mw, c) for c in table.echelons)
+        return table
 
-    monkeypatch.setattr(Homology, "echelon", echelon)
+    monkeypatch.setattr(Homology, "_fill", fill)
     checked = verify_transition(page, new_alive, new_zero, "all")
     assert checked > 0 and built
     assert len(built) == len(set(built))
@@ -770,39 +772,44 @@ def test_homology_builds_each_echelon_once(monkeypatch):
 
 @pytest.mark.parametrize("label", ["bockstein", "adams-E2"])
 def test_homology_matches_reference(label):
-    """Homology.at gives the basis, reps and boundary span of the
-    kernel_basis/quotient_basis reference at every dense bidegree of
-    every Bockstein page and of adams-E2 at mw 64.  In the Adams margin
-    column it agrees with sum classes allowed and, where a class needs a
-    sum, raises the same error as the reference when they are not."""
+    """Homology.column_homology gives the degrees, basis, reps and
+    boundary span of the kernel_basis/quotient_basis reference at every
+    dense bidegree of every Bockstein page and of adams-E2 at mw 64.  In
+    the Adams margin column it agrees with sum classes allowed and,
+    where a class needs a sum, raises at the same degree the same error
+    as the reference when they are not."""
     pages = run_bockstein(64, verify="off")[0] if label == "bockstein" else [build_e2(64)]
 
-    def outcome(at, homology, mw, c, sums_allowed):
+    def outcomes(results):
+        """(c, basis, reps, boundary pivots) per degree, up to the first
+        RepresentativeNotMonomial, whose message ends the list."""
+        out = []
         try:
-            mid, reps, boundaries = at(homology, mw, c, sums_allowed)
+            for c, mid, reps, boundaries in results:
+                # a fully reduced echelon is determined by its span
+                out.append((c, mid, reps, boundaries.pivots))
         except RepresentativeNotMonomial as err:
-            return str(err)
-        # a fully reduced echelon is determined by its span
-        return mid, reps, boundaries.pivots
+            out.append(str(err))
+        return out
 
     reps_seen = rank_seen = raised = 0
     for page in pages:
         homology = Homology(page)
         for mw in sorted(page.alive):
             margin = page.kind == "adams" and mw > page.max_mw
-            for c in dense_bidegrees(page, mw):
-                for sums_allowed in (True, False) if margin else (False,):
-                    got = outcome(Homology.at, homology, mw, c, sums_allowed)
-                    assert got == outcome(reference_at, homology, mw, c, sums_allowed), (
-                        page.label,
-                        mw,
-                        c,
-                    )
-                    if isinstance(got, str):
+            for sums_allowed in (True, False) if margin else (False,):
+                got = outcomes(homology.column_homology(mw, sums_allowed))
+                want = outcomes(
+                    (c, *reference_at(homology, mw, c, sums_allowed))
+                    for c in dense_bidegrees(page, mw)
+                )
+                assert got == want, (page.label, mw)
+                for found in got:
+                    if isinstance(found, str):
                         raised += 1
                     else:
-                        reps_seen += len(got[1])
-                        rank_seen += len(got[2])
+                        reps_seen += len(found[2])
+                        rank_seen += len(found[3])
     assert reps_seen and rank_seen
     assert raised if label == "adams-E2" else not raised
 
@@ -839,8 +846,8 @@ def test_sweep_tables_match_reference_positions(run):
 
 @pytest.mark.parametrize("label", ["bockstein", "adams", "adams-E2"])
 def test_map_columns_match_reference(label):
-    """Homology.map_columns, whose table a column fills in one pass over
-    its families with an image, equals the class-by-class
+    """The maps of a column table, filled in one pass over the column's
+    families with an image (Homology._fill_maps), equal the class-by-class
     reference_map_columns at every bidegree with classes of every page
     of both sequences at mw 32, E-infinity included, and of adams-E2 at
     mw 64."""
@@ -854,7 +861,7 @@ def test_map_columns_match_reference(label):
         homology = Homology(page)
         for mw in sorted(page.alive):
             for c in [c for c, mid in homology.column(mw).bases.items() if mid]:
-                got = homology.map_columns(mw, c)
+                got = homology._fill(mw).maps[c]
                 assert got == reference_map_columns(homology, mw, c), (page.label, mw, c)
                 nonzero += sum(map(bool, got))
     assert nonzero
@@ -931,42 +938,46 @@ def test_replay_rejects_boundary_that_is_not_a_cycle(monkeypatch, mode):
         (mw, c, next(i for i, bits in enumerate(out) if bits))
         for mw in sorted(page.alive)
         for c in dense_bidegrees(page, mw)
-        if any(out := probe.map_columns(mw, c)) and probe.column(mw - shift.mw).bases[c - shift.c]
+        if any(out := probe._fill(mw).maps[c]) and probe.column(mw - shift.mw).bases[c - shift.c]
     )
     source = (mw - shift.mw, c - shift.c)
-    real_map_columns = Homology.map_columns
+    real_fill_maps = Homology._fill_maps
 
-    def map_columns(self, m, cc):
-        out = real_map_columns(self, m, cc)
-        return [out[0] ^ (1 << i), *out[1:]] if (m, cc) == source else out
+    def fill_maps(self, m, table):
+        maps = real_fill_maps(self, m, table)
+        if m == source[0]:
+            out = maps[source[1]]
+            maps[source[1]] = [out[0] ^ (1 << i), *out[1:]]
+        return maps
 
-    monkeypatch.setattr(Homology, "map_columns", map_columns)
+    monkeypatch.setattr(Homology, "_fill_maps", fill_maps)
     with pytest.raises(SubspaceNotContained, match=f"mw={mw}, c={c} is not a cycle"):
         verify_transition(page, new_alive, new_zero, mode)
 
 
 @pytest.mark.parametrize("label", ["bockstein-E3", "adams-E2"])
 def test_homology_is_independent_of_call_order(label):
-    """Homology.at gives the same (basis, reps, boundary rank) at every
-    bidegree whether the sweep ascends, descends or is shuffled."""
+    """Homology.column_homology gives the same (basis, reps, boundary
+    rank) at every bidegree whether the columns ascend, descend or are
+    shuffled."""
     page = bockstein_e3(24) if label == "bockstein-E3" else build_e2(24)
     assert page.label == label
-    bidegrees = [(mw, c) for mw in sorted(page.alive) for c in dense_bidegrees(page, mw)]
+    columns = sorted(page.alive)
 
     def results(order):
         homology = Homology(page)
         out = {}
-        for mw, c in order:
-            basis, reps, boundaries = homology.at(mw, c, sums_allowed=mw > page.max_mw)
-            out[mw, c] = (basis, reps, boundaries.rank)
-            assert len(homology._columns) <= 3
+        for mw in order:
+            for c, basis, reps, boundaries in homology.column_homology(mw, mw > page.max_mw):
+                out[mw, c] = (basis, reps, boundaries.rank)
+                assert len(homology._columns) <= 3
         return out
 
-    ascending = results(bidegrees)
+    ascending = results(columns)
     assert any(reps for _, reps, _ in ascending.values())
     assert any(rank for _, _, rank in ascending.values())
-    assert results(bidegrees[::-1]) == ascending
-    shuffled = list(bidegrees)
+    assert results(columns[::-1]) == ascending
+    shuffled = list(columns)
     random.Random(5).shuffle(shuffled)
     assert results(shuffled) == ascending
 
@@ -991,7 +1002,7 @@ def test_tower_replay_agrees_with_class_at_a_time_replay(mw):
     for page in tower_pages(mw):
         new_alive, new_zero = _advance(page)
         count = _tower_replay(page, new_alive, new_zero)
-        assert count == _Replay(page, new_alive, new_zero).sweep(), (mw, page.label)
+        assert count == _class_replay(page, new_alive, new_zero), (mw, page.label)
         total += count
     assert total == TOWER_REPLAY_COUNTS.get(mw, total)
 
@@ -1035,7 +1046,7 @@ def test_tower_replay_catches_corruptions_anywhere(mw):
 
 def test_class_at_a_time_replay_catches_corruptions_anywhere():
     """Each corruption kind raises in the class-at-a-time replay alone
-    (_Replay.sweep) at 15 random eligible bidegrees per page and kind,
+    (_class_replay) at 15 random eligible bidegrees per page and kind,
     or at every one there is when a page has fewer, on every tower page
     at mw 40: the degrees that need no elimination and the columns a
     transition hands over unchanged are checked like any other."""
@@ -1049,7 +1060,7 @@ def test_class_at_a_time_replay_catches_corruptions_anywhere():
                 found = corrupt(page, new_alive, new_zero, kind, [bidegree])
                 assert found is not None and found[0] == bidegree
                 with pytest.raises(EngineError):
-                    _Replay(page, found[1], found[2]).sweep()
+                    _class_replay(page, found[1], found[2])
                 tried += 1
     assert tried == 244
 
@@ -1069,10 +1080,10 @@ def test_class_at_a_time_replay_judges_new_hits_in_unchanged_columns():
         for fam, (lo, _) in page.alive[mw].items()
         if fam not in page.zero[mw] and family_c0(fam) + lo <= page.c_max
     )
-    _Replay(page, new_alive, new_zero).sweep()
+    _class_replay(page, new_alive, new_zero)
     bad_zero = {**new_zero, mw: {**new_zero[mw], fam: (b, b + 1)}}
     with pytest.raises(EngineError, match="marked hit but outside boundary span$"):
-        _Replay(page, new_alive, bad_zero).sweep()
+        _class_replay(page, new_alive, bad_zero)
 
 
 def synthetic_page(alive, images) -> Page:
@@ -1156,8 +1167,8 @@ def test_all_mode_needs_both_replays_to_count_alike(monkeypatch):
     bidegrees the per-family replay counts."""
     page = bockstein_e3(16)
     new_alive, new_zero = _advance(page)
-    real_sweep = _Replay.sweep
-    monkeypatch.setattr(_Replay, "sweep", lambda self: real_sweep(self) + 1)
+    real_replay = _class_replay
+    monkeypatch.setattr(bockstein, "_class_replay", lambda *args: real_replay(*args) + 1)
     assert verify_transition(page, new_alive, new_zero, "sample")
     with pytest.raises(EngineError, match="^bockstein-E3: the two replays count different bidegrees$"):
         verify_transition(page, new_alive, new_zero, "all")

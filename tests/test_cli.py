@@ -106,6 +106,24 @@ def test_verify_json_report(tmp_path, capsys):
     assert all(set(item) == {"check", "instance", "pass", "detail"} for item in data)
 
 
+@pytest.mark.parametrize(
+    "mw, items, digest",
+    [
+        (13, 74, "228f19c700bcf49c94039cd82a9e2484c9aded7df3ff22015ceea4fe77df0ede"),
+        (64, 714, "fc2fcb8e42180ae8b51000cd89375a63e2bd3c8b5c10f7f60656481232d02631"),
+    ],
+)
+def test_verify_report_is_pinned(mw, items, digest, tmp_path, capsys):
+    """The whole `verify all --json` report at mw 13 and 64, byte for
+    byte: every item keeps its check, instance, verdict and detail, and
+    the items their order."""
+    report = tmp_path / "report.json"
+    code, _ = run_cli(["verify", "all", "--max-mw", str(mw), "--json", str(report)], capsys)
+    assert code == 0
+    assert len(json.loads(report.read_text())) == items
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
 def test_chart_command(tmp_path, capsys):
     out_file = tmp_path / "chart.svg"
     code, _ = run_cli(
@@ -253,9 +271,9 @@ def test_window_beyond_packing_exit_2(command):
 )
 def test_page_verify_reaches_chart_and_groups(argv, tmp_path, monkeypatch, capsys):
     calls = []
-    real = bockstein._Replay.bidegree
+    real = bockstein._class_replay
     monkeypatch.setattr(
-        bockstein._Replay, "bidegree", lambda self, mw, c: calls.append((mw, c)) or real(self, mw, c)
+        bockstein, "_class_replay", lambda page, *claims: calls.append(page.label) or real(page, *claims)
     )
     argv = [a.format(out=tmp_path / "chart") for a in argv] + ["--max-mw", "16"]
     code, _ = run_cli(argv + ["--page-verify", "off"], capsys)
